@@ -7,7 +7,6 @@ from .engine import (
     RunResult,
     Simulation,
     compute_power,
-    normalize_to_reference,
     percentile,
     run_simulation,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "cubic_k",
     "cubic_window",
     "make_controller",
-    "normalize_to_reference",
     "parse_trace",
     "percentile",
     "resolve_schedule",

@@ -12,6 +12,18 @@ Schemes (config keys):
             window built from the sender's own distributed min-RTT estimate
             (running minimum of ack RTT samples over a sliding horizon).
 
+The three assisted schemes share one core, ``NatcpController``, with two
+class-level choices, both off for natcp:
+
+  cap      off: the feedback window replaces the embedded cubic, which is
+           frozen while assisted and re-seeded from the current window on
+           revert.  On (nacubic): it caps a cubic that keeps running on
+           every ack and loss.
+  own_rtt  off: min-RTT comes from feedback, and a watchdog reverts to the
+           cubic when feedback stops, logged in ``mode_log``.  On (tg):
+           min-RTT is the minimum of the sender's own ack RTT samples over
+           ``horizon_us``; no beta term, no watchdog, no mode log.
+
 Every controller exposes ``cwnd`` (bytes) and ``pacing_bps`` (None = unpaced);
 the transport applies them after each callback.
 """
@@ -32,9 +44,6 @@ PACING_FLOOR_INTERVAL_US = 100_000
 
 LOSS_DUPACK = "dupack"
 LOSS_TIMEOUT = "timeout"
-
-SCHEMES = ("natcp", "nacubic", "cubic", "tg")
-
 
 def pacing_floor_bps(mtu: int) -> float:
     return mtu * 8 * 1e6 / PACING_FLOOR_INTERVAL_US
@@ -169,155 +178,91 @@ class CubicController(Controller):
 
 
 class NatcpController(Controller):
-    """Fully network-assisted window and pacing with a cubic fallback."""
+    """The assisted core, and natcp itself: both choices off."""
 
-    uses_watchdog = True
+    cap = False      # on for nacubic; see the module docstring
+    own_rtt = False  # on for tg
 
     def __init__(
         self,
         mtu: int,
         alpha: float = 2.0,
         divide_pacing_by_beta: bool = False,
+        horizon_us: int = 10_000_000,
     ) -> None:
         super().__init__(mtu)
         self.alpha = alpha
         self.divide_pacing_by_beta = divide_pacing_by_beta
+        self.horizon_us = horizon_us
         self.assisted = False
         self.bl_bw = 0.0
         self.min_rtt_us = 0
-        self._fallback = CubicController(mtu)
-        self._sync_fallback()
-        self.mode_log.append((0, "fallback"))
+        self._samples: deque[tuple[int, int]] = deque()  # own_rtt: (t, rtt)
+        self._last_est_us: int | None = None
+        self.cubic = CubicController(mtu)
+        self.cwnd = self.cubic.cwnd
+        if self.uses_watchdog:
+            self.mode_log.append((0, "fallback"))
 
-    def _sync_fallback(self) -> None:
-        self.cwnd = self._fallback.cwnd
-        self.pacing_bps = None
+    @property
+    def uses_watchdog(self) -> bool:
+        return not self.own_rtt
 
-    def _recompute(self) -> None:
-        self.cwnd = self._clamp_cwnd(
+    def _apply(self, now: int) -> None:
+        if not self.assisted:
+            self.cwnd = self.cubic.cwnd
+            self.pacing_bps = None
+            return
+        if self.own_rtt:
+            est = self.rtt_estimate_us(now)
+            if est is None:
+                return  # no RTT sample yet: keep the bootstrap window, unpaced
+            self.min_rtt_us = est
+        window = self._clamp_cwnd(
             assisted_cwnd_bytes(self.alpha, self.beta, self.min_rtt_us, self.bl_bw)
         )
+        self.cwnd = min(self.cubic.cwnd, window) if self.cap else window
         rate = self.bl_bw / self.beta if self.divide_pacing_by_beta else self.bl_bw
         self.pacing_bps = self._clamp_pacing(rate)
 
     def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
-        super().on_feedback(now, msg)
+        self.fb_count += 1
         self.bl_bw = msg.bl_bw
-        self.min_rtt_us = msg.min_rtt
+        self.min_rtt_us = msg.min_rtt  # own_rtt replaces it in _apply
         if not self.assisted:
             self.assisted = True
-            self.mode_log.append((now, "assisted"))
-        self._recompute()
+            if self.uses_watchdog:
+                self.mode_log.append((now, "assisted"))
+        self._apply(now)
 
     def on_ack(self, now: int, acked_bytes: int, rtt_us: int | None, beta: int) -> None:
-        beta_before = self.beta
-        super().on_ack(now, acked_bytes, rtt_us, beta)
-        if self.assisted:
-            if self.beta != beta_before:
-                self._recompute()
-        else:
-            self._fallback.on_ack(now, acked_bytes, rtt_us, beta)
-            self._sync_fallback()
+        if self.own_rtt:  # beta stays 1, so it divides neither window nor pacing
+            if rtt_us is not None:  # keep the samples' RTTs ascending
+                while self._samples and self._samples[-1][1] >= rtt_us:
+                    self._samples.pop()
+                self._samples.append((now, rtt_us))
+        elif max(1, beta) != self.beta:
+            self.beta = max(1, beta)
+        elif self.assisted and not self.cap:
+            return  # a frozen cubic and unchanged beta: the window stands
+        if self.cap or not self.assisted:
+            self.cubic.on_ack(now, acked_bytes, rtt_us, beta)
+        self._apply(now)
 
     def on_loss(self, now: int, kind: str) -> None:
-        if not self.assisted:
-            self._fallback.on_loss(now, kind)
-            self._sync_fallback()
+        if self.cap or not self.assisted:
+            self.cubic.on_loss(now, kind)
+            self._apply(now)
 
     def revert(self, now: int) -> None:
         """Watchdog expiry: resume loss-driven behavior from the current window."""
-        if not self.assisted:
+        if not self.assisted or not self.uses_watchdog:
             return
         self.assisted = False
-        self._fallback = CubicController.seeded(self.mtu, self.cwnd, now)
-        self._sync_fallback()
+        if not self.cap:
+            self.cubic = CubicController.seeded(self.mtu, self.cwnd, now)
+        self._apply(now)
         self.mode_log.append((now, "fallback"))
-
-
-class NaCubicController(Controller):
-    """Unmodified cubic capped by the feedback window while feedback is fresh."""
-
-    uses_watchdog = True
-
-    def __init__(
-        self,
-        mtu: int,
-        alpha: float = 2.0,
-        divide_pacing_by_beta: bool = False,
-    ) -> None:
-        super().__init__(mtu)
-        self.alpha = alpha
-        self.divide_pacing_by_beta = divide_pacing_by_beta
-        self.assisted = False   # here: feedback considered fresh
-        self.bl_bw = 0.0
-        self.min_rtt_us = 0
-        self.cubic = CubicController(mtu)
-        self.mode_log.append((0, "fallback"))
-        self._apply()
-
-    def _cap_bytes(self) -> int:
-        return self._clamp_cwnd(
-            assisted_cwnd_bytes(self.alpha, self.beta, self.min_rtt_us, self.bl_bw)
-        )
-
-    def _apply(self) -> None:
-        if self.assisted:
-            self.cwnd = min(self.cubic.cwnd, self._cap_bytes())
-            rate = self.bl_bw / self.beta if self.divide_pacing_by_beta else self.bl_bw
-            self.pacing_bps = self._clamp_pacing(rate)
-        else:
-            self.cwnd = self.cubic.cwnd
-            self.pacing_bps = None
-
-    def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
-        super().on_feedback(now, msg)
-        self.bl_bw = msg.bl_bw
-        self.min_rtt_us = msg.min_rtt
-        if not self.assisted:
-            self.assisted = True
-            self.mode_log.append((now, "assisted"))
-        self._apply()
-
-    def on_ack(self, now: int, acked_bytes: int, rtt_us: int | None, beta: int) -> None:
-        super().on_ack(now, acked_bytes, rtt_us, beta)
-        self.cubic.on_ack(now, acked_bytes, rtt_us, beta)
-        self._apply()
-
-    def on_loss(self, now: int, kind: str) -> None:
-        self.cubic.on_loss(now, kind)
-        self._apply()
-
-    def revert(self, now: int) -> None:
-        if not self.assisted:
-            return
-        self.assisted = False
-        self.mode_log.append((now, "fallback"))
-        self._apply()
-
-
-class TgController(Controller):
-    """Bandwidth-only guidance with a sender-side distributed min-RTT.
-
-    The server keeps the minimum of its own ack RTT samples over a sliding
-    horizon and sizes the window as alpha * est * fb_bw; pacing follows the
-    reported capacity.  No fairness term and no network RTT assistance.
-    """
-
-    def __init__(self, mtu: int, alpha: float = 2.0, horizon_us: int = 10_000_000) -> None:
-        super().__init__(mtu)
-        self.alpha = alpha
-        self.horizon_us = horizon_us
-        self.fb_bw = 0.0
-        self.have_feedback = False
-        self._samples: deque[tuple[int, int]] = deque()  # (t, rtt) rtt ascending
-        self._last_est_us: int | None = None
-        self._bootstrap = CubicController(mtu)
-        self.cwnd = self._bootstrap.cwnd
-
-    def _note_rtt(self, now: int, rtt_us: int) -> None:
-        while self._samples and self._samples[-1][1] >= rtt_us:
-            self._samples.pop()
-        self._samples.append((now, rtt_us))
 
     def rtt_estimate_us(self, now: int) -> int | None:
         horizon_start = now - self.horizon_us
@@ -327,35 +272,26 @@ class TgController(Controller):
             self._last_est_us = self._samples[0][1]
         return self._last_est_us
 
-    def _recompute(self, now: int) -> None:
-        est = self.rtt_estimate_us(now)
-        if est is None:
-            return
-        self.cwnd = self._clamp_cwnd(
-            assisted_cwnd_bytes(self.alpha, 1, est, self.fb_bw)
-        )
-        self.pacing_bps = self._clamp_pacing(self.fb_bw)
 
-    def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
-        super().on_feedback(now, msg)
-        self.fb_bw = msg.bl_bw
-        self.have_feedback = True
-        self._recompute(now)
+class NaCubicController(NatcpController):
+    """Unmodified cubic capped by the feedback window while feedback is fresh."""
 
-    def on_ack(self, now: int, acked_bytes: int, rtt_us: int | None, beta: int) -> None:
-        super().on_ack(now, acked_bytes, rtt_us, beta)
-        if rtt_us is not None:
-            self._note_rtt(now, rtt_us)
-        if self.have_feedback:
-            self._recompute(now)
-        else:
-            self._bootstrap.on_ack(now, acked_bytes, rtt_us, beta)
-            self.cwnd = self._bootstrap.cwnd
+    cap = True
 
-    def on_loss(self, now: int, kind: str) -> None:
-        if not self.have_feedback:
-            self._bootstrap.on_loss(now, kind)
-            self.cwnd = self._bootstrap.cwnd
+
+class TgController(NatcpController):
+    """Bandwidth-only guidance with a sender-side distributed min-RTT."""
+
+    own_rtt = True
+
+
+CONTROLLERS = {
+    "natcp": NatcpController,
+    "nacubic": NaCubicController,
+    "cubic": CubicController,
+    "tg": TgController,
+}
+SCHEMES = tuple(CONTROLLERS)
 
 
 def make_controller(
@@ -365,12 +301,9 @@ def make_controller(
     divide_pacing_by_beta: bool = False,
     tg_horizon_us: int = 10_000_000,
 ) -> Controller:
-    if scheme == "cubic":
-        return CubicController(mtu)
-    if scheme == "natcp":
-        return NatcpController(mtu, alpha, divide_pacing_by_beta)
-    if scheme == "nacubic":
-        return NaCubicController(mtu, alpha, divide_pacing_by_beta)
-    if scheme == "tg":
-        return TgController(mtu, alpha, tg_horizon_us)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    cls = CONTROLLERS.get(scheme)
+    if cls is None:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if cls is CubicController:
+        return cls(mtu)
+    return cls(mtu, alpha, divide_pacing_by_beta, tg_horizon_us)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .cc import SCHEMES
@@ -31,6 +33,9 @@ from .trace import (
 )
 
 ASSIST_MODES = ("oob", "ib")
+_POSITIVE = ("duration_s", "mtu", "assist.period_us", "assist.probe_interval_us",
+             "cc.alpha")
+_NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us")
 
 
 class ConfigError(ValueError):
@@ -44,19 +49,26 @@ class FlowSpec:
     start_us: int
 
 
+def _key(key: str, default):
+    """A field whose config key is not its attribute name."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class SimConfig:
+    """Every leaf field is a config key; see ``_SETTINGS``."""
+
     scheme: str = "natcp"
     trace: str = "const:12mbps"
     duration_s: float = 60.0
     seed: int = 1
     mtu: int = 1500
-    queue_capacity_bytes: int = 150_000
-    alpha: float = 2.0
-    divide_pacing_by_beta: bool = False
-    tg_horizon_us: int = 10_000_000
-    flow_starts_s: tuple[float, ...] = (0.0,)
-    flow_ues: tuple[int, ...] = (0,)
+    queue_capacity_bytes: int = _key("queue.capacity_bytes", 150_000)
+    alpha: float = _key("cc.alpha", 2.0)
+    divide_pacing_by_beta: bool = _key("cc.divide_pacing_by_beta", False)
+    tg_horizon_us: int = _key("cc.tg_horizon_us", 10_000_000)
+    flow_starts_s: tuple[float, ...] = _key("flows.start_s", (0.0,))
+    flow_ues: tuple[int, ...] = _key("flows.ue", (0,))
     path: PathConfig = field(default_factory=PathConfig)
     assist: NetAssistConfig = field(default_factory=NetAssistConfig)
 
@@ -84,34 +96,27 @@ class SimConfig:
                 seen.append(ue)
         return seen
 
-    def copy(self) -> "SimConfig":
-        dup = dataclasses.replace(self)
-        dup.path = dataclasses.replace(self.path)
-        dup.assist = dataclasses.replace(self.assist)
-        return dup
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
         errs: list[str] = []
         if self.scheme not in SCHEMES:
             errs.append(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
-        if self.duration_s <= 0:
-            errs.append("duration_s must be positive")
-        if self.mtu <= 0:
-            errs.append("mtu must be positive")
+        for key, (owner, attr, _) in _SETTINGS.items():
+            value = getattr(getattr(self, owner) if owner else self, attr)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                errs.append(f"{key} must be finite")
+            elif key in _POSITIVE and value <= 0:
+                errs.append(f"{key} must be positive")
+            elif key in _NON_NEGATIVE and value < 0:
+                errs.append(f"{key} must not be negative")
         if self.queue_capacity_bytes < self.mtu:
             errs.append("queue.capacity_bytes must hold at least one MTU packet")
         if not (0.0 <= self.path.loss_prob <= 1.0):
             errs.append("path.loss_prob must be in [0, 1]")
         if self.assist.mode not in ASSIST_MODES:
             errs.append(f"assist.mode must be one of {'/'.join(ASSIST_MODES)}")
-        if self.assist.period_us <= 0:
-            errs.append("assist.period_us must be positive")
-        if self.assist.probe_interval_us <= 0:
-            errs.append("assist.probe_interval_us must be positive")
-        if self.alpha <= 0:
-            errs.append("cc.alpha must be positive")
         if not self.flow_starts_s:
             errs.append("at least one flow is required")
         if len(self.flow_ues) not in (1, len(self.flow_starts_s)):
@@ -137,12 +142,8 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+def _parse_list(cast, text: str) -> tuple:
+    return tuple(cast(part) for part in text.split(","))
 
 
 def _parse_optional_int(text: str) -> int | None:
@@ -152,40 +153,34 @@ def _parse_optional_int(text: str) -> int | None:
     return int(norm)
 
 
-# key -> (caster, setter). Setters mutate the SimConfig in place.
-_SETTINGS = {
-    "scheme": (str, lambda c, v: setattr(c, "scheme", v)),
-    "trace": (str, lambda c, v: setattr(c, "trace", v)),
-    "duration_s": (float, lambda c, v: setattr(c, "duration_s", v)),
-    "seed": (int, lambda c, v: setattr(c, "seed", v)),
-    "mtu": (int, lambda c, v: setattr(c, "mtu", v)),
-    "queue.capacity_bytes": (int, lambda c, v: setattr(c, "queue_capacity_bytes", v)),
-    "path.down_owd_us": (int, lambda c, v: setattr(c.path, "down_owd_us", v)),
-    "path.up_owd_us": (int, lambda c, v: setattr(c.path, "up_owd_us", v)),
-    "path.uplink_rate_bps": (float, lambda c, v: setattr(c.path, "uplink_rate_bps", v)),
-    "path.oob_delay_us": (int, lambda c, v: setattr(c.path, "oob_delay_us", v)),
-    "path.loss_prob": (float, lambda c, v: setattr(c.path, "loss_prob", v)),
-    "path.probe_jitter_us": (int, lambda c, v: setattr(c.path, "probe_jitter_us", v)),
-    "assist.period_us": (int, lambda c, v: setattr(c.assist, "period_us", v)),
-    "assist.mode": (str, lambda c, v: setattr(c.assist, "mode", v)),
-    "assist.probe_interval_us": (int, lambda c, v: setattr(c.assist, "probe_interval_us", v)),
-    "assist.feedback_size_bytes": (int, lambda c, v: setattr(c.assist, "feedback_size", v)),
-    "assist.part2_ceiling_us": (int, lambda c, v: setattr(c.assist, "part2_ceiling_us", v)),
-    "assist.suppress_after_us": (
-        _parse_optional_int,
-        lambda c, v: setattr(c.assist, "suppress_after_us", v),
-    ),
-    "cc.alpha": (float, lambda c, v: setattr(c, "alpha", v)),
-    "cc.divide_pacing_by_beta": (
-        _parse_bool,
-        lambda c, v: setattr(c, "divide_pacing_by_beta", v),
-    ),
-    "cc.tg_horizon_us": (int, lambda c, v: setattr(c, "tg_horizon_us", v)),
-    "flows.start_s": (_parse_float_list, lambda c, v: setattr(c, "flow_starts_s", v)),
-    "flows.ue": (_parse_int_list, lambda c, v: setattr(c, "flow_ues", v)),
+_CASTERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "int | None": _parse_optional_int,
+    "tuple[float, ...]": partial(_parse_list, float),
+    "tuple[int, ...]": partial(_parse_list, int),
 }
 
-KNOWN_KEYS = tuple(sorted(_SETTINGS))
+
+def _key_table(cls: type, owner: str | None = None) -> dict:
+    """key -> (owner attribute or None, field name, caster) for every leaf
+    field of a config dataclass, recursing into nested config dataclasses.
+    A key is the dotted attribute path unless the field's metadata names it.
+    """
+    prefix = f"{owner}." if owner else ""
+    table = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            table.update(_key_table(f.default_factory, f.name))
+        else:
+            table[prefix + f.metadata.get("key", f.name)] = (
+                owner, f.name, _CASTERS[f.type])
+    return table
+
+
+_SETTINGS = _key_table(SimConfig)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -205,11 +200,12 @@ def apply_settings(cfg: SimConfig, settings: dict[str, str]) -> SimConfig:
         entry = _SETTINGS.get(key)
         if entry is None:
             raise ConfigError(f"unknown config key {key!r}")
-        caster, setter = entry
+        owner, attr, caster = entry
         try:
-            setter(cfg, caster(raw))
+            value = caster(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+        setattr(getattr(cfg, owner) if owner else cfg, attr, value)
     return cfg
 
 

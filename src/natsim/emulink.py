@@ -28,8 +28,6 @@ class LinkError(ValueError):
 class PacketKind(enum.Enum):
     DATA = "data"
     ACK = "ack"
-    PROBE = "probe"
-    FEEDBACK = "feedback"
 
 
 UNSET = -1
@@ -39,7 +37,7 @@ UNSET = -1
 class Packet:
     """A simulated packet; timestamps are filled in as it moves."""
 
-    flow_id: str
+    flow_id: int
     seq: int
     size: int
     kind: PacketKind
@@ -85,7 +83,7 @@ class UeQueue:
     every mutation.
     """
 
-    ue_id: str
+    ue_id: int
     capacity_bytes: int
     fifo: deque = field(default_factory=deque)
     occupancy: int = 0
@@ -141,22 +139,22 @@ class BtsLink:
         self.rng = rng
         self._schedule_event = schedule_event
         self._log = log
-        self.queues: dict[str, UeQueue] = {}
-        self._deliver: dict[str, Callable[[int, Packet], None]] = {}
-        self._rr: list[str] = []
+        self.queues: dict[int, UeQueue] = {}
+        self._deliver: dict[int, Callable[[int, Packet], None]] = {}
+        self._rr: list[int] = []
         self._rr_next = 0
         self._next_opp_index = 0
         self._drain_scheduled = False
-        self._pending_ib: dict[str, object] = {}
+        self._pending_ib: dict[int, object] = {}
         self.served_opportunities = 0
         self.air_drops = 0
-        self.drops_by_flow: dict[str, int] = {}
+        self.drops_by_flow: dict[int, int] = {}
 
     # -- wiring -----------------------------------------------------------
 
     def register_ue(
         self,
-        ue_id: str,
+        ue_id: int,
         capacity_bytes: int,
         deliver: Callable[[int, Packet], None],
     ) -> UeQueue:
@@ -168,7 +166,7 @@ class BtsLink:
         self._rr.append(ue_id)
         return q
 
-    def queue_for(self, ue_id: str) -> UeQueue:
+    def queue_for(self, ue_id: int) -> UeQueue:
         try:
             return self.queues[ue_id]
         except KeyError:
@@ -176,7 +174,7 @@ class BtsLink:
 
     # -- downlink ---------------------------------------------------------
 
-    def send_downlink(self, pkt: Packet, now: int, ue_id: str) -> None:
+    def send_downlink(self, pkt: Packet, now: int, ue_id: int) -> None:
         """Launch a data packet toward the UE queue (arrives after the
         downlink one-way delay).  Probes never take this path."""
         if pkt.kind is not PacketKind.DATA:
@@ -185,7 +183,7 @@ class BtsLink:
         pkt.t_sent = now if pkt.t_sent == UNSET else pkt.t_sent
         self._schedule_event(now + self.path.down_owd_us, self._arrive, (pkt, ue_id))
 
-    def _arrive(self, now: int, pkt: Packet, ue_id: str) -> None:
+    def _arrive(self, now: int, pkt: Packet, ue_id: int) -> None:
         q = self.queues[ue_id]
         if q.offer(pkt, now):
             self._log(now, "enq", pkt.flow_id, pkt.seq)
@@ -242,7 +240,7 @@ class BtsLink:
 
     # -- in-band feedback -------------------------------------------------
 
-    def attach_ib(self, ue_id: str, msg: object) -> None:
+    def attach_ib(self, ue_id: int, msg: object) -> None:
         """Stage a feedback digest on the next packet dequeued for this UE.
 
         A newer digest replaces an unattached older one (stale feedback is

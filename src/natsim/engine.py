@@ -178,34 +178,6 @@ def compute_power(throughput_mbps: float, delay_ms: float | None) -> float | Non
     return throughput_mbps / delay_ms
 
 
-def normalize_to_reference(
-    values: dict[tuple[str, str], float],
-    reference_scheme: str,
-) -> dict[str, float]:
-    """Per-trace ratios to a reference scheme, averaged across traces.
-
-    ``values`` maps (scheme, trace) to a metric.  Every trace must have an
-    entry for the reference scheme.
-    """
-    traces = sorted({trace for (_, trace) in values})
-    schemes = sorted({scheme for (scheme, _) in values})
-    out: dict[str, float] = {}
-    for scheme in schemes:
-        ratios = []
-        for trace in traces:
-            if (scheme, trace) not in values:
-                continue
-            ref = values[(reference_scheme, trace)]
-            val = values[(scheme, trace)]
-            if ref == 0:
-                ratios.append(1.0 if val == 0 else math.inf)
-            else:
-                ratios.append(val / ref)
-        if ratios:
-            out[scheme] = statistics.fmean(ratios)
-    return out
-
-
 class Simulation:
     """One configured run: wiring, event orchestration, result collection."""
 

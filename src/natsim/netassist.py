@@ -31,7 +31,7 @@ class FeedbackMsg:
     """One per-UE feedback digest."""
 
     seq: int
-    ue_id: str
+    ue_id: int
     window: tuple[int, int]   # [t0, t1) microseconds
     bl_bw: float              # offered bottleneck capacity, bits/s
     min_rtt: int              # microseconds
@@ -43,7 +43,8 @@ class NetAssistConfig:
     period_us: int = 50_000
     mode: str = "oob"                  # "oob" or "ib"
     probe_interval_us: int = 50_000
-    feedback_size: int = 64            # bytes on the wire per message
+    # bytes on the wire per message
+    feedback_size: int = field(default=64, metadata={"key": "feedback_size_bytes"})
     part2_ceiling_us: int = 1_000_000  # outage clamp for the HOL term
     suppress_after_us: int | None = None  # fault injection: stop emitting
 
@@ -56,7 +57,7 @@ class NetAssist:
         cfg: NetAssistConfig,
         schedule: TraceSchedule,
         path: PathConfig,
-        ue_ids: list[str],
+        ue_ids: list[int],
         probe_rtt: Callable[[int], int],
     ) -> None:
         self.cfg = cfg
@@ -64,7 +65,7 @@ class NetAssist:
         self.path = path
         self.ue_ids = list(ue_ids)
         self._probe_rtt = probe_rtt
-        self._seq: dict[str, int] = {ue: 0 for ue in self.ue_ids}
+        self._seq: dict[int, int] = {ue: 0 for ue in self.ue_ids}
         self.emitted_count = 0
 
     # -- probes -----------------------------------------------------------
@@ -88,7 +89,7 @@ class NetAssist:
 
     # -- per-window measurements -------------------------------------------
 
-    def measure_bl_bw(self, ue_id: str, t0: int, t1: int) -> float:
+    def measure_bl_bw(self, ue_id: int, t0: int, t1: int) -> float:
         """Offered capacity (bits/s) for one UE over [t0, t1).
 
         Counts delivery opportunities whether or not they were used; with

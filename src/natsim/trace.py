@@ -174,6 +174,19 @@ def render_trace(schedule: TraceSchedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spaced(rate_bps: float, start_us: int, end_us: int, mtu: int) -> list[int]:
+    """Opportunities in (start_us, end_us], one per mtu at rate_bps.
+
+    The k-th is at start + floor(k * mtu * 8e6 / rate) in integer
+    arithmetic, so rounding never drifts; the last k is the largest with
+    k * mtu * 8e6 < (end - start + 1) * rate.
+    """
+    rate = round(rate_bps)
+    numer = mtu * 8 * 1_000_000
+    last = ((end_us - start_us + 1) * rate - 1) // numer
+    return [start_us + k * numer // rate for k in range(1, last + 1)]
+
+
 def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) -> TraceSchedule:
     """Constant-rate schedule: evenly spaced opportunities at ``rate_bps``.
 
@@ -185,18 +198,8 @@ def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) ->
         raise TraceError("rate must be positive")
     if duration_ms < 0:
         raise TraceError("duration must be non-negative")
-    rate = round(rate_bps)
     duration_us = duration_ms * US_PER_MS
-    numer = mtu * 8 * 1_000_000
-    opps = []
-    k = 1
-    while True:
-        t = k * numer // rate
-        if t > duration_us:
-            break
-        opps.append(t)
-        k += 1
-    return TraceSchedule(tuple(opps), duration_us, mtu)
+    return TraceSchedule(tuple(_spaced(rate_bps, 0, duration_us, mtu)), duration_us, mtu)
 
 
 def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> TraceSchedule:
@@ -216,15 +219,7 @@ def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> Tra
             raise TraceError("segment duration must be positive")
         seg_end = cursor_us + hold_ms * US_PER_MS
         if rate_bps > 0:
-            rate = round(rate_bps)
-            numer = mtu * 8 * 1_000_000
-            k = 1
-            while True:
-                t = cursor_us + k * numer // rate
-                if t > seg_end:
-                    break
-                opps.append(t)
-                k += 1
+            opps += _spaced(rate_bps, cursor_us, seg_end, mtu)
         cursor_us = seg_end
     return TraceSchedule(tuple(opps), cursor_us, mtu)
 

@@ -9,7 +9,6 @@ from natsim.config import SimConfig
 from natsim.engine import (
     EventLoop,
     compute_power,
-    normalize_to_reference,
     percentile,
     run_simulation,
 )
@@ -62,23 +61,6 @@ def test_compute_power():
     assert compute_power(12.0, 3.0) == 4.0
     assert compute_power(12.0, 0.0) == math.inf
     assert compute_power(12.0, None) is None
-
-
-def test_normalize_to_reference():
-    values = {
-        ("a", "t1"): 10.0, ("a", "t2"): 30.0,
-        ("b", "t1"): 5.0, ("b", "t2"): 10.0,
-    }
-    norm = normalize_to_reference(values, "b")
-    assert norm["b"] == 1.0
-    assert norm["a"] == pytest.approx((10 / 5 + 30 / 10) / 2)
-
-
-def test_normalize_handles_zero_reference():
-    values = {("a", "t"): 3.0, ("b", "t"): 0.0}
-    norm = normalize_to_reference(values, "b")
-    assert norm["a"] == math.inf
-    assert norm["b"] == 1.0
 
 
 def test_event_loop_fifo_among_ties():
