@@ -26,6 +26,7 @@ from .cc import SCHEMES
 from .emulink import PathConfig
 from .netassist import NetAssistConfig
 from .trace import (
+    TraceError,
     TraceSchedule,
     is_trace_expression,
     parse_trace,
@@ -229,10 +230,16 @@ def resolve_schedule(cfg: SimConfig) -> TraceSchedule:
     The field is either a generator expression (``const:``/``step:``/
     ``walk:``) or a path to a trace file of millisecond timestamps.
     Missing files raise FileNotFoundError so callers can distinguish
-    absent inputs from malformed ones.
+    absent inputs from malformed ones.  A schedule without a single delivery
+    opportunity (an all-outage trace, or a rate that rounds to nothing)
+    raises TraceError here, before a run could queue its first packet.
     """
     duration_ms = int(round(cfg.duration_s * 1000))
     if is_trace_expression(cfg.trace):
-        return schedule_from_spec(cfg.trace, duration_ms, cfg.mtu, cfg.seed)
-    text = Path(cfg.trace).read_text()
-    return parse_trace(text, mtu=cfg.mtu)
+        schedule = schedule_from_spec(cfg.trace, duration_ms, cfg.mtu, cfg.seed)
+    else:
+        schedule = parse_trace(Path(cfg.trace).read_text(), mtu=cfg.mtu)
+    if not schedule.usable:
+        raise TraceError(f"trace {cfg.trace!r} has no delivery opportunity "
+                         "and cannot be replayed")
+    return schedule

@@ -3,6 +3,9 @@
 The downlink is a per-UE droptail FIFO drained by the trace schedule: each
 delivery opportunity transmits the head packet of one backlogged UE
 (round-robin across UEs).  Unused opportunities are wasted, never banked.
+A count of backlogged UEs decides whether to keep draining, and at most one
+drain event is pending: while any queue holds a packet, the event for
+opportunity ``i`` schedules the one for ``i + 1``.
 The uplink (acks) is an ideal pipe: fixed one-way delay plus per-packet
 serialization at a configured depletion rate, no queuing.  Measurement
 probes bypass the UE queues entirely and observe only fixed network delay.
@@ -117,10 +120,11 @@ class UeQueue:
         return pkt
 
     def _audit(self) -> None:
-        assert 0 <= self.occupancy <= self.capacity_bytes
-        assert self.enqueued_bytes == self.dequeued_bytes + self.occupancy
         # dropped bytes never enter the queue, so they sit outside the identity
-        # above; track them separately for the end-of-run conservation check.
+        # below; they are tracked separately for the end-of-run check.
+        if not (0 <= self.occupancy <= self.capacity_bytes
+                and self.enqueued_bytes == self.dequeued_bytes + self.occupancy):
+            raise LinkError(f"queue byte identity broken at UE {self.ue_id}")
 
 
 class BtsLink:
@@ -143,8 +147,8 @@ class BtsLink:
         self._deliver: dict[int, Callable[[int, Packet], None]] = {}
         self._rr: list[int] = []
         self._rr_next = 0
-        self._next_opp_index = 0
-        self._drain_scheduled = False
+        self._next_opp_index = 0   # first opportunity not yet served
+        self._backlogged = 0       # UEs with a packet queued; > 0 while draining
         self._pending_ib: dict[int, object] = {}
         self.served_opportunities = 0
         self.air_drops = 0
@@ -187,33 +191,27 @@ class BtsLink:
         q = self.queues[ue_id]
         if q.offer(pkt, now):
             self._log(now, "enq", pkt.flow_id, pkt.seq)
-            self._ensure_drain(now)
+            if len(q.fifo) == 1:
+                self._backlogged += 1
+                if self._backlogged == 1:
+                    self._start_drain(now)
         else:
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             self._log(now, "drop", pkt.flow_id, pkt.seq)
 
-    def _ensure_drain(self, now: int) -> None:
-        if self._drain_scheduled:
-            return
+    def _start_drain(self, now: int) -> None:
+        """Schedule the first unserved opportunity at or after ``now``."""
         idx = max(self._next_opp_index, self.schedule.index_at_or_after(now))
-        self._next_opp_index = idx
-        self._drain_scheduled = True
         self._schedule_event(self.schedule.instant(idx), self._on_opportunity, (idx,))
-
-    def _backlogged(self) -> bool:
-        return any(q.fifo for q in self.queues.values())
 
     def _on_opportunity(self, now: int, idx: int) -> None:
         """Serve one packet from the next backlogged UE (round-robin)."""
-        self._drain_scheduled = False
-        if idx != self._next_opp_index:  # superseded scheduling; ignore
-            return
         q = self._pick_backlogged()
-        if q is None:
-            return
         self._next_opp_index = idx + 1
         self.served_opportunities += 1
         pkt = q.pop(now)
+        if not q.fifo:
+            self._backlogged -= 1
         self._log(now, "deq", pkt.flow_id, pkt.seq, now - pkt.t_enqueued)
         ib = self._pending_ib.pop(q.ue_id, None)
         if ib is not None:
@@ -225,8 +223,10 @@ class BtsLink:
         else:
             pkt.t_delivered = now  # zero residual radio-leg delay
             self._deliver[q.ue_id](now, pkt)
-        if self._backlogged():
-            self._ensure_drain(now)
+        if self._backlogged:
+            # instant(idx + 1) >= now, so it is the first unserved opportunity
+            self._schedule_event(self.schedule.instant(idx + 1),
+                                 self._on_opportunity, (idx + 1,))
 
     def _pick_backlogged(self) -> UeQueue | None:
         n = len(self._rr)

@@ -3,8 +3,17 @@
 One run wires together: bulk senders (one per flow), the trace-driven
 bottleneck link with per-UE droptail queues, per-UE receivers, and the
 network-side measurement entity that emits periodic feedback.  Everything
-advances on a single integer-microsecond event heap; ties break in
-scheduling order, so identical configurations replay identically.
+advances on a single integer-microsecond event heap.  Ties break by the
+point at which the causing event was handled: each event carries a tick
+taken from one counter, either when it is scheduled or, for a watchdog
+check, reserved when the feedback that arms it is applied.  Identical
+configurations therefore replay identically.
+
+Each flow keeps at most one watchdog check on the heap.  Feedback applied
+while a check is pending only records the new deadline and its reserved
+tick; when the pending check fires early it moves itself to that key, so
+the check that can revert a flow runs exactly where it would if every
+feedback had pushed one of its own.
 
 Randomness: one generator seeded from the config drives air-interface loss
 (and nothing else); synthetic walk traces derive their own generator from
@@ -39,8 +48,16 @@ class EventLoop:
         self.now = 0
         self.processed = 0
 
-    def schedule(self, t_us: int, fn: Callable, args: tuple = ()) -> None:
-        heapq.heappush(self._heap, (t_us, next(self._tick), fn, args))
+    def schedule(self, t_us: int, fn: Callable, args: tuple = (),
+                 tick: int | None = None) -> None:
+        """Push fn(t_us, *args); ``tick`` is one taken from ``reserve``."""
+        if tick is None:
+            tick = next(self._tick)
+        heapq.heappush(self._heap, (t_us, tick, fn, args))
+
+    def reserve(self) -> int:
+        """Take the next tie-break tick for an event pushed later."""
+        return next(self._tick)
 
     def run_until(self, t_end_us: int) -> None:
         while self._heap and self._heap[0][0] <= t_end_us:
@@ -199,6 +216,9 @@ class Simulation:
         self.flows_on_ue: dict[int, list[int]] = {}
         self._deliveries: dict[int, list] = {}
         self._active: set[int] = set()
+        # flow -> (deadline, tick) of its latest watchdog; present while a
+        # check for the flow is on the heap
+        self._watchdog: dict[int, tuple[int, int]] = {}
 
         for ue in cfg.ue_ids():
             recv = UeReceiver(ue, self._transmit_ack)
@@ -286,14 +306,21 @@ class Simulation:
             (flow_id, msg.seq, msg.t_emitted, now, msg.bl_bw, msg.min_rtt))
         self.senders[flow_id].apply_decision()
         if ctl.uses_watchdog:
-            deadline = now + WATCHDOG_PERIODS * self.cfg.assist.period_us
-            self.loop.schedule(deadline, self._watchdog_check,
-                               (flow_id, ctl.fb_count))
+            key = (now + WATCHDOG_PERIODS * self.cfg.assist.period_us,
+                   self.loop.reserve())
+            if flow_id not in self._watchdog:
+                self.loop.schedule(key[0], self._watchdog_check,
+                                   (flow_id, key), key[1])
+            self._watchdog[flow_id] = key
 
-    def _watchdog_check(self, now: int, flow_id: int, snapshot: int) -> None:
+    def _watchdog_check(self, now: int, flow_id: int, key: tuple[int, int]) -> None:
+        latest = self._watchdog[flow_id]
+        if latest != key:  # fresher feedback arrived: wait for its deadline
+            self.loop.schedule(latest[0], self._watchdog_check,
+                               (flow_id, latest), latest[1])
+            return
+        del self._watchdog[flow_id]
         ctl = self.controllers[flow_id]
-        if ctl.fb_count != snapshot:
-            return  # fresher feedback arrived; this check is obsolete
         ctl.revert(now)
         sender = self.senders[flow_id]
         sender.apply_decision()

@@ -1,10 +1,14 @@
 """Network-side measurement entity colocated with the base station.
 
-Every feedback period it measures, per UE, the offered bottleneck capacity
+Every feedback period it measures the offered bottleneck capacity
 (delivery opportunities in the elapsed window, independent of backlog) and a
-three-part minimum-RTT estimate, then ships both to the server either
-out-of-band (dedicated low-latency channel) or in-band (digest riding the
-next dequeued data packet, reaching the server with that packet's ack).
+three-part minimum-RTT estimate, then ships both to the server in one digest
+per UE, either out-of-band (dedicated low-latency channel) or in-band (digest
+riding the next dequeued data packet, reaching the server with that packet's
+ack).  Neither value depends on the UE: every UE is attributed the same
+round-robin share of the one schedule, the probe term depends only on the
+time and the uplink term is a constant.  So each period is measured once
+and every UE's digest carries the same values.
 
 The min-RTT estimate is the sum of
   part 1: the latest completed priority-probe round trip (no queuing),
@@ -65,7 +69,7 @@ class NetAssist:
         self.path = path
         self.ue_ids = list(ue_ids)
         self._probe_rtt = probe_rtt
-        self._seq: dict[int, int] = {ue: 0 for ue in self.ue_ids}
+        self._seq = 0  # periods emitted; every UE's digest shares the number
         self.emitted_count = 0
 
     # -- probes -----------------------------------------------------------
@@ -93,7 +97,8 @@ class NetAssist:
         """Offered capacity (bits/s) for one UE over [t0, t1).
 
         Counts delivery opportunities whether or not they were used; with
-        several active UEs each is attributed its round-robin share.
+        several active UEs each is attributed its round-robin share, so the
+        value is the same for every UE.
 
         When the window is shorter than the current opportunity spacing it
         contains no opportunity at all; reporting zero would confuse a slow
@@ -130,17 +135,16 @@ class NetAssist:
 
     def emit(self, now: int) -> list[FeedbackMsg]:
         """Build one feedback digest per UE for the window ending at ``now``."""
-        if self.cfg.suppress_after_us is not None and now >= self.cfg.suppress_after_us:
+        suppress = self.cfg.suppress_after_us
+        if not self.ue_ids or (suppress is not None and now >= suppress):
             return []
-        t0, t1 = now - self.cfg.period_us, now
-        out = []
-        for ue in self.ue_ids:
-            bl_bw = self.measure_bl_bw(ue, t0, t1)
-            min_rtt = self.measure_min_rtt(bl_bw, now)
-            self._seq[ue] += 1
-            out.append(FeedbackMsg(self._seq[ue], ue, (t0, t1), bl_bw, min_rtt, now))
-            self.emitted_count += 1
-        return out
+        window = (now - self.cfg.period_us, now)
+        bl_bw = self.measure_bl_bw(self.ue_ids[0], *window)  # same for every UE
+        min_rtt = self.measure_min_rtt(bl_bw, now)
+        self._seq += 1
+        self.emitted_count += len(self.ue_ids)
+        return [FeedbackMsg(self._seq, ue, window, bl_bw, min_rtt, now)
+                for ue in self.ue_ids]
 
     def overhead_kbps(self, duration_us: int) -> float:
         """Feedback-channel load: emitted bytes over the run duration."""

@@ -1,9 +1,14 @@
 """Bottleneck link: droptail queueing, trace-driven drain, uplink, probes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import natsim
 from natsim.emulink import BtsLink, LinkError, Packet, PacketKind, PathConfig, UeQueue
 from natsim.engine import EventLoop
 from natsim.trace import synth_constant
@@ -44,6 +49,32 @@ def test_queue_droptail_and_conservation():
     pkt = q.pop(now=10)
     assert pkt.seq == 0
     assert q.enqueued_bytes == q.dequeued_bytes + q.occupancy
+
+
+def test_queue_audit_raises_when_byte_identity_breaks():
+    q = UeQueue(4, capacity_bytes=10_000)
+    q.offer(data(), now=0)
+    q.enqueued_bytes += 1
+    with pytest.raises(LinkError, match="byte identity broken at UE 4"):
+        q.pop(now=1)
+
+
+def test_queue_audit_survives_optimized_python():
+    # plain asserts vanish under -O; the audit must not
+    code = (
+        "from natsim.emulink import LinkError, Packet, PacketKind, UeQueue\n"
+        "q = UeQueue(0, capacity_bytes=10_000)\n"
+        "q.offer(Packet(0, 0, 1500, PacketKind.DATA), 0)\n"
+        "q.enqueued_bytes += 1\n"
+        "try:\n"
+        "    q.pop(1)\n"
+        "except LinkError:\n"
+        "    print('raised', __debug__)\n"
+    )
+    src = str(Path(natsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["raised", "False"]
 
 
 def test_queue_delay_sampled_at_dequeue():

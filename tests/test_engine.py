@@ -8,11 +8,13 @@ import pytest
 from natsim.config import SimConfig
 from natsim.engine import (
     EventLoop,
+    Simulation,
     compute_power,
     percentile,
     run_simulation,
 )
 from natsim.netassist import NetAssistConfig
+from natsim.trace import TraceError
 
 
 def cfg(**kw):
@@ -71,6 +73,16 @@ def test_event_loop_fifo_among_ties():
     loop.schedule(5, lambda now: seen.append("early"))
     loop.run_until(100)
     assert seen == ["early", "first", "second"]
+
+
+def test_event_loop_reserved_tick_runs_before_later_schedules():
+    loop = EventLoop()
+    seen = []
+    tick = loop.reserve()
+    loop.schedule(10, lambda now: seen.append("scheduled later"))
+    loop.schedule(10, lambda now: seen.append("reserved earlier"), (), tick)
+    loop.run_until(100)
+    assert seen == ["reserved earlier", "scheduled later"]
 
 
 def test_event_loop_ignores_events_past_horizon():
@@ -156,6 +168,37 @@ def test_watchdog_reverts_after_three_silent_periods():
     # last feedback was emitted at 1.95 s and arrived 2 ms later; the third
     # silent 50 ms period ends 150 ms after that arrival
     assert log[2] == (2_102_000, "fallback")
+
+
+def test_one_pending_watchdog_check_per_flow():
+    sim = Simulation(cfg(
+        duration_s=3.0, assist=NetAssistConfig(period_us=20_000, mode="ib"),
+        flow_starts_s=tuple(0.1 * i for i in range(8)),
+        flow_ues=(0, 1, 2, 3) * 2,
+    ))
+    run_until = sim.loop.run_until
+    most = 0
+
+    def stepped(t_end_us):
+        nonlocal most
+        for t in range(0, t_end_us + 1, 1_000):
+            run_until(t)
+            pending = [args[0] for (_, _, fn, args) in sim.loop._heap
+                       if getattr(fn, "__name__", "") == "_watchdog_check"]
+            assert len(pending) == len(set(pending))
+            most = max(most, len(pending))
+
+    sim.loop.run_until = stepped
+    res = sim.run()
+    assert most == 8  # every flow had a check pending at once
+    reverts = sum(mode == "fallback" for f in res.flows for _, mode in f.mode_log[1:])
+    assert reverts > 0  # and checks did fire live
+
+
+@pytest.mark.parametrize("trace", ["step:0mbps@500ms", "const:0.3bps"])
+def test_unusable_schedule_rejected_at_set_up(trace):
+    with pytest.raises(TraceError, match="no delivery opportunity"):
+        Simulation(cfg(trace=trace, duration_s=2.0))
 
 
 def test_multi_ue_round_robin_split():

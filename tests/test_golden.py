@@ -19,6 +19,13 @@ from natsim.engine import run_simulation
 WALK = "walk:1mbps-24mbps@100ms"
 SCHEMES = ("natcp", "nacubic", "cubic", "tg")
 
+# 8 UEs x 4 flows, one flow starting every 70 ms, 20 ms feedback period
+MANY_FLOWS = {
+    "flows.start_s": ", ".join(f"{0.07 * i:g}" for i in range(32)),
+    "flows.ue": ", ".join(str(i % 8) for i in range(32)),
+    "assist.period_us": "20000",
+}
+
 # label -> overrides applied on top of the defaults
 VARIANTS = {
     "oob": {},
@@ -34,6 +41,13 @@ VARIANTS = {
     "multi-ue": {"flows.start_s": "0, 0, 1", "flows.ue": "0, 1, 1",
                  "cc.divide_pacing_by_beta": "true"},
     "options": {"cc.alpha": "1.5", "cc.tg_horizon_us": "500000"},
+    # feedback stops at 2 s: every assisted flow reverts while the watchdog
+    # checks of the other flows are still pending
+    "many-flows": {**MANY_FLOWS, "assist.suppress_after_us": "2000000",
+                   "duration_s": "3"},
+    # in-band digests reach one flow per UE at a time, so flows keep
+    # reverting and resuming while the others' checks are pending
+    "many-flows-ib": {**MANY_FLOWS, "assist.mode": "ib", "duration_s": "3"},
 }
 
 CASES = [(scheme, variant) for variant in VARIANTS for scheme in SCHEMES]
@@ -67,6 +81,14 @@ GOLDEN = {
     "nacubic-options": "b48dbb98ed05fef6557fb6709a6edb2e966dfe303781f23a01775f25b5229026",
     "cubic-options": "f1393709df6f9f441515b3ad611df7531f215021fe2d0e957711fbe31e3a735c",
     "tg-options": "5f2538202d1fbaa1f3435bf37ba2b293da88eaa0a2427489eb0a6ea550c48ff2",
+    "natcp-many-flows": "aaf3fd5c29e0de49b708cf5a721bb5e0741531a1e34ab991ddfdb0309a99d95d",
+    "nacubic-many-flows": "1faf177427bcfa843ee6aa1907a47c1be246f7c8b9832d7e722dc75c7a199465",
+    "cubic-many-flows": "73d73ae653df398410b630382964eacf36be5513e271d76f02a28bc8bfe74691",
+    "tg-many-flows": "1443e658dfdac08113320712060f662451db543f56040b86b81ec057b238582b",
+    "natcp-many-flows-ib": "7cea7c069ee5061b376985b65b898d32aa74afb84efbe005ca6bbedf2ad75cd1",
+    "nacubic-many-flows-ib": "6de155012d443a09cc4c6ddd3e9154c9651f5d4be469bb78c8b705ce40d96fed",
+    "cubic-many-flows-ib": "00ab7653e5c0bad4ad501d92ae3bdef98cdac8e48cd5f694979dbc5b80091d14",
+    "tg-many-flows-ib": "6260da27eb15b7661651eab0d0a6006447743e7ca0b279427f3c1ed7c6fe9fad",
 }
 
 

@@ -1,8 +1,10 @@
 """Network-side measurement: probes, capacity windows, min-RTT parts, emission."""
 
+import random
+
 import pytest
 
-from natsim.emulink import PathConfig
+from natsim.emulink import BtsLink, PathConfig
 from natsim.netassist import FeedbackMsg, MeasureError, NetAssist, NetAssistConfig
 from natsim.trace import synth_constant, synth_step
 
@@ -129,6 +131,27 @@ def test_emit_one_message_per_ue_with_sequence():
     assert msg.t_emitted == 50_000
     assert msg.bl_bw == pytest.approx(6e6)
     assert msg.min_rtt == sum(assist.min_rtt_parts(msg.bl_bw, 50_000))
+
+
+def test_emit_shares_one_measurement_that_matches_each_ue():
+    # a varying rate with outages (stretched windows) and jittered probes
+    schedule = synth_step([(12e6, 100), (0.0, 90), (3e6, 200), (24e6, 60)])
+    path = PathConfig(probe_jitter_us=800)
+    link = BtsLink(schedule, path, random.Random(1), lambda *a: None, lambda *a: None)
+    assist = NetAssist(NetAssistConfig(period_us=20_000), schedule, path,
+                       [3, 0, 7], link.probe_rtt)
+    rtts = set()
+    for k in range(1, 60):
+        now = k * 20_000
+        msgs = assist.emit(now)
+        assert [m.ue_id for m in msgs] == [3, 0, 7]
+        for m in msgs:
+            bl_bw = assist.measure_bl_bw(m.ue_id, now - 20_000, now)
+            assert m.bl_bw == bl_bw
+            assert m.min_rtt == assist.measure_min_rtt(bl_bw, now)
+            assert (m.seq, m.window, m.t_emitted) == (k, (now - 20_000, now), now)
+        rtts.add(msgs[0].min_rtt)
+    assert len(rtts) > 5  # jitter and rate changes both showed
 
 
 def test_emit_suppression_boundary_inclusive():
