@@ -35,8 +35,10 @@ from .trace import (
 
 ASSIST_MODES = ("oob", "ib")
 _POSITIVE = ("duration_s", "mtu", "assist.period_us", "assist.probe_interval_us",
-             "cc.alpha")
-_NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us")
+             "cc.alpha", "cc.tg_horizon_us")
+_NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us",
+                 "path.uplink_rate_bps", "path.probe_jitter_us",
+                 "assist.feedback_size_bytes", "assist.part2_ceiling_us")
 
 
 class ConfigError(ValueError):

@@ -38,16 +38,13 @@ UNSET = -1
 
 @dataclass(slots=True)
 class Packet:
-    """A simulated packet; timestamps are filled in as it moves."""
+    """A simulated packet; ``t_enqueued`` is stamped by the UE queue."""
 
     flow_id: int
     seq: int
     size: int
     kind: PacketKind
-    t_sent: int = UNSET
     t_enqueued: int = UNSET
-    t_dequeued: int = UNSET
-    t_delivered: int = UNSET
     retransmission: bool = False
     cum_ack: int = UNSET          # acks only
     beta: int = 0                 # acks only: active-flow count at the UE
@@ -112,7 +109,6 @@ class UeQueue:
 
     def pop(self, now: int) -> Packet:
         pkt = self.fifo.popleft()
-        pkt.t_dequeued = now
         self.occupancy -= pkt.size
         self.dequeued_bytes += pkt.size
         self.qdelay_samples_us.append(now - pkt.t_enqueued)
@@ -184,7 +180,6 @@ class BtsLink:
         if pkt.kind is not PacketKind.DATA:
             raise LinkError("send_downlink carries data packets only")
         self.queue_for(ue_id)  # validate early
-        pkt.t_sent = now if pkt.t_sent == UNSET else pkt.t_sent
         self._schedule_event(now + self.path.down_owd_us, self._arrive, (pkt, ue_id))
 
     def _arrive(self, now: int, pkt: Packet, ue_id: int) -> None:
@@ -220,8 +215,7 @@ class BtsLink:
             self.air_drops += 1
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             self._log(now, "airdrop", pkt.flow_id, pkt.seq)
-        else:
-            pkt.t_delivered = now  # zero residual radio-leg delay
+        else:  # zero residual radio-leg delay
             self._deliver[q.ue_id](now, pkt)
         if self._backlogged:
             # instant(idx + 1) >= now, so it is the first unserved opportunity

@@ -2,12 +2,13 @@
 
 One run wires together: bulk senders (one per flow), the trace-driven
 bottleneck link with per-UE droptail queues, per-UE receivers, and the
-network-side measurement entity that emits periodic feedback.  Everything
-advances on a single integer-microsecond event heap.  Ties break by the
-point at which the causing event was handled: each event carries a tick
-taken from one counter, either when it is scheduled or, for a watchdog
-check, reserved when the feedback that arms it is applied.  Identical
-configurations therefore replay identically.
+network-side measurement entity whose one feedback digest per period the
+engine hands to every UE.  Everything advances on a single
+integer-microsecond event heap.  Ties break by the point at which the
+causing event was handled: each event carries a tick taken from one
+counter, either when it is scheduled or, for a watchdog check, reserved
+when the feedback that arms it is applied.  Identical configurations
+therefore replay identically.
 
 Each flow keeps at most one watchdog check on the heap.  Feedback applied
 while a check is pending only records the new deadline and its reserved
@@ -212,7 +213,6 @@ class Simulation:
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
         self.controllers: dict[int, Controller] = {}
-        self.flow_ue: dict[int, int] = {}
         self.flows_on_ue: dict[int, list[int]] = {}
         self._deliveries: dict[int, list] = {}
         self._active: set[int] = set()
@@ -238,7 +238,6 @@ class Simulation:
                          self._make_transmit(spec.ue_id), self.loop.schedule)
             self.controllers[spec.flow_id] = ctl
             self.senders[spec.flow_id] = snd
-            self.flow_ue[spec.flow_id] = spec.ue_id
             self.flows_on_ue[spec.ue_id].append(spec.flow_id)
             self._deliveries[spec.flow_id] = []
 
@@ -256,14 +255,11 @@ class Simulation:
         return transmit
 
     def _make_deliver(self, ue_id: int):
-        recv_holder = ue_id
+        recv = self.receivers[ue_id]
 
         def deliver(now: int, pkt: Packet) -> None:
-            recv = self.receivers[recv_holder]
-            before = recv.unique_bytes.get(pkt.flow_id, 0)
             self._log(now, "dlv", pkt.flow_id, pkt.seq)
-            recv.on_data(pkt, now)
-            first = recv.unique_bytes.get(pkt.flow_id, 0) > before
+            first = recv.on_data(pkt, now)
             self._deliveries[pkt.flow_id].append((now, pkt.size, first))
         return deliver
 
@@ -283,21 +279,24 @@ class Simulation:
         sender.try_send(now)
 
     def _emit_feedback(self, now: int) -> None:
-        msgs = self.assist.emit(now)
+        msg = self.assist.emit(now)
+        if msg is None:
+            return
         if self.cfg.assist.mode == "oob":
-            for msg in msgs:
-                self.loop.schedule(now + self.cfg.path.oob_delay_us,
-                                   self._oob_arrive, (msg,))
+            self.loop.schedule(now + self.cfg.path.oob_delay_us,
+                               self._oob_arrive, (msg,))
         else:
-            for msg in msgs:
-                self.link.attach_ib(msg.ue_id, msg)
+            for ue in self.flows_on_ue:
+                self.link.attach_ib(ue, msg)
 
     def _oob_arrive(self, now: int, msg: FeedbackMsg) -> None:
-        for fid in self.flows_on_ue[msg.ue_id]:
-            if fid not in self._active:
-                continue  # flow has not started; must not react, let alone send
-            self._handle_feedback(fid, msg, now)
-            self.senders[fid].try_send(now)
+        """Hand one period's digest to every started flow, UE by UE."""
+        for flows in self.flows_on_ue.values():
+            for fid in flows:
+                if fid not in self._active:
+                    continue  # not started; must not react, let alone send
+                self._handle_feedback(fid, msg, now)
+                self.senders[fid].try_send(now)
 
     def _handle_feedback(self, flow_id: int, msg: FeedbackMsg, now: int) -> None:
         ctl = self.controllers[flow_id]

@@ -2,13 +2,13 @@
 
 Every feedback period it measures the offered bottleneck capacity
 (delivery opportunities in the elapsed window, independent of backlog) and a
-three-part minimum-RTT estimate, then ships both to the server in one digest
-per UE, either out-of-band (dedicated low-latency channel) or in-band (digest
-riding the next dequeued data packet, reaching the server with that packet's
-ack).  Neither value depends on the UE: every UE is attributed the same
-round-robin share of the one schedule, the probe term depends only on the
-time and the uplink term is a constant.  So each period is measured once
-and every UE's digest carries the same values.
+three-part minimum-RTT estimate, and ships both to the server in one digest
+that is delivered to every UE, either out-of-band (dedicated low-latency
+channel) or in-band (riding each UE's next dequeued data packet, reaching
+the server with that packet's ack).  Neither value depends on the UE: every
+UE is attributed the same round-robin share of the one schedule, the probe
+term depends only on the time and the uplink term is a constant.  The
+channel is still charged one digest per UE per period.
 
 The min-RTT estimate is the sum of
   part 1: the latest completed priority-probe round trip (no queuing),
@@ -32,11 +32,9 @@ class MeasureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeedbackMsg:
-    """One per-UE feedback digest."""
+    """One period's feedback digest, the same for every UE."""
 
     seq: int
-    ue_id: int
-    window: tuple[int, int]   # [t0, t1) microseconds
     bl_bw: float              # offered bottleneck capacity, bits/s
     min_rtt: int              # microseconds
     t_emitted: int            # microseconds
@@ -54,7 +52,7 @@ class NetAssistConfig:
 
 
 class NetAssist:
-    """Periodic per-UE capacity and min-RTT measurement."""
+    """Periodic capacity and min-RTT measurement for the UEs of one cell."""
 
     def __init__(
         self,
@@ -69,7 +67,7 @@ class NetAssist:
         self.path = path
         self.ue_ids = list(ue_ids)
         self._probe_rtt = probe_rtt
-        self._seq = 0  # periods emitted; every UE's digest shares the number
+        self._seq = 0  # periods emitted
         self.emitted_count = 0
 
     # -- probes -----------------------------------------------------------
@@ -93,8 +91,8 @@ class NetAssist:
 
     # -- per-window measurements -------------------------------------------
 
-    def measure_bl_bw(self, ue_id: int, t0: int, t1: int) -> float:
-        """Offered capacity (bits/s) for one UE over [t0, t1).
+    def measure_bl_bw(self, t0: int, t1: int) -> float:
+        """Offered capacity (bits/s) for each UE over [t0, t1).
 
         Counts delivery opportunities whether or not they were used; with
         several active UEs each is attributed its round-robin share, so the
@@ -133,21 +131,20 @@ class NetAssist:
 
     # -- emission -----------------------------------------------------------
 
-    def emit(self, now: int) -> list[FeedbackMsg]:
-        """Build one feedback digest per UE for the window ending at ``now``."""
+    def emit(self, now: int) -> FeedbackMsg | None:
+        """Measure the period ending at ``now`` into the digest every UE gets."""
         suppress = self.cfg.suppress_after_us
         if not self.ue_ids or (suppress is not None and now >= suppress):
-            return []
-        window = (now - self.cfg.period_us, now)
-        bl_bw = self.measure_bl_bw(self.ue_ids[0], *window)  # same for every UE
+            return None
+        bl_bw = self.measure_bl_bw(now - self.cfg.period_us, now)
         min_rtt = self.measure_min_rtt(bl_bw, now)
         self._seq += 1
         self.emitted_count += len(self.ue_ids)
-        return [FeedbackMsg(self._seq, ue, window, bl_bw, min_rtt, now)
-                for ue in self.ue_ids]
+        return FeedbackMsg(self._seq, bl_bw, min_rtt, now)
 
     def overhead_kbps(self, duration_us: int) -> float:
-        """Feedback-channel load: emitted bytes over the run duration."""
+        """Feedback-channel load: one digest per UE per period, in bytes over
+        the run duration."""
         if duration_us <= 0 or self.cfg.mode != "oob":
             return 0.0
         return self.emitted_count * self.cfg.feedback_size * 8 * 1e6 / duration_us / 1e3

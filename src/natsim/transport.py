@@ -110,7 +110,7 @@ class Sender:
             self._arm_rto(now)
         self.transmit(
             Packet(flow_id=self.flow_id, seq=seq, size=self.mtu,
-                   kind=PacketKind.DATA, t_sent=now),
+                   kind=PacketKind.DATA),
             now,
         )
 
@@ -135,7 +135,7 @@ class Sender:
         self.retransmits += 1
         self.transmit(
             Packet(flow_id=self.flow_id, seq=seq, size=entry[0],
-                   kind=PacketKind.DATA, t_sent=now, retransmission=True),
+                   kind=PacketKind.DATA, retransmission=True),
             now,
         )
 
@@ -264,14 +264,16 @@ class UeReceiver:
             if now - t <= ACTIVITY_WINDOW_US
         )
 
-    def on_data(self, pkt: Packet, now: int) -> None:
+    def on_data(self, pkt: Packet, now: int) -> bool:
+        """Integrate and ack one data packet; True when its payload is new."""
         fid = pkt.flow_id
         self.delivered_bytes[fid] = self.delivered_bytes.get(fid, 0) + pkt.size
         self.last_data_us[fid] = now
 
         cum = self.cum.get(fid, 0)
         pending = self.ooo.setdefault(fid, {})
-        if pkt.seq >= cum and pkt.seq not in pending:
+        first = pkt.seq >= cum and pkt.seq not in pending
+        if first:
             self.unique_bytes[fid] = self.unique_bytes.get(fid, 0) + pkt.size
             pending[pkt.seq] = pkt.size
         while cum in pending:
@@ -283,9 +285,9 @@ class UeReceiver:
             seq=pkt.seq,
             size=ACK_SIZE,
             kind=PacketKind.ACK,
-            t_sent=now,
             cum_ack=cum,
             beta=max(1, self.active_flows(now)),
             feedback=pkt.feedback,
         )
         self.transmit_ack(ack, now)
+        return first

@@ -57,8 +57,7 @@ def shared_run(kind: str) -> "RunResult":
 
 
 def fb(bl_bw: float, min_rtt: int, t: int = 0) -> FeedbackMsg:
-    return FeedbackMsg(seq=1, ue_id=0, window=(0, 50_000),
-                       bl_bw=bl_bw, min_rtt=min_rtt, t_emitted=t)
+    return FeedbackMsg(seq=1, bl_bw=bl_bw, min_rtt=min_rtt, t_emitted=t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ MTU = 1500
 
 
 def fb(bl_bw, min_rtt, seq=1, t=50_000):
-    return FeedbackMsg(seq=seq, ue_id=0, window=(t - 50_000, t),
-                       bl_bw=bl_bw, min_rtt=min_rtt, t_emitted=t)
+    return FeedbackMsg(seq=seq, bl_bw=bl_bw, min_rtt=min_rtt, t_emitted=t)
 
 
 # -- feedback window law ------------------------------------------------------

@@ -121,6 +121,11 @@ def test_readme_documents_every_key_and_its_default():
     ("path.down_owd_us", "-5000"),
     ("path.up_owd_us", "-1"),
     ("path.oob_delay_us", "-1"),
+    ("path.uplink_rate_bps", "-1e6"),
+    ("path.probe_jitter_us", "-1"),
+    ("assist.feedback_size_bytes", "-64"),
+    ("assist.part2_ceiling_us", "-5000"),
+    ("cc.tg_horizon_us", "0"),
 ])
 def test_validation_rejects(key, raw):
     cfg = apply_settings(SimConfig(), {key: raw})
@@ -132,4 +137,12 @@ def test_validation_rejects(key, raw):
 def test_validation_accepts_zero_delays():
     cfg = apply_settings(SimConfig(), {
         "path.down_owd_us": "0", "path.up_owd_us": "0", "path.oob_delay_us": "0"})
+    assert cfg.validate() == []
+
+
+def test_validation_accepts_zero_sizes_rates_and_terms():
+    # a zero uplink rate means ideal serialization, not an error
+    cfg = apply_settings(SimConfig(), {
+        "path.uplink_rate_bps": "0", "path.probe_jitter_us": "0",
+        "assist.feedback_size_bytes": "0", "assist.part2_ceiling_us": "0"})
     assert cfg.validate() == []

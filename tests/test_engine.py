@@ -195,6 +195,46 @@ def test_one_pending_watchdog_check_per_flow():
     assert reverts > 0  # and checks did fire live
 
 
+def test_one_out_of_band_arrival_per_period_reaches_every_started_flow():
+    # 16 flows on 8 UEs, listed out of UE order, starting on odd
+    # microseconds so no start ties with a feedback arrival
+    sim = Simulation(cfg(
+        duration_s=1.0, assist=NetAssistConfig(period_us=20_000),
+        flow_starts_s=tuple(0.0371 * i + 1e-6 for i in range(16)),
+        flow_ues=(5, 2, 7, 0, 3, 6, 1, 4) * 2,
+    ))
+    arrivals = []
+    oob_arrive = sim._oob_arrive
+
+    def counted(now, msg):
+        arrivals.append((now, msg.seq))
+        oob_arrive(now, msg)
+
+    sim._oob_arrive = counted
+    res = sim.run()
+    # emitted every 20 ms, arriving 2 ms later; the 1 s digest lands past the end
+    assert arrivals == [(20_000 * k + 2_000, k) for k in range(1, 50)]
+    assert sim.assist.emitted_count == 50 * 8
+    specs = sim.cfg.flows()
+    in_ue_order = [f for ue in (5, 2, 7, 0, 3, 6, 1, 4) for f in specs if f.ue_id == ue]
+    for t_arr, seq in arrivals:
+        rows = [row for row in res.feedback_log if row[1] == seq]
+        assert {row[3] for row in rows} == {t_arr}
+        assert [row[0] for row in rows] == [
+            f.flow_id for f in in_ue_order if f.start_us < t_arr]
+
+
+def test_in_band_digest_staged_on_every_ue():
+    sim = Simulation(cfg(assist=NetAssistConfig(mode="ib"),
+                         flow_starts_s=(0.0,) * 8, flow_ues=tuple(range(8))))
+    sim._emit_feedback(50_000)
+    staged = sim.link._pending_ib
+    assert sorted(staged) == list(range(8))
+    digest = staged[0]
+    assert (digest.seq, digest.t_emitted) == (1, 50_000)
+    assert all(msg is digest for msg in staged.values())
+
+
 @pytest.mark.parametrize("trace", ["step:0mbps@500ms", "const:0.3bps"])
 def test_unusable_schedule_rejected_at_set_up(trace):
     with pytest.raises(TraceError, match="no delivery opportunity"):

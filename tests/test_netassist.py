@@ -51,20 +51,20 @@ def test_latest_probe_skips_incomplete_round_trips():
 
 def test_bl_bw_constant_rate_exact():
     assist = make_assist()
-    assert assist.measure_bl_bw(0, 0, 50_000) == pytest.approx(12e6)
-    assert assist.measure_bl_bw(0, 950_000, 1_000_000) == pytest.approx(12e6)
+    assert assist.measure_bl_bw(0, 50_000) == pytest.approx(12e6)
+    assert assist.measure_bl_bw(950_000, 1_000_000) == pytest.approx(12e6)
 
 
 def test_bl_bw_round_robin_share():
     assist = make_assist(ues=(0, 1))
-    assert assist.measure_bl_bw(0, 0, 50_000) == pytest.approx(6e6)
+    assert assist.measure_bl_bw(0, 50_000) == pytest.approx(6e6)
 
 
 def test_bl_bw_window_clamped_at_zero():
     assist = make_assist()
-    assert assist.measure_bl_bw(0, -50_000, 50_000) == pytest.approx(12e6)
+    assert assist.measure_bl_bw(-50_000, 50_000) == pytest.approx(12e6)
     with pytest.raises(MeasureError):
-        assist.measure_bl_bw(0, 50_000, 50_000)
+        assist.measure_bl_bw(50_000, 50_000)
 
 
 def test_bl_bw_short_window_reads_opportunity_spacing_not_zero():
@@ -73,15 +73,15 @@ def test_bl_bw_short_window_reads_opportunity_spacing_not_zero():
     # actual spacing instead of reporting an outage.
     assist = make_assist(rate_bps=1e6, duration_ms=10_000)
     assert assist.schedule.count_in(26_000, 36_000) == 0
-    assert assist.measure_bl_bw(0, 26_000, 36_000) == pytest.approx(1e6)
+    assert assist.measure_bl_bw(26_000, 36_000) == pytest.approx(1e6)
 
 
 def test_bl_bw_decays_through_an_outage():
     # 12 Mbit/s for 100 ms then silence: the estimate shrinks as the gap
     # since the last opportunity grows, instead of snapping to zero.
     assist = make_assist(schedule=synth_step([(12e6, 100), (0.0, 900)]))
-    at_300 = assist.measure_bl_bw(0, 290_000, 300_000)
-    at_600 = assist.measure_bl_bw(0, 590_000, 600_000)
+    at_300 = assist.measure_bl_bw(290_000, 300_000)
+    at_600 = assist.measure_bl_bw(590_000, 600_000)
     assert at_300 == pytest.approx(12_000 * 1e6 / 200_000)  # one MTU per 200 ms
     assert at_600 < at_300
     assert at_600 > 0
@@ -118,22 +118,19 @@ def test_min_rtt_part3_tracks_uplink_rate():
 
 # -- emission --------------------------------------------------------------------
 
-def test_emit_one_message_per_ue_with_sequence():
+def test_emit_one_digest_per_period_with_sequence():
     assist = make_assist(ues=(0, 1))
     first = assist.emit(50_000)
     second = assist.emit(100_000)
-    assert [m.ue_id for m in first] == [0, 1]
-    assert [m.seq for m in first] == [1, 1]
-    assert [m.seq for m in second] == [2, 2]
-    msg = first[0]
-    assert isinstance(msg, FeedbackMsg)
-    assert msg.window == (0, 50_000)
-    assert msg.t_emitted == 50_000
-    assert msg.bl_bw == pytest.approx(6e6)
-    assert msg.min_rtt == sum(assist.min_rtt_parts(msg.bl_bw, 50_000))
+    assert isinstance(first, FeedbackMsg)
+    assert (first.seq, second.seq) == (1, 2)
+    assert first.t_emitted == 50_000
+    assert first.bl_bw == pytest.approx(6e6)
+    assert first.min_rtt == sum(assist.min_rtt_parts(first.bl_bw, 50_000))
+    assert assist.emitted_count == 4  # still one per UE per period
 
 
-def test_emit_shares_one_measurement_that_matches_each_ue():
+def test_emit_digest_matches_the_measurement_of_its_period():
     # a varying rate with outages (stretched windows) and jittered probes
     schedule = synth_step([(12e6, 100), (0.0, 90), (3e6, 200), (24e6, 60)])
     path = PathConfig(probe_jitter_us=800)
@@ -143,22 +140,21 @@ def test_emit_shares_one_measurement_that_matches_each_ue():
     rtts = set()
     for k in range(1, 60):
         now = k * 20_000
-        msgs = assist.emit(now)
-        assert [m.ue_id for m in msgs] == [3, 0, 7]
-        for m in msgs:
-            bl_bw = assist.measure_bl_bw(m.ue_id, now - 20_000, now)
-            assert m.bl_bw == bl_bw
-            assert m.min_rtt == assist.measure_min_rtt(bl_bw, now)
-            assert (m.seq, m.window, m.t_emitted) == (k, (now - 20_000, now), now)
-        rtts.add(msgs[0].min_rtt)
+        msg = assist.emit(now)
+        bl_bw = assist.measure_bl_bw(now - 20_000, now)
+        assert msg.bl_bw == bl_bw
+        assert msg.min_rtt == assist.measure_min_rtt(bl_bw, now)
+        assert (msg.seq, msg.t_emitted) == (k, now)
+        rtts.add(msg.min_rtt)
     assert len(rtts) > 5  # jitter and rate changes both showed
+    assert assist.emitted_count == 3 * 59
 
 
 def test_emit_suppression_boundary_inclusive():
     assist = make_assist(cfg=NetAssistConfig(suppress_after_us=100_000))
-    assert len(assist.emit(50_000)) == 1
-    assert assist.emit(100_000) == []
-    assert assist.emit(150_000) == []
+    assert assist.emit(50_000) is not None
+    assert assist.emit(100_000) is None
+    assert assist.emit(150_000) is None
     assert assist.emitted_count == 1
 
 

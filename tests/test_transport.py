@@ -37,9 +37,9 @@ def make_sender(cwnd=15_000, pacing=None):
     return snd, ctl, loop, sent
 
 
-def ack(cum, t_sent=0, beta=1, feedback=None):
+def ack(cum, beta=1, feedback=None):
     return Packet(flow_id=0, seq=0, size=ACK_SIZE, kind=PacketKind.ACK,
-                  t_sent=t_sent, cum_ack=cum, beta=beta, feedback=feedback)
+                  cum_ack=cum, beta=beta, feedback=feedback)
 
 
 # -- sending ------------------------------------------------------------------
@@ -218,8 +218,8 @@ def test_receiver_cumulative_and_out_of_order():
 
 def test_receiver_duplicate_counts_throughput_not_goodput():
     recv, acks = make_receiver()
-    recv.on_data(seg(0, 0), now=10)
-    recv.on_data(seg(0, 0), now=20)
+    assert recv.on_data(seg(0, 0), now=10)          # new payload
+    assert not recv.on_data(seg(0, 0), now=20)      # duplicate
     assert recv.delivered_bytes[0] == 3_000
     assert recv.unique_bytes[0] == 1_500
     assert acks[-1][1].cum_ack == 1_500
