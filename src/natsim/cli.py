@@ -100,6 +100,8 @@ def config_from_args(args, extra: dict[str, str] | None = None) -> SimConfig:
         overrides["seed"] = str(args.seed)
     if getattr(args, "scheme", None):
         overrides["scheme"] = args.scheme
+    # the event log is recorded exactly when a run writes it out
+    overrides["log.events"] = "on" if getattr(args, "events_csv", None) else "off"
     if extra:
         overrides.update(extra)
     cfg = build_config(getattr(args, "config", None), overrides)

@@ -72,6 +72,8 @@ class SimConfig:
     tg_horizon_us: int = _key("cc.tg_horizon_us", 10_000_000)
     flow_starts_s: tuple[float, ...] = _key("flows.start_s", (0.0,))
     flow_ues: tuple[int, ...] = _key("flows.ue", (0,))
+    # record the per-packet event log (RunResult.event_log); off, it stays empty
+    log_events: bool = _key("log.events", False)
     path: PathConfig = field(default_factory=PathConfig)
     assist: NetAssistConfig = field(default_factory=NetAssistConfig)
 

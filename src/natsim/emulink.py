@@ -132,13 +132,13 @@ class BtsLink:
         path: PathConfig,
         rng: random.Random,
         schedule_event: Callable[[int, Callable, tuple], None],
-        log: Callable,
+        log: Callable | None = None,
     ) -> None:
         self.schedule = schedule
         self.path = path
         self.rng = rng
         self._schedule_event = schedule_event
-        self._log = log
+        self._log = log   # event-log sink; None when the run records no log
         self.queues: dict[int, UeQueue] = {}
         self._deliver: dict[int, Callable[[int, Packet], None]] = {}
         self._rr: list[int] = []
@@ -185,14 +185,16 @@ class BtsLink:
     def _arrive(self, now: int, pkt: Packet, ue_id: int) -> None:
         q = self.queues[ue_id]
         if q.offer(pkt, now):
-            self._log(now, "enq", pkt.flow_id, pkt.seq)
+            if self._log is not None:
+                self._log(now, "enq", pkt.flow_id, pkt.seq)
             if len(q.fifo) == 1:
                 self._backlogged += 1
                 if self._backlogged == 1:
                     self._start_drain(now)
         else:
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
-            self._log(now, "drop", pkt.flow_id, pkt.seq)
+            if self._log is not None:
+                self._log(now, "drop", pkt.flow_id, pkt.seq)
 
     def _start_drain(self, now: int) -> None:
         """Schedule the first unserved opportunity at or after ``now``."""
@@ -207,14 +209,16 @@ class BtsLink:
         pkt = q.pop(now)
         if not q.fifo:
             self._backlogged -= 1
-        self._log(now, "deq", pkt.flow_id, pkt.seq, now - pkt.t_enqueued)
+        if self._log is not None:
+            self._log(now, "deq", pkt.flow_id, pkt.seq, now - pkt.t_enqueued)
         ib = self._pending_ib.pop(q.ue_id, None)
         if ib is not None:
             pkt.feedback = ib
         if self.path.loss_prob > 0 and self.rng.random() < self.path.loss_prob:
             self.air_drops += 1
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
-            self._log(now, "airdrop", pkt.flow_id, pkt.seq)
+            if self._log is not None:
+                self._log(now, "airdrop", pkt.flow_id, pkt.seq)
         else:  # zero residual radio-leg delay
             self._deliver[q.ue_id](now, pkt)
         if self._backlogged:

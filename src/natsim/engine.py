@@ -16,6 +16,9 @@ tick; when the pending check fires early it moves itself to that key, so
 the check that can revert a flow runs exactly where it would if every
 feedback had pushed one of its own.
 
+The per-packet event log is recorded only when ``log.events`` is on;
+otherwise ``RunResult.event_log`` stays empty.
+
 Randomness: one generator seeded from the config drives air-interface loss
 (and nothing else); synthetic walk traces derive their own generator from
 the same seed at construction time.
@@ -148,7 +151,14 @@ class RunResult:
         return total * 8 / (t1_us - t0_us)
 
     def departures(self) -> list[tuple]:
-        """Bottleneck departure log: (t_us, flow, seq, qdelay_us) rows."""
+        """Bottleneck departure log: (t_us, flow, seq, qdelay_us) rows.
+
+        Every run sends at least one packet, so an empty event log means the
+        run did not record it (``log.events`` off).
+        """
+        if not self.event_log:
+            raise ValueError("the run did not record its event log; "
+                             "set log.events to read departures")
         return [(t, fl, seq, q) for (t, kind, fl, seq, q) in self.event_log
                 if kind == "deq"]
 
@@ -207,9 +217,11 @@ class Simulation:
         self.rng = random.Random(cfg.seed)
         self.event_log: list[tuple] = []
         self.feedback_log: list[tuple] = []
+        self._log_events = cfg.log_events
 
         self.link = BtsLink(self.schedule, cfg.path, self.rng,
-                            self.loop.schedule, self._log)
+                            self.loop.schedule,
+                            self._log if cfg.log_events else None)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
         self.controllers: dict[int, Controller] = {}
@@ -248,20 +260,33 @@ class Simulation:
 
     # -- wiring callbacks -------------------------------------------------------
 
+    # Each factory builds its closure with the log call only when the log is
+    # recorded, so an unlogged run pays nothing per packet for it.
+
     def _make_transmit(self, ue_id: int):
-        def transmit(pkt: Packet, now: int) -> None:
+        if not self._log_events:
+            def transmit(pkt: Packet, now: int) -> None:
+                self.link.send_downlink(pkt, now, ue_id)
+            return transmit
+
+        def logged_transmit(pkt: Packet, now: int) -> None:
             self._log(now, "snd", pkt.flow_id, pkt.seq)
             self.link.send_downlink(pkt, now, ue_id)
-        return transmit
+        return logged_transmit
 
     def _make_deliver(self, ue_id: int):
         recv = self.receivers[ue_id]
+        if not self._log_events:
+            def deliver(now: int, pkt: Packet) -> None:
+                first = recv.on_data(pkt, now)
+                self._deliveries[pkt.flow_id].append((now, pkt.size, first))
+            return deliver
 
-        def deliver(now: int, pkt: Packet) -> None:
+        def logged_deliver(now: int, pkt: Packet) -> None:
             self._log(now, "dlv", pkt.flow_id, pkt.seq)
             first = recv.on_data(pkt, now)
             self._deliveries[pkt.flow_id].append((now, pkt.size, first))
-        return deliver
+        return logged_deliver
 
     def _transmit_ack(self, pkt: Packet, now: int) -> None:
         self.link.send_uplink(pkt, now, self._on_ack_arrival)
@@ -272,7 +297,8 @@ class Simulation:
         sender = self.senders.get(pkt.flow_id)
         if sender is None:
             return
-        self._log(now, "ack", pkt.flow_id, pkt.cum_ack)
+        if self._log_events:
+            self._log(now, "ack", pkt.flow_id, pkt.cum_ack)
         sender.process_ack(pkt, now)
         if pkt.feedback is not None:
             self._handle_feedback(pkt.flow_id, pkt.feedback, now)

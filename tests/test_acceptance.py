@@ -158,7 +158,7 @@ def test_criterion_06_retransmission_ordering_across_schemes():
 
 
 def test_criterion_07_fallback_identity_and_revert_deadline():
-    kw = dict(trace="const:12mbps", duration_s=20.0, seed=3,
+    kw = dict(trace="const:12mbps", duration_s=20.0, seed=3, log_events=True,
               assist_kw={"suppress_after_us": 0})
     silent_natcp = simulate("silent-natcp", scheme="natcp", **kw)
     silent_cubic = simulate("silent-cubic", scheme="cubic", **kw)

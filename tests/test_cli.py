@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from natsim import cli
 from natsim.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
@@ -151,6 +152,41 @@ def test_run_writes_summary_and_logs(tmp_path, capsys):
     # 50 ms cadence over 1 s; the final emission arrives past the horizon
     assert len(feedback) == 1 + 19
     assert capsys.readouterr().out.startswith("natcp")
+
+
+@pytest.fixture
+def recorded_runs(monkeypatch):
+    """(cfg, result) of every run the CLI makes."""
+    runs = []
+    real = cli.run_simulation
+
+    def recording(cfg):
+        runs.append((cfg, real(cfg)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "run_simulation", recording)
+    return runs
+
+
+def test_event_log_recorded_exactly_when_written(tmp_path, recorded_runs):
+    assert main(["run", "--duration", "1", "-o", str(tmp_path / "plain"),
+                 "--set", "log.events=on"]) == EXIT_OK
+    assert main(["run", "--duration", "1", "-o", str(tmp_path / "logged"),
+                 "--events-csv", "events.csv"]) == EXIT_OK
+    assert main(["single-flow", "--schemes", "natcp,cubic", "--duration", "1",
+                 "-o", str(tmp_path)]) == EXIT_OK
+    assert main(["fairness", "--schemes", "natcp", "--duration", "1",
+                 "-o", str(tmp_path)]) == EXIT_OK
+    flags = [cfg.log_events for cfg, _ in recorded_runs]
+    assert flags == [False, True, False, False, False]
+    assert all(res.event_log == [] for cfg, res in recorded_runs
+               if not cfg.log_events)
+
+    assert not (tmp_path / "plain" / "events.csv").exists()
+    events = read_csv(tmp_path / "logged" / "events.csv")
+    assert events[0] == ["time_us", "kind", "flow", "seq", "qdelay_us"]
+    deq = [int(row[4]) for row in events[1:] if row[1] == "deq"]
+    assert deq == recorded_runs[1][1].qdelay_samples_us
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

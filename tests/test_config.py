@@ -48,6 +48,8 @@ CASES = [
     ("flows.start_s", "flow_starts_s", "0, 15", (0.0, 15.0)),
     ("flows.start_s", "flow_starts_s", "2.5", (2.5,)),
     ("flows.ue", "flow_ues", "0,1, 1", (0, 1, 1)),
+    ("log.events", "log_events", "on", True),
+    ("log.events", "log_events", "off", False),
 ]
 
 
@@ -57,7 +59,7 @@ def attr_path(cfg: SimConfig, path: str):
 
 def test_cases_cover_every_key():
     assert {key for key, *_ in CASES} == set(config._SETTINGS)
-    assert len(config._SETTINGS) == 23
+    assert len(config._SETTINGS) == 24
 
 
 @pytest.mark.parametrize("key,path,raw,value", CASES,
@@ -65,7 +67,8 @@ def test_cases_cover_every_key():
 def test_key_sets_typed_field(key, path, raw, value):
     cfg = SimConfig()
     cfg.assist.suppress_after_us = 1      # so that "none" visibly clears it
-    cfg.divide_pacing_by_beta = not value if isinstance(value, bool) else False
+    if isinstance(value, bool):           # so that a flag visibly flips
+        setattr(cfg, path, not value)
     apply_settings(cfg, {key: raw})
     got = attr_path(cfg, path)
     assert got == value

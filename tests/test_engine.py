@@ -97,21 +97,22 @@ def test_event_loop_ignores_events_past_horizon():
 # -- end-to-end wiring -------------------------------------------------------------
 
 def test_deterministic_replay_same_seed():
-    a = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=7))
-    b = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=7))
+    a = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=7, log_events=True))
+    b = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=7, log_events=True))
+    assert a.departures() == b.departures()
     assert a.event_log == b.event_log
     assert a.feedback_log == b.feedback_log
     assert a.summary_row() == b.summary_row()
 
 
 def test_different_seed_changes_loss_pattern():
-    a = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=7))
-    b = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=8))
+    a = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=7, log_events=True))
+    b = run_simulation(cfg(path_kw={"loss_prob": 0.02}, seed=8, log_events=True))
     assert a.event_log != b.event_log
 
 
 def test_conservation_and_counters_line_up():
-    res = run_simulation(cfg(scheme="cubic", duration_s=10.0))
+    res = run_simulation(cfg(scheme="cubic", duration_s=10.0, log_events=True))
     assert res.conservation_ok
     assert res.queue_drops > 0                      # cubic overfills droptail
     n_deq = sum(1 for row in res.event_log if row[1] == "deq")
@@ -125,6 +126,16 @@ def test_conservation_and_counters_line_up():
     assert n_snd >= n_enq + n_tail                  # in-flight at cutoff
     delivered = sum(f.delivered_bytes for f in res.flows)
     assert delivered == n_dlv * 1500
+
+
+def test_departures_need_a_recorded_log():
+    res = run_simulation(cfg(duration_s=1.0))
+    assert res.event_log == []
+    with pytest.raises(ValueError, match="log.events"):
+        res.departures()
+    logged = run_simulation(cfg(duration_s=1.0, log_events=True))
+    departures = logged.departures()
+    assert [q for *_, q in departures] == logged.qdelay_samples_us
 
 
 def test_feedback_log_and_fb_count():
@@ -148,7 +159,8 @@ def test_in_band_feedback_rides_data_acks():
 
 
 def test_flow_start_offsets_respected():
-    res = run_simulation(cfg(flow_starts_s=(0.0, 2.0), flow_ues=(0, 0)))
+    res = run_simulation(cfg(flow_starts_s=(0.0, 2.0), flow_ues=(0, 0),
+                             log_events=True))
     first_snd = {f: None for f in (0, 1)}
     for t, kind, flow, _seq, _q in res.event_log:
         if kind == "snd" and first_snd[flow] is None:

@@ -1,10 +1,12 @@
 """Golden run matrix: seeded outputs must stay byte-identical.
 
-Each case is a short run described by config overrides.  Its digest covers
-the summary row, the event log, the feedback log, the pooled queueing-delay
-samples and every FlowStats field (mode log, feedback count and per-packet
-deliveries included).  A change that moves any of them is a behaviour
-change and must say so; print the current digests with
+Each case is a short run described by config overrides, with the event log
+recorded.  Its digest covers the summary row, the event log, the feedback
+log, the pooled queueing-delay samples and every FlowStats field (mode log,
+feedback count and per-packet deliveries included).  A change that moves any
+of them is a behaviour change and must say so.  The same run without the
+event log must differ in nothing but the empty log.  Print the current
+digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -92,16 +94,18 @@ GOLDEN = {
 }
 
 
-def run_case(scheme: str, variant: str):
-    overrides = {"scheme": scheme, "trace": WALK, "duration_s": "4", "seed": "3"}
+def run_case(scheme: str, variant: str, log_events: str = "on"):
+    overrides = {"scheme": scheme, "trace": WALK, "duration_s": "4", "seed": "3",
+                 "log.events": log_events}
     overrides.update(VARIANTS[variant])
     return run_simulation(build_config(overrides=overrides))
 
 
-def digest(res) -> str:
+def digest(res, with_event_log: bool = True) -> str:
     h = hashlib.sha256()
-    parts = [res.summary_row(), res.event_log, res.feedback_log,
-             res.qdelay_samples_us]
+    parts = [res.summary_row()]
+    parts += [res.event_log] if with_event_log else []
+    parts += [res.feedback_log, res.qdelay_samples_us]
     parts += [vars(flow) for flow in res.flows]
     for part in parts:
         h.update(repr(part).encode())
@@ -113,6 +117,17 @@ def digest(res) -> str:
                          ids=[f"{s}-{v}" for s, v in CASES])
 def test_golden_digest(scheme, variant):
     assert digest(run_case(scheme, variant)) == GOLDEN[f"{scheme}-{variant}"]
+
+
+@pytest.mark.parametrize("scheme,variant", CASES,
+                         ids=[f"{s}-{v}" for s, v in CASES])
+def test_event_log_off_changes_nothing_else(scheme, variant):
+    logged = run_case(scheme, variant)
+    unlogged = run_case(scheme, variant, log_events="off")
+    assert logged.event_log
+    assert unlogged.event_log == []
+    assert (digest(unlogged, with_event_log=False)
+            == digest(logged, with_event_log=False))
 
 
 if __name__ == "__main__":
