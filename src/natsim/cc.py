@@ -88,6 +88,9 @@ class Controller:
 
     def __init__(self, mtu: int) -> None:
         self.mtu = mtu
+        # fixed per controller; the assisted core clamps on every feedback
+        self._cwnd_floor = cwnd_floor_bytes(mtu)
+        self._pacing_floor = pacing_floor_bps(mtu)
         self.cwnd = INITIAL_WINDOW_SEGMENTS * mtu
         self.pacing_bps: float | None = None
         self.beta = 1
@@ -109,10 +112,10 @@ class Controller:
 
     # helpers --------------------------------------------------------------
     def _clamp_cwnd(self, cwnd_bytes: float) -> int:
-        return max(cwnd_floor_bytes(self.mtu), int(round(cwnd_bytes)))
+        return max(self._cwnd_floor, int(round(cwnd_bytes)))
 
     def _clamp_pacing(self, bps: float) -> float:
-        return max(pacing_floor_bps(self.mtu), bps)
+        return max(self._pacing_floor, bps)
 
 
 class CubicController(Controller):
@@ -130,7 +133,7 @@ class CubicController(Controller):
         W(0) equal to the seed window.
         """
         ctl = cls(mtu)
-        ctl.cwnd = max(cwnd_floor_bytes(mtu), cwnd_bytes)
+        ctl.cwnd = max(ctl._cwnd_floor, cwnd_bytes)
         ctl.state = CubicState(
             w_max=ctl.cwnd / mtu,
             k=0.0,
@@ -167,7 +170,7 @@ class CubicController(Controller):
         reduced = self._clamp_cwnd(self.cwnd * st.beta_cubic)
         if kind == LOSS_TIMEOUT:
             st.ssthresh = reduced
-            self.cwnd = cwnd_floor_bytes(self.mtu)
+            self.cwnd = self._cwnd_floor
             st.in_slow_start = True
             st.epoch_start_us = None
         else:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .cc import SCHEMES
 from .config import ConfigError, SimConfig, build_config
-from .engine import SUMMARY_COLUMNS, RunResult, run_simulation
+from .engine import SUMMARY_COLUMNS, run_simulation
 from .trace import TraceError
 
 EXIT_OK = 0
@@ -65,8 +65,8 @@ def output_dir(args) -> Path:
     return path
 
 
-def describe(result: RunResult) -> str:
-    row = result.summary_row()
+def describe(row: dict) -> str:
+    """One console line from a run's summary row."""
     qd = row["avg_qdelay_ms"]
     qdelay = f"{qd:.2f}ms" if qd is not None else "n/a"
     return (
@@ -134,7 +134,8 @@ def cmd_run(args) -> int:
     cfg = config_from_args(args)
     result = run_simulation(cfg)
     outdir = output_dir(args)
-    write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [result.summary_row()])
+    summary = result.summary_row()
+    write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [summary])
     if args.events_csv:
         with open(outdir / args.events_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -150,7 +151,7 @@ def cmd_run(args) -> int:
                 flow, seq, t_emit, t_arr, bl_bw, min_rtt = row
                 writer.writerow((flow, seq, t_emit, t_arr,
                                  format_cell(float(bl_bw)), min_rtt))
-    print(describe(result))
+    print(describe(summary))
     return EXIT_OK
 
 
@@ -159,9 +160,9 @@ def cmd_single_flow(args) -> int:
     rows = []
     for scheme in schemes:
         cfg = config_from_args(args, {"scheme": scheme.strip()})
-        result = run_simulation(cfg)
-        rows.append(result.summary_row())
-        print(describe(result))
+        row = run_simulation(cfg).summary_row()
+        rows.append(row)
+        print(describe(row))
     write_csv(output_dir(args) / "summary.csv", SUMMARY_COLUMNS, rows)
     return EXIT_OK
 
@@ -179,7 +180,8 @@ def cmd_fairness(args) -> int:
         cfg.flow_ues = (0, 0)
         cfg.require_valid()
         result = run_simulation(cfg)
-        summary_rows.append(result.summary_row())
+        row = result.summary_row()
+        summary_rows.append(row)
         t0 = int(round(second * 1e6))
         for fs in result.flows:
             flow_rows.append({
@@ -193,7 +195,7 @@ def cmd_fairness(args) -> int:
                 "retrans": fs.retransmits,
                 "drops": fs.drops,
             })
-        print(describe(result))
+        print(describe(row))
     outdir = output_dir(args)
     write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     write_csv(

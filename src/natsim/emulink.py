@@ -10,6 +10,11 @@ The uplink (acks) is an ideal pipe: fixed one-way delay plus per-packet
 serialization at a configured depletion rate, no queuing.  Measurement
 probes bypass the UE queues entirely and observe only fixed network delay.
 
+``BtsLink`` reads its ``PathConfig`` once: the downlink delay, loss
+probability and probe jitter at construction, and the uplink delay of each
+ack size the first time an ack of that size is sent.  Every data packet and
+every ack crosses the link, so neither recomputes a delay per packet.
+
 All times are integer microseconds.
 """
 
@@ -31,6 +36,10 @@ class LinkError(ValueError):
 class PacketKind(enum.Enum):
     DATA = "data"
     ACK = "ack"
+
+
+DATA = PacketKind.DATA
+ACK = PacketKind.ACK
 
 
 UNSET = -1
@@ -136,6 +145,10 @@ class BtsLink:
     ) -> None:
         self.schedule = schedule
         self.path = path
+        self._down_owd_us = path.down_owd_us
+        self._loss_prob = path.loss_prob
+        self._probe_jitter_us = path.probe_jitter_us
+        self._up_delay_us: dict[int, int] = {}   # ack size -> uplink delay
         self.rng = rng
         self._schedule_event = schedule_event
         self._log = log   # event-log sink; None when the run records no log
@@ -177,10 +190,11 @@ class BtsLink:
     def send_downlink(self, pkt: Packet, now: int, ue_id: int) -> None:
         """Launch a data packet toward the UE queue (arrives after the
         downlink one-way delay).  Probes never take this path."""
-        if pkt.kind is not PacketKind.DATA:
+        if pkt.kind is not DATA:
             raise LinkError("send_downlink carries data packets only")
-        self.queue_for(ue_id)  # validate early
-        self._schedule_event(now + self.path.down_owd_us, self._arrive, (pkt, ue_id))
+        if ue_id not in self.queues:  # validate early, as queue_for does
+            raise LinkError(f"unknown UE {ue_id!r}")
+        self._schedule_event(now + self._down_owd_us, self._arrive, (pkt, ue_id))
 
     def _arrive(self, now: int, pkt: Packet, ue_id: int) -> None:
         q = self.queues[ue_id]
@@ -211,10 +225,11 @@ class BtsLink:
             self._backlogged -= 1
         if self._log is not None:
             self._log(now, "deq", pkt.flow_id, pkt.seq, now - pkt.t_enqueued)
-        ib = self._pending_ib.pop(q.ue_id, None)
-        if ib is not None:
-            pkt.feedback = ib
-        if self.path.loss_prob > 0 and self.rng.random() < self.path.loss_prob:
+        if self._pending_ib:  # only in-band runs stage digests
+            ib = self._pending_ib.pop(q.ue_id, None)
+            if ib is not None:
+                pkt.feedback = ib
+        if self._loss_prob > 0 and self.rng.random() < self._loss_prob:
             self.air_drops += 1
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             if self._log is not None:
@@ -251,9 +266,12 @@ class BtsLink:
 
     def send_uplink(self, pkt: Packet, now: int, arrive: Callable[[int, Packet], None]) -> None:
         """Carry an ack (possibly with piggybacked feedback) to the server."""
-        if pkt.kind is not PacketKind.ACK:
+        if pkt.kind is not ACK:
             raise LinkError("send_uplink carries acks only")
-        delay = self.path.up_owd_us + self.path.serialization_us(pkt.size)
+        delay = self._up_delay_us.get(pkt.size)
+        if delay is None:
+            delay = self._up_delay_us[pkt.size] = (
+                self.path.up_owd_us + self.path.serialization_us(pkt.size))
         self._schedule_event(now + delay, arrive, (pkt,))
 
     # -- probes -----------------------------------------------------------
@@ -263,8 +281,8 @@ class BtsLink:
 
         Probes bypass the UE queues, so the sample excludes all queuing.
         """
-        base = 2 * self.path.down_owd_us
-        j = self.path.probe_jitter_us
+        base = 2 * self._down_owd_us
+        j = self._probe_jitter_us
         if j > 0:
             # Keyed by probe time so samples are reproducible regardless of
             # query order and independent of the loss RNG stream.

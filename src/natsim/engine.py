@@ -26,12 +26,12 @@ the same seed at construction time.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from .cc import Controller, make_controller
@@ -57,15 +57,16 @@ class EventLoop:
         """Push fn(t_us, *args); ``tick`` is one taken from ``reserve``."""
         if tick is None:
             tick = next(self._tick)
-        heapq.heappush(self._heap, (t_us, tick, fn, args))
+        heappush(self._heap, (t_us, tick, fn, args))
 
     def reserve(self) -> int:
         """Take the next tie-break tick for an event pushed later."""
         return next(self._tick)
 
     def run_until(self, t_end_us: int) -> None:
-        while self._heap and self._heap[0][0] <= t_end_us:
-            t, _, fn, args = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= t_end_us:
+            t, _, fn, args = heappop(heap)
             self.now = t
             self.processed += 1
             fn(t, *args)
@@ -163,16 +164,20 @@ class RunResult:
                 if kind == "deq"]
 
     def summary_row(self) -> dict:
+        # each statistic once: the two powers reuse the throughput and delays
+        throughput = self.throughput_mbps()
+        avg_qdelay = self.avg_qdelay_ms()
+        p95_qdelay = self.p95_qdelay_ms()
         return {
             "scheme": self.scheme,
             "trace": self.trace,
             "duration_s": self.duration_s,
-            "throughput_mbps": self.throughput_mbps(),
+            "throughput_mbps": throughput,
             "goodput_mbps": self.goodput_mbps(),
-            "avg_qdelay_ms": self.avg_qdelay_ms(),
-            "p95_qdelay_ms": self.p95_qdelay_ms(),
-            "power": self.power(),
-            "power95": self.power95(),
+            "avg_qdelay_ms": avg_qdelay,
+            "p95_qdelay_ms": p95_qdelay,
+            "power": compute_power(throughput, avg_qdelay),
+            "power95": compute_power(throughput, p95_qdelay),
             "retrans": self.retrans(),
             "drops": self.drops(),
             "feedback_overhead_kbps": self.overhead_kbps,
@@ -275,17 +280,18 @@ class Simulation:
         return logged_transmit
 
     def _make_deliver(self, ue_id: int):
-        recv = self.receivers[ue_id]
+        on_data = self.receivers[ue_id].on_data
+        deliveries = self._deliveries
         if not self._log_events:
             def deliver(now: int, pkt: Packet) -> None:
-                first = recv.on_data(pkt, now)
-                self._deliveries[pkt.flow_id].append((now, pkt.size, first))
+                first = on_data(pkt, now)
+                deliveries[pkt.flow_id].append((now, pkt.size, first))
             return deliver
 
         def logged_deliver(now: int, pkt: Packet) -> None:
             self._log(now, "dlv", pkt.flow_id, pkt.seq)
-            first = recv.on_data(pkt, now)
-            self._deliveries[pkt.flow_id].append((now, pkt.size, first))
+            first = on_data(pkt, now)
+            deliveries[pkt.flow_id].append((now, pkt.size, first))
         return logged_deliver
 
     def _transmit_ack(self, pkt: Packet, now: int) -> None:

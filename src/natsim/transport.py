@@ -13,7 +13,10 @@ The sender models a bulk (always-backlogged) flow with MTU-sized segments:
 
 The receiver keeps a per-flow cumulative/out-of-order reassembly map,
 acks every data packet immediately, and reports how many flows were
-recently active so senders can share capacity fairly.
+recently active so senders can share capacity fairly.  A segment that
+arrives in order while nothing is buffered advances the cumulative point
+directly, without passing through the reassembly map.  The sender
+computes its pacing gap when the pacing rate changes, not per segment.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from typing import Callable
 
 from .cc import LOSS_DUPACK, LOSS_TIMEOUT, Controller
-from .emulink import Packet, PacketKind
+from .emulink import ACK, DATA, UNSET, Packet
 
 ACK_SIZE = 64
 DUPACK_THRESHOLD = 3
@@ -57,7 +60,9 @@ class Sender:
         self.segments: dict[int, list] = {}  # seq -> [size, t_sent, retx]
 
         self.cwnd = controller.cwnd
-        self.pacing_bps: float | None = controller.pacing_bps
+        self.pacing_bps: float | None = None
+        self._gap_us: int | None = None     # pacing gap per MTU; None = unpaced
+        self._set_pacing(controller.pacing_bps)
         self._next_allowed_us = 0           # pacing release time
         self._pacer_scheduled = False
 
@@ -83,36 +88,38 @@ class Sender:
     def apply_decision(self) -> None:
         """Adopt the controller's current window and pacing rate."""
         self.cwnd = self.controller.cwnd
-        self.pacing_bps = self.controller.pacing_bps
+        bps = self.controller.pacing_bps
+        if bps != self.pacing_bps:
+            self._set_pacing(bps)
 
-    def _pacing_gap_us(self) -> int:
-        assert self.pacing_bps is not None
-        return max(1, math.ceil(self.mtu * 8 * 1e6 / self.pacing_bps))
+    def _set_pacing(self, bps: float | None) -> None:
+        self.pacing_bps = bps
+        self._gap_us = (None if bps is None
+                        else max(1, math.ceil(self.mtu * 8 * 1e6 / bps)))
 
     # sending -----------------------------------------------------------
     def try_send(self, now: int) -> None:
         """Send new segments while the window and pacer allow."""
-        while self.in_flight + self.mtu <= self.cwnd:
-            if self.pacing_bps is not None and now < self._next_allowed_us:
-                self._schedule_pacer(self._next_allowed_us)
-                return
+        mtu = self.mtu
+        while self.next_seq - self.cum_acked + mtu <= self.cwnd:
+            gap = self._gap_us
+            if gap is not None:
+                if now < self._next_allowed_us:
+                    self._schedule_pacer(self._next_allowed_us)
+                    return
+                # the release time has passed, so the next one is a gap from now
+                self._next_allowed_us = now + gap
             self._send_new(now)
-            if self.pacing_bps is not None:
-                base = max(now, self._next_allowed_us)
-                self._next_allowed_us = base + self._pacing_gap_us()
 
     def _send_new(self, now: int) -> None:
         seq = self.next_seq
-        self.segments[seq] = [self.mtu, now, False]
-        self.next_seq += self.mtu
+        mtu = self.mtu
+        self.segments[seq] = [mtu, now, False]
+        self.next_seq = seq + mtu
         self.sent_segments += 1
         if self._rto_deadline is None:
             self._arm_rto(now)
-        self.transmit(
-            Packet(flow_id=self.flow_id, seq=seq, size=self.mtu,
-                   kind=PacketKind.DATA),
-            now,
-        )
+        self.transmit(Packet(self.flow_id, seq, mtu, DATA), now)
 
     def _schedule_pacer(self, at_us: int) -> None:
         if self._pacer_scheduled:
@@ -133,11 +140,7 @@ class Sender:
         entry[2] = True
         entry[1] = now
         self.retransmits += 1
-        self.transmit(
-            Packet(flow_id=self.flow_id, seq=seq, size=entry[0],
-                   kind=PacketKind.DATA, retransmission=True),
-            now,
-        )
+        self.transmit(Packet(self.flow_id, seq, entry[0], DATA, UNSET, True), now)
 
     # acks ---------------------------------------------------------------
     def process_ack(self, pkt: Packet, now: int) -> None:
@@ -163,10 +166,16 @@ class Sender:
 
         if rtt_sample is not None:
             self._update_rtt(rtt_sample)
-        # Progress was made: restart the timer from scratch at the base rto.
-        self._rto_deadline = None
-        if self.in_flight > 0:
-            self._arm_rto(now)
+        # Progress was made: restart the timer from scratch at the base rto
+        # (_arm_rto inlined: this runs once per ack).
+        if self.next_seq > ack:
+            deadline = self._rto_deadline = now + self.rto_us
+            pending = self._rto_event_at
+            if pending is None or pending > deadline:
+                self._rto_event_at = deadline
+                self.schedule_event(deadline, self._on_rto_event)
+        else:
+            self._rto_deadline = None
 
         self.controller.on_ack(now, newly_acked, rtt_sample, max(1, pkt.beta))
         self.apply_decision()
@@ -199,16 +208,17 @@ class Sender:
         return sample
 
     def _update_rtt(self, sample_us: int) -> None:
-        if self.srtt_us is None:
-            self.srtt_us = float(sample_us)
-            self.rttvar_us = sample_us / 2
+        srtt = self.srtt_us
+        if srtt is None:
+            srtt = self.srtt_us = float(sample_us)
+            rttvar = self.rttvar_us = sample_us / 2
         else:
-            self.rttvar_us += RTTVAR_GAIN * (abs(self.srtt_us - sample_us) - self.rttvar_us)
-            self.srtt_us += SRTT_GAIN * (sample_us - self.srtt_us)
-        self.rto_us = min(
-            RTO_MAX_US,
-            max(RTO_MIN_US, int(round(self.srtt_us + 4 * self.rttvar_us))),
-        )
+            rttvar = self.rttvar_us = (
+                self.rttvar_us + RTTVAR_GAIN * (abs(srtt - sample_us) - self.rttvar_us))
+            srtt = self.srtt_us = srtt + SRTT_GAIN * (sample_us - srtt)
+        rto = round(srtt + 4 * rttvar)
+        self.rto_us = (RTO_MIN_US if rto < RTO_MIN_US
+                       else RTO_MAX_US if rto > RTO_MAX_US else rto)
 
     # timeout --------------------------------------------------------------
     def _arm_rto(self, now: int) -> None:
@@ -259,35 +269,42 @@ class UeReceiver:
         return self.cum.get(flow_id, 0)
 
     def active_flows(self, now: int) -> int:
-        return sum(
-            1 for t in self.last_data_us.values()
-            if now - t <= ACTIVITY_WINDOW_US
-        )
+        oldest = now - ACTIVITY_WINDOW_US
+        n = 0
+        for t in self.last_data_us.values():
+            if t >= oldest:
+                n += 1
+        return n
 
     def on_data(self, pkt: Packet, now: int) -> bool:
         """Integrate and ack one data packet; True when its payload is new."""
         fid = pkt.flow_id
-        self.delivered_bytes[fid] = self.delivered_bytes.get(fid, 0) + pkt.size
+        seq = pkt.seq
+        size = pkt.size
+        self.delivered_bytes[fid] = self.delivered_bytes.get(fid, 0) + size
         self.last_data_us[fid] = now
 
         cum = self.cum.get(fid, 0)
-        pending = self.ooo.setdefault(fid, {})
-        first = pkt.seq >= cum and pkt.seq not in pending
+        pending = self.ooo.get(fid)
+        if seq == cum and not pending:
+            # in order with nothing buffered: the segment is new and extends
+            # the cumulative point by itself
+            first = True
+            cum += size
+        else:
+            if pending is None:
+                pending = self.ooo[fid] = {}
+            first = seq >= cum and seq not in pending
+            if first:
+                pending[seq] = size
+            while cum in pending:
+                cum += pending.pop(cum)
         if first:
-            self.unique_bytes[fid] = self.unique_bytes.get(fid, 0) + pkt.size
-            pending[pkt.seq] = pkt.size
-        while cum in pending:
-            cum += pending.pop(cum)
+            self.unique_bytes[fid] = self.unique_bytes.get(fid, 0) + size
         self.cum[fid] = cum
 
-        ack = Packet(
-            flow_id=fid,
-            seq=pkt.seq,
-            size=ACK_SIZE,
-            kind=PacketKind.ACK,
-            cum_ack=cum,
-            beta=max(1, self.active_flows(now)),
-            feedback=pkt.feedback,
-        )
-        self.transmit_ack(ack, now)
+        # this flow was just stamped active, so the count is at least 1
+        beta = self.active_flows(now)
+        self.transmit_ack(Packet(fid, seq, ACK_SIZE, ACK, UNSET, False, cum, beta,
+                                 pkt.feedback), now)
         return first

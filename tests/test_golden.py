@@ -50,6 +50,11 @@ VARIANTS = {
     # in-band digests reach one flow per UE at a time, so flows keep
     # reverting and resuming while the others' checks are pending
     "many-flows-ib": {**MANY_FLOWS, "assist.mode": "ib", "duration_s": "3"},
+    # the link's cached path delays at their edges: each arrival ties with
+    # its send, ideal uplink, jittered probes, a 20-packet queue of 1000 B
+    "path": {"mtu": "1000", "path.down_owd_us": "0",
+             "path.uplink_rate_bps": "0", "path.probe_jitter_us": "300",
+             "queue.capacity_bytes": "20000"},
 }
 
 CASES = [(scheme, variant) for variant in VARIANTS for scheme in SCHEMES]
@@ -91,6 +96,10 @@ GOLDEN = {
     "nacubic-many-flows-ib": "6de155012d443a09cc4c6ddd3e9154c9651f5d4be469bb78c8b705ce40d96fed",
     "cubic-many-flows-ib": "00ab7653e5c0bad4ad501d92ae3bdef98cdac8e48cd5f694979dbc5b80091d14",
     "tg-many-flows-ib": "6260da27eb15b7661651eab0d0a6006447743e7ca0b279427f3c1ed7c6fe9fad",
+    "natcp-path": "e691de69a836d6054704ff883ac4b9e88e784f2737ad624cf03facc1223fec0b",
+    "nacubic-path": "6dfe1e3f345798889cc1f9ecbeba539c536379140489b325cf96fc8dd7311a85",
+    "cubic-path": "0f648a18747190018baad84a9a64910de557d72c5eefd1df1fc5c92fc31ba197",
+    "tg-path": "68382afa8fa50afec66ee81a575d8989fea95be87ce01e3c41b90d40f848ab6b",
 }
 
 

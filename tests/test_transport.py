@@ -1,11 +1,14 @@
 """Sender state machine (pacing, recovery, RTO) and receiver reassembly."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natsim.cc import Controller
 from natsim.emulink import Packet, PacketKind
 from natsim.engine import EventLoop
-from natsim.transport import ACK_SIZE, RTO_MIN_US, Sender, UeReceiver
+from natsim.transport import (ACK_SIZE, ACTIVITY_WINDOW_US, RTO_MIN_US, Sender,
+                              UeReceiver)
 
 MTU = 1500
 
@@ -60,6 +63,23 @@ def test_pacing_spreads_the_window():
     loop.run_until(50_000)
     times = [t for (t, _) in sent]
     assert times == [i * 1_000 for i in range(10)]   # 1500 B at 12 Mb/s = 1 ms
+
+
+def test_pacing_gap_follows_every_rate_change():
+    snd, ctl, loop, sent = make_sender(cwnd=15_000, pacing=12e6)
+    snd.try_send(0)
+    loop.run_until(2_500)                 # paced at 12 Mb/s: 1 ms apart
+    ctl.pacing_bps = None                 # unpaced: the rest of the window at once
+    snd.apply_decision()
+    snd.try_send(2_500)
+    loop.run_until(5_000)                 # the pending pacer finds the window full
+    ctl.pacing_bps = 6e6                  # paced again at half the rate: 2 ms apart
+    snd.process_ack(ack(15_000), now=10_000)
+    snd.try_send(10_000)
+    loop.run_until(20_000)
+    times = [t for (t, _) in sent]
+    assert times == ([0, 1_000, 2_000] + [2_500] * 7
+                     + [10_000 + i * 2_000 for i in range(6)])
 
 
 def test_ack_opens_window():
@@ -251,3 +271,42 @@ def test_receiver_echoes_piggybacked_feedback():
     recv.on_data(seg(0, 1_500), now=6)
     assert acks[0][1].feedback == "digest"
     assert acks[1][1].feedback is None
+
+
+# Arrivals of 1-3 flows' MTU segments in any order, with gaps of up to 1.5 s:
+# (flow, segment index, microseconds since the previous arrival).  Repeated
+# draws are duplicates and retransmissions; segments never drawn are holes.
+ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 7), st.integers(0, 1_500_000)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ARRIVALS)
+def test_receiver_matches_reference_reassembly(arrivals):
+    recv, acks = make_receiver()
+    received = {}        # flow -> indices of segments that arrived
+    last_us = {}         # flow -> time of its latest arrival
+    delivered = {}
+    now = 0
+    for flow, index, gap in arrivals:
+        now += gap
+        first = recv.on_data(seg(flow, index * MTU), now)
+
+        seen = received.setdefault(flow, set())
+        assert first == (index not in seen)
+        seen.add(index)
+        last_us[flow] = now
+        delivered[flow] = delivered.get(flow, 0) + MTU
+        cum = 0
+        while cum in seen:
+            cum += 1
+        ack_now, ack_pkt = acks[-1]
+        assert ack_now == now
+        assert (ack_pkt.flow_id, ack_pkt.seq) == (flow, index * MTU)
+        assert ack_pkt.cum_ack == cum * MTU
+        assert ack_pkt.beta == sum(1 for t in last_us.values()
+                                   if now - t <= ACTIVITY_WINDOW_US)
+    assert len(acks) == len(arrivals)
+    assert recv.delivered_bytes == delivered
+    assert recv.unique_bytes == {f: len(seen) * MTU for f, seen in received.items()}
