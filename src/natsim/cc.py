@@ -64,8 +64,6 @@ class CubicState:
 
     w_max: float = 0.0
     k: float = 0.0
-    c: float = CUBIC_C
-    beta_cubic: float = CUBIC_BETA
     epoch_start_us: int | None = None
     ssthresh: int | None = None     # bytes; None = infinite
     in_slow_start: bool = True
@@ -73,12 +71,12 @@ class CubicState:
 
 def cubic_window(t_s: float, state: CubicState) -> float:
     """Cubic growth curve W(t) = C*(t-K)^3 + W_max, in segments."""
-    return state.c * (t_s - state.k) ** 3 + state.w_max
+    return CUBIC_C * (t_s - state.k) ** 3 + state.w_max
 
 
-def cubic_k(w_max: float, c: float = CUBIC_C, beta_cubic: float = CUBIC_BETA) -> float:
+def cubic_k(w_max: float) -> float:
     """Time (s) for the curve to return to w_max after a loss reduction."""
-    return (w_max * (1.0 - beta_cubic) / c) ** (1.0 / 3.0)
+    return (w_max * (1.0 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
 
 
 class Controller:
@@ -166,8 +164,8 @@ class CubicController(Controller):
     def on_loss(self, now: int, kind: str) -> None:
         st = self.state
         st.w_max = self.cwnd / self.mtu
-        st.k = cubic_k(st.w_max, st.c, st.beta_cubic)
-        reduced = self._clamp_cwnd(self.cwnd * st.beta_cubic)
+        st.k = cubic_k(st.w_max)
+        reduced = self._clamp_cwnd(self.cwnd * CUBIC_BETA)
         if kind == LOSS_TIMEOUT:
             st.ssthresh = reduced
             self.cwnd = self._cwnd_floor

@@ -16,8 +16,10 @@ tick; when the pending check fires early it moves itself to that key, so
 the check that can revert a flow runs exactly where it would if every
 feedback had pushed one of its own.
 
-The per-packet event log is recorded only when ``log.events`` is on;
-otherwise ``RunResult.event_log`` stays empty.
+The per-packet event log has one optional sink: the bound ``_log`` when
+``log.events`` is on, else ``None``.  The transmit and deliver closures,
+the ack handler and the link each test that one sink at their log sites;
+with the log off ``RunResult.event_log`` stays empty.
 
 Randomness: one generator seeded from the config drives air-interface loss
 (and nothing else); synthetic walk traces derive their own generator from
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable
 
-from .cc import Controller, make_controller
+from .cc import make_controller
 from .config import SimConfig, resolve_schedule
 from .emulink import BtsLink, Packet
 from .netassist import FeedbackMsg, NetAssist
@@ -49,7 +51,6 @@ class EventLoop:
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._tick = itertools.count()
-        self.now = 0
         self.processed = 0
 
     def schedule(self, t_us: int, fn: Callable, args: tuple = (),
@@ -67,7 +68,6 @@ class EventLoop:
         heap = self._heap
         while heap and heap[0][0] <= t_end_us:
             t, _, fn, args = heappop(heap)
-            self.now = t
             self.processed += 1
             fn(t, *args)
 
@@ -127,9 +127,6 @@ class RunResult:
         if not self.qdelay_samples_us:
             return None
         return percentile(self.qdelay_samples_us, 0.95) / 1000
-
-    def power(self) -> float | None:
-        return compute_power(self.throughput_mbps(), self.avg_qdelay_ms())
 
     def power95(self) -> float | None:
         return compute_power(self.throughput_mbps(), self.p95_qdelay_ms())
@@ -222,14 +219,13 @@ class Simulation:
         self.rng = random.Random(cfg.seed)
         self.event_log: list[tuple] = []
         self.feedback_log: list[tuple] = []
-        self._log_events = cfg.log_events
+        # event-log sink shared by every log site; None when no log is recorded
+        self._sink = self._log if cfg.log_events else None
 
         self.link = BtsLink(self.schedule, cfg.path, self.rng,
-                            self.loop.schedule,
-                            self._log if cfg.log_events else None)
+                            self.loop.schedule, self._sink)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
-        self.controllers: dict[int, Controller] = {}
         self.flows_on_ue: dict[int, list[int]] = {}
         self._deliveries: dict[int, list] = {}
         self._active: set[int] = set()
@@ -253,7 +249,6 @@ class Simulation:
                                   cfg.divide_pacing_by_beta, cfg.tg_horizon_us)
             snd = Sender(spec.flow_id, cfg.mtu, ctl,
                          self._make_transmit(spec.ue_id), self.loop.schedule)
-            self.controllers[spec.flow_id] = ctl
             self.senders[spec.flow_id] = snd
             self.flows_on_ue[spec.ue_id].append(spec.flow_id)
             self._deliveries[spec.flow_id] = []
@@ -265,34 +260,26 @@ class Simulation:
 
     # -- wiring callbacks -------------------------------------------------------
 
-    # Each factory builds its closure with the log call only when the log is
-    # recorded, so an unlogged run pays nothing per packet for it.
-
     def _make_transmit(self, ue_id: int):
-        if not self._log_events:
-            def transmit(pkt: Packet, now: int) -> None:
-                self.link.send_downlink(pkt, now, ue_id)
-            return transmit
+        sink = self._sink
 
-        def logged_transmit(pkt: Packet, now: int) -> None:
-            self._log(now, "snd", pkt.flow_id, pkt.seq)
+        def transmit(pkt: Packet, now: int) -> None:
+            if sink is not None:
+                sink(now, "snd", pkt.flow_id, pkt.seq)
             self.link.send_downlink(pkt, now, ue_id)
-        return logged_transmit
+        return transmit
 
     def _make_deliver(self, ue_id: int):
+        sink = self._sink
         on_data = self.receivers[ue_id].on_data
         deliveries = self._deliveries
-        if not self._log_events:
-            def deliver(now: int, pkt: Packet) -> None:
-                first = on_data(pkt, now)
-                deliveries[pkt.flow_id].append((now, pkt.size, first))
-            return deliver
 
-        def logged_deliver(now: int, pkt: Packet) -> None:
-            self._log(now, "dlv", pkt.flow_id, pkt.seq)
+        def deliver(now: int, pkt: Packet) -> None:
+            if sink is not None:
+                sink(now, "dlv", pkt.flow_id, pkt.seq)
             first = on_data(pkt, now)
             deliveries[pkt.flow_id].append((now, pkt.size, first))
-        return logged_deliver
+        return deliver
 
     def _transmit_ack(self, pkt: Packet, now: int) -> None:
         self.link.send_uplink(pkt, now, self._on_ack_arrival)
@@ -303,8 +290,8 @@ class Simulation:
         sender = self.senders.get(pkt.flow_id)
         if sender is None:
             return
-        if self._log_events:
-            self._log(now, "ack", pkt.flow_id, pkt.cum_ack)
+        if self._sink is not None:
+            self._sink(now, "ack", pkt.flow_id, pkt.cum_ack)
         sender.process_ack(pkt, now)
         if pkt.feedback is not None:
             self._handle_feedback(pkt.flow_id, pkt.feedback, now)
@@ -331,11 +318,12 @@ class Simulation:
                 self.senders[fid].try_send(now)
 
     def _handle_feedback(self, flow_id: int, msg: FeedbackMsg, now: int) -> None:
-        ctl = self.controllers[flow_id]
+        sender = self.senders[flow_id]
+        ctl = sender.controller
         ctl.on_feedback(now, msg)
         self.feedback_log.append(
             (flow_id, msg.seq, msg.t_emitted, now, msg.bl_bw, msg.min_rtt))
-        self.senders[flow_id].apply_decision()
+        sender.apply_decision()
         if ctl.uses_watchdog:
             key = (now + WATCHDOG_PERIODS * self.cfg.assist.period_us,
                    self.loop.reserve())
@@ -351,9 +339,8 @@ class Simulation:
                                (flow_id, latest), latest[1])
             return
         del self._watchdog[flow_id]
-        ctl = self.controllers[flow_id]
-        ctl.revert(now)
         sender = self.senders[flow_id]
+        sender.controller.revert(now)
         sender.apply_decision()
         sender.try_send(now)
 
@@ -379,7 +366,7 @@ class Simulation:
         flows = []
         for spec in self.cfg.flows():
             snd = self.senders[spec.flow_id]
-            ctl = self.controllers[spec.flow_id]
+            ctl = snd.controller
             recv = self.receivers[spec.ue_id]
             flows.append(FlowStats(
                 flow_id=spec.flow_id,

@@ -132,12 +132,20 @@ class NetAssist:
     # -- emission -----------------------------------------------------------
 
     def emit(self, now: int) -> FeedbackMsg | None:
-        """Measure the period ending at ``now`` into the digest every UE gets."""
+        """Measure the period ending at ``now`` into the digest every UE gets.
+
+        No digest exists before the first probe completes its round trip:
+        such a period emits nothing and charges nothing, so flows stay on
+        their fallback until the first digest.
+        """
         suppress = self.cfg.suppress_after_us
         if not self.ue_ids or (suppress is not None and now >= suppress):
             return None
         bl_bw = self.measure_bl_bw(now - self.cfg.period_us, now)
-        min_rtt = self.measure_min_rtt(bl_bw, now)
+        try:
+            min_rtt = self.measure_min_rtt(bl_bw, now)
+        except MeasureError:  # the probe fired at t = 0 is still out
+            return None
         self._seq += 1
         self.emitted_count += len(self.ue_ids)
         return FeedbackMsg(self._seq, bl_bw, min_rtt, now)

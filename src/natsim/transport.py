@@ -7,9 +7,11 @@ The sender models a bulk (always-backlogged) flow with MTU-sized segments:
 * duplicate-ack fast retransmit with NewReno-style partial-ack recovery
   (one window reduction per loss episode);
 * retransmission timeout with exponential backoff, restarted whenever an
-  ack advances the window;
+  ack advances the window; every deadline is set through ``_arm_rto``,
+  which keeps at most one pending event at or before it;
 * RTT estimation from acks of segments never retransmitted (srtt/rttvar
-  with 1/8 and 1/4 gains).
+  with 1/8 and 1/4 gains).  Every segment is one MTU, so the record of an
+  outstanding segment is only its send time, cleared when it is resent.
 
 The receiver keeps a per-flow cumulative/out-of-order reassembly map,
 acks every data packet immediately, and reports how many flows were
@@ -57,7 +59,8 @@ class Sender:
 
         self.next_seq = 0                   # next new byte to send
         self.cum_acked = 0                  # all bytes below this are acked
-        self.segments: dict[int, list] = {}  # seq -> [size, t_sent, retx]
+        # seq -> send time; None once resent (its RTT would be ambiguous)
+        self.segments: dict[int, int | None] = {}
 
         self.cwnd = controller.cwnd
         self.pacing_bps: float | None = None
@@ -105,7 +108,9 @@ class Sender:
             gap = self._gap_us
             if gap is not None:
                 if now < self._next_allowed_us:
-                    self._schedule_pacer(self._next_allowed_us)
+                    if not self._pacer_scheduled:
+                        self._pacer_scheduled = True
+                        self.schedule_event(self._next_allowed_us, self._on_pacer)
                     return
                 # the release time has passed, so the next one is a gap from now
                 self._next_allowed_us = now + gap
@@ -114,33 +119,24 @@ class Sender:
     def _send_new(self, now: int) -> None:
         seq = self.next_seq
         mtu = self.mtu
-        self.segments[seq] = [mtu, now, False]
+        self.segments[seq] = now
         self.next_seq = seq + mtu
         self.sent_segments += 1
         if self._rto_deadline is None:
-            self._arm_rto(now)
+            self._arm_rto(now + self.rto_us)
         self.transmit(Packet(self.flow_id, seq, mtu, DATA), now)
 
-    def _schedule_pacer(self, at_us: int) -> None:
-        if self._pacer_scheduled:
-            return
-        self._pacer_scheduled = True
-
-        def fire(now: int) -> None:
-            self._pacer_scheduled = False
-            self.try_send(now)
-
-        self.schedule_event(at_us, fire)
+    def _on_pacer(self, now: int) -> None:
+        self._pacer_scheduled = False
+        self.try_send(now)
 
     def _retransmit(self, seq: int, now: int) -> None:
         """Resend one segment; bypasses both the window and the pacer."""
-        entry = self.segments.get(seq)
-        if entry is None:
+        if seq not in self.segments:
             return
-        entry[2] = True
-        entry[1] = now
+        self.segments[seq] = None
         self.retransmits += 1
-        self.transmit(Packet(self.flow_id, seq, entry[0], DATA, UNSET, True), now)
+        self.transmit(Packet(self.flow_id, seq, self.mtu, DATA, UNSET, True), now)
 
     # acks ---------------------------------------------------------------
     def process_ack(self, pkt: Packet, now: int) -> None:
@@ -167,13 +163,8 @@ class Sender:
         if rtt_sample is not None:
             self._update_rtt(rtt_sample)
         # Progress was made: restart the timer from scratch at the base rto
-        # (_arm_rto inlined: this runs once per ack).
         if self.next_seq > ack:
-            deadline = self._rto_deadline = now + self.rto_us
-            pending = self._rto_event_at
-            if pending is None or pending > deadline:
-                self._rto_event_at = deadline
-                self.schedule_event(deadline, self._on_rto_event)
+            self._arm_rto(now + self.rto_us)
         else:
             self._rto_deadline = None
 
@@ -197,14 +188,10 @@ class Sender:
         sample: int | None = None
         seq = self.cum_acked
         while seq < ack:
-            entry = self.segments.pop(seq, None)
-            if entry is None:
-                seq += self.mtu
-                continue
-            size, t_sent, retx = entry
-            if not retx:
+            t_sent = self.segments.pop(seq, None)
+            if t_sent is not None:
                 sample = now - t_sent
-            seq += size
+            seq += self.mtu
         return sample
 
     def _update_rtt(self, sample_us: int) -> None:
@@ -221,26 +208,23 @@ class Sender:
                        else RTO_MAX_US if rto > RTO_MAX_US else rto)
 
     # timeout --------------------------------------------------------------
-    def _arm_rto(self, now: int) -> None:
-        self._rto_deadline = now + self.rto_us
-        self._ensure_rto_event()
-
-    def _ensure_rto_event(self) -> None:
-        deadline = self._rto_deadline
-        if deadline is None:
-            return
-        if self._rto_event_at is not None and self._rto_event_at <= deadline:
-            return
-        self._rto_event_at = deadline
-        self.schedule_event(deadline, self._on_rto_event)
+    def _arm_rto(self, deadline: int) -> None:
+        """Set the RTO deadline; push an event unless one is already pending
+        at or before it (an early event re-arms itself when it fires)."""
+        self._rto_deadline = deadline
+        pending = self._rto_event_at
+        if pending is None or pending > deadline:
+            self._rto_event_at = deadline
+            self.schedule_event(deadline, self._on_rto_event)
 
     def _on_rto_event(self, now: int) -> None:
         self._rto_event_at = None
-        if self._rto_deadline is None or self.in_flight <= 0:
+        deadline = self._rto_deadline
+        if deadline is None or self.in_flight <= 0:
             return
-        if now < self._rto_deadline:
+        if now < deadline:
             # The deadline moved while this event was in flight.
-            self._ensure_rto_event()
+            self._arm_rto(deadline)
             return
         self.timeouts += 1
         self.dup_acks = 0
@@ -249,7 +233,7 @@ class Sender:
         self.apply_decision()
         self.rto_us = min(RTO_MAX_US, self.rto_us * 2)
         self._retransmit(self.cum_acked, now)
-        self._arm_rto(now)
+        self._arm_rto(now + self.rto_us)
         self.try_send(now)
 
 

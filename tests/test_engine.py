@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from natsim.config import SimConfig
+from natsim.config import SimConfig, build_config
 from natsim.engine import (
     EventLoop,
     Simulation,
@@ -167,6 +167,19 @@ def test_flow_start_offsets_respected():
             first_snd[flow] = t
     assert first_snd[0] == 0
     assert first_snd[1] == 2_000_000
+
+
+@pytest.mark.parametrize("settings, first_emit_us", [
+    ({"assist.period_us": "1000"}, 5_000),
+    ({"path.down_owd_us": "40000"}, 100_000),
+    ({"assist.period_us": "4000", "assist.mode": "ib"}, 8_000),
+])
+def test_periods_before_the_first_probe_returns_emit_nothing(settings, first_emit_us):
+    res = run_simulation(build_config(None, {"duration_s": "1", **settings}))
+    _, seq, t_emit, t_arr, _, _ = res.feedback_log[0]
+    assert (seq, t_emit) == (1, first_emit_us)
+    # the flow stays on its fallback until the first digest arrives
+    assert res.flows[0].mode_log[:2] == [(0, "fallback"), (t_arr, "assisted")]
 
 
 def test_watchdog_reverts_after_three_silent_periods():

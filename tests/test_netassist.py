@@ -150,6 +150,16 @@ def test_emit_digest_matches_the_measurement_of_its_period():
     assert assist.emitted_count == 3 * 59
 
 
+def test_emit_nothing_before_the_first_probe_returns():
+    # the probe fired at t=0 completes at t=5000: no min-RTT exists before
+    assist = make_assist(cfg=NetAssistConfig(period_us=1_000))
+    assert [assist.emit(t) for t in range(1_000, 5_000, 1_000)] == [None] * 4
+    assert assist.emitted_count == 0
+    first = assist.emit(5_000)
+    assert (first.seq, first.t_emitted) == (1, 5_000)
+    assert assist.emitted_count == 1
+
+
 def test_emit_suppression_boundary_inclusive():
     assist = make_assist(cfg=NetAssistConfig(suppress_after_us=100_000))
     assert assist.emit(50_000) is not None

@@ -200,6 +200,23 @@ def test_ack_restarts_timer_and_resets_backoff():
     assert snd.timeouts == timeouts_before
 
 
+def test_fresh_rtt_sample_pulls_a_backed_off_timeout_earlier():
+    snd, ctl, loop, _ = make_sender(cwnd=3_000)
+    snd.try_send(0)                                   # seq 0 and 1500
+    loop.run_until(RTO_MIN_US)                        # timeout: event pending at 600 ms
+    assert snd.rto_us == 2 * RTO_MIN_US
+    snd.process_ack(ack(1_500), now=210_000)          # seq 0 was resent: no sample
+    snd.try_send(210_000)                             # seq 3000 goes out fresh
+    snd.process_ack(ack(4_500), now=230_000)
+    assert snd.srtt_us == 20_000                      # from seq 3000, the newest fresh one
+    assert snd.rto_us == RTO_MIN_US
+    snd.try_send(230_000)                             # re-arms at 430 ms, before 600 ms
+    loop.run_until(430_000 - 1)
+    assert snd.timeouts == 1
+    loop.run_until(700_000)
+    assert ctl.losses == [(RTO_MIN_US, "timeout"), (430_000, "timeout")]
+
+
 def test_no_timeout_when_everything_acked():
     snd, ctl, loop, _ = make_sender(cwnd=3_000)
     snd.try_send(0)
