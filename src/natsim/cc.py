@@ -26,6 +26,13 @@ class-level choices, both off for natcp:
 
 Every controller exposes ``cwnd`` (bytes) and ``pacing_bps`` (None = unpaced);
 the transport applies them after each callback.
+
+``on_feedback`` counts every digest, but natcp and nacubic recompute only
+when one can move the decision: while assisted, a digest whose ``bl_bw``
+and ``min_rtt`` equal the applied ones is skipped, since every ack, loss
+and revert that changes another input already ends in ``_apply``.  tg
+recomputes on every digest, because its ``_apply`` ages the RTT samples
+by ``now``.
 """
 
 from __future__ import annotations
@@ -228,6 +235,9 @@ class NatcpController(Controller):
 
     def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
         self.fb_count += 1
+        if (self.assisted and not self.own_rtt and msg.bl_bw == self.bl_bw
+                and msg.min_rtt == self.min_rtt_us):
+            return  # an unchanged digest: the decision already reflects it
         self.bl_bw = msg.bl_bw
         self.min_rtt_us = msg.min_rtt  # own_rtt replaces it in _apply
         if not self.assisted:

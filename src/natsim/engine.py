@@ -10,11 +10,15 @@ counter, either when it is scheduled or, for a watchdog check, reserved
 when the feedback that arms it is applied.  Identical configurations
 therefore replay identically.
 
-Each flow keeps at most one watchdog check on the heap.  Feedback applied
-while a check is pending only records the new deadline and its reserved
-tick; when the pending check fires early it moves itself to that key, so
-the check that can revert a flow runs exactly where it would if every
-feedback had pushed one of its own.
+Watchdogs are kept per feedback stream: the flows that receive one digest
+at one instant, which is every started flow for out-of-band feedback and a
+single flow for in-band.  Applying a digest reserves one tick per flow, in
+the order the flows receive it, and the stream records the deadline and
+the ``(tick, flow)`` keys of its latest arrival.  A stream keeps at most one
+check on the heap.  A check that finds a fresher arrival moves itself to
+that arrival's first key; one that finds its own arrival still the latest
+reverts one flow and moves to the next flow's key.  Every revert therefore
+runs exactly where it would if each feedback had pushed one check per flow.
 
 The per-packet event log has one optional sink: the bound ``_log`` when
 ``log.events`` is on, else ``None``.  The transmit and deliver closures,
@@ -43,6 +47,7 @@ from .netassist import FeedbackMsg, NetAssist
 from .transport import Sender, UeReceiver
 
 WATCHDOG_PERIODS = 3   # feedback silence tolerated before reverting
+OOB_STREAM = "oob"     # key of the out-of-band watchdog stream; in band, the flow id
 
 
 class EventLoop:
@@ -229,9 +234,9 @@ class Simulation:
         self.flows_on_ue: dict[int, list[int]] = {}
         self._deliveries: dict[int, list] = {}
         self._active: set[int] = set()
-        # flow -> (deadline, tick) of its latest watchdog; present while a
-        # check for the flow is on the heap
-        self._watchdog: dict[int, tuple[int, int]] = {}
+        # stream -> (deadline, [(tick, flow), ...]) of its latest arrival;
+        # present while a check for the stream is on the heap
+        self._watchdog: dict[object, tuple[int, list[tuple[int, int]]]] = {}
 
         for ue in cfg.ue_ids():
             recv = UeReceiver(ue, self._transmit_ack)
@@ -294,7 +299,9 @@ class Simulation:
             self._sink(now, "ack", pkt.flow_id, pkt.cum_ack)
         sender.process_ack(pkt, now)
         if pkt.feedback is not None:
-            self._handle_feedback(pkt.flow_id, pkt.feedback, now)
+            keys: list[tuple[int, int]] = []
+            self._handle_feedback(pkt.flow_id, pkt.feedback, now, keys)
+            self._arm_watchdog(pkt.flow_id, now, keys)
         sender.try_send(now)
 
     def _emit_feedback(self, now: int) -> None:
@@ -310,14 +317,19 @@ class Simulation:
 
     def _oob_arrive(self, now: int, msg: FeedbackMsg) -> None:
         """Hand one period's digest to every started flow, UE by UE."""
+        keys: list[tuple[int, int]] = []
         for flows in self.flows_on_ue.values():
             for fid in flows:
                 if fid not in self._active:
                     continue  # not started; must not react, let alone send
-                self._handle_feedback(fid, msg, now)
+                self._handle_feedback(fid, msg, now, keys)
                 self.senders[fid].try_send(now)
+        self._arm_watchdog(OOB_STREAM, now, keys)
 
-    def _handle_feedback(self, flow_id: int, msg: FeedbackMsg, now: int) -> None:
+    def _handle_feedback(self, flow_id: int, msg: FeedbackMsg, now: int,
+                         keys: list[tuple[int, int]]) -> None:
+        """Apply one digest to one flow; a flow with a watchdog appends the
+        tick its revert would run at to its stream's ``keys``."""
         sender = self.senders[flow_id]
         ctl = sender.controller
         ctl.on_feedback(now, msg)
@@ -325,24 +337,36 @@ class Simulation:
             (flow_id, msg.seq, msg.t_emitted, now, msg.bl_bw, msg.min_rtt))
         sender.apply_decision()
         if ctl.uses_watchdog:
-            key = (now + WATCHDOG_PERIODS * self.cfg.assist.period_us,
-                   self.loop.reserve())
-            if flow_id not in self._watchdog:
-                self.loop.schedule(key[0], self._watchdog_check,
-                                   (flow_id, key), key[1])
-            self._watchdog[flow_id] = key
+            keys.append((self.loop.reserve(), flow_id))
 
-    def _watchdog_check(self, now: int, flow_id: int, key: tuple[int, int]) -> None:
-        latest = self._watchdog[flow_id]
-        if latest != key:  # fresher feedback arrived: wait for its deadline
-            self.loop.schedule(latest[0], self._watchdog_check,
-                               (flow_id, latest), latest[1])
+    def _arm_watchdog(self, stream, now: int, keys: list[tuple[int, int]]) -> None:
+        """Make ``keys`` the stream's latest arrival; push a check unless one
+        is already on the heap (it moves itself when it fires)."""
+        if not keys:
             return
-        del self._watchdog[flow_id]
-        sender = self.senders[flow_id]
+        deadline = now + WATCHDOG_PERIODS * self.cfg.assist.period_us
+        if stream not in self._watchdog:
+            self.loop.schedule(deadline, self._watchdog_check,
+                               (stream, keys, 0), keys[0][0])
+        self._watchdog[stream] = (deadline, keys)
+
+    def _watchdog_check(self, now: int, stream, keys: list[tuple[int, int]],
+                        i: int) -> None:
+        deadline, latest = self._watchdog[stream]
+        if latest is not keys:  # fresher feedback arrived: wait for its deadline
+            self.loop.schedule(deadline, self._watchdog_check,
+                               (stream, latest, 0), latest[0][0])
+            return
+        sender = self.senders[keys[i][1]]
         sender.controller.revert(now)
         sender.apply_decision()
         sender.try_send(now)
+        i += 1
+        if i < len(keys):  # the next flow reverts at its own reserved tick
+            self.loop.schedule(now, self._watchdog_check, (stream, keys, i),
+                               keys[i][0])
+        else:
+            del self._watchdog[stream]
 
     def _start_flow(self, now: int, flow_id: int) -> None:
         self._active.add(flow_id)

@@ -8,7 +8,8 @@ The sender models a bulk (always-backlogged) flow with MTU-sized segments:
   (one window reduction per loss episode);
 * retransmission timeout with exponential backoff, restarted whenever an
   ack advances the window; every deadline is set through ``_arm_rto``,
-  which keeps at most one pending event at or before it;
+  which keeps at most one live event at or before it (an event it
+  superseded finds itself stale when it fires and does nothing);
 * RTT estimation from acks of segments never retransmitted (srtt/rttvar
   with 1/8 and 1/4 gains).  Every segment is one MTU, so the record of an
   outstanding segment is only its send time, cleared when it is resent.
@@ -218,6 +219,8 @@ class Sender:
             self.schedule_event(deadline, self._on_rto_event)
 
     def _on_rto_event(self, now: int) -> None:
+        if now != self._rto_event_at:
+            return  # superseded by an earlier push that has already fired
         self._rto_event_at = None
         deadline = self._rto_deadline
         if deadline is None or self.in_flight <= 0:

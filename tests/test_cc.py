@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natsim.cc import (
     CubicController,
@@ -210,6 +212,62 @@ def test_natcp_uses_watchdog():
     assert NaCubicController(MTU).uses_watchdog
     assert not TgController(MTU).uses_watchdog
     assert not CubicController(MTU).uses_watchdog
+
+
+def always_recomputes(cls):
+    """``cls`` with an ``on_feedback`` that recomputes on every digest."""
+
+    class Reference(cls):
+        def on_feedback(self, now, msg):
+            self.fb_count += 1
+            self.bl_bw = msg.bl_bw
+            self.min_rtt_us = msg.min_rtt
+            if not self.assisted:
+                self.assisted = True
+                self.mode_log.append((now, "assisted"))
+            self._apply(now)
+
+    return Reference
+
+
+# few distinct values, so digests repeat and betas change back and forth
+CALLS = st.lists(st.one_of(
+    st.tuples(st.just("on_ack"), st.integers(0, 4 * MTU),
+              st.sampled_from([None, 8_000, 30_000]), st.integers(1, 3)),
+    st.tuples(st.just("on_loss"), st.sampled_from(["dupack", "timeout"])),
+    st.tuples(st.just("on_feedback"), st.sampled_from([0.0, 6e6, 12e6]),
+              st.sampled_from([6_043, 20_000])),
+    st.tuples(st.just("revert")),
+), max_size=40)
+
+
+@pytest.mark.parametrize("cls", [NatcpController, NaCubicController])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(calls=CALLS)
+def test_unchanged_digest_early_out_matches_a_full_recompute(cls, calls):
+    ctl, ref = cls(MTU), always_recomputes(cls)(MTU)
+    for i, (method, *args) in enumerate(calls):
+        if method == "on_feedback":
+            args = [fb(*args, seq=i)]
+        now = (i + 1) * 10_000
+        for c in (ctl, ref):
+            getattr(c, method)(now, *args)
+        assert (ctl.cwnd, ctl.pacing_bps, ctl.fb_count) == \
+            (ref.cwnd, ref.pacing_bps, ref.fb_count)
+        assert ctl.mode_log == ref.mode_log
+
+
+def test_tg_recomputes_on_a_repeated_digest():
+    tg = TgController(MTU, horizon_us=500_000)
+    tg.on_ack(0, MTU, 10_000, 1)
+    tg.on_ack(300_000, MTU, 40_000, 1)
+    # the digest's min-RTT equals tg's own estimate, so only the ageing of
+    # its samples can tell the repeat apart
+    tg.on_feedback(350_000, fb(12e6, 10_000))
+    assert (tg.min_rtt_us, tg.cwnd) == (10_000, assisted_cwnd_bytes(2.0, 1, 10_000, 12e6))
+    # the same digest again, once the 10 ms sample has aged out of the horizon
+    tg.on_feedback(600_000, fb(12e6, 10_000, seq=2))
+    assert tg.cwnd == assisted_cwnd_bytes(2.0, 1, 40_000, 12e6)
 
 
 # -- nacubic -------------------------------------------------------------------------

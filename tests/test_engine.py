@@ -2,11 +2,14 @@
 
 import math
 import random
+from heapq import heappop
 
 import pytest
 
+from natsim import engine
 from natsim.config import SimConfig, build_config
 from natsim.engine import (
+    WATCHDOG_PERIODS,
     EventLoop,
     Simulation,
     compute_power,
@@ -218,6 +221,75 @@ def test_one_pending_watchdog_check_per_flow():
     assert most == 8  # every flow had a check pending at once
     reverts = sum(mode == "fallback" for f in res.flows for _, mode in f.mode_log[1:])
     assert reverts > 0  # and checks did fire live
+
+
+def test_one_pending_watchdog_check_per_out_of_band_stream():
+    sim = Simulation(cfg(
+        duration_s=3.0,
+        assist=NetAssistConfig(period_us=20_000, suppress_after_us=2_000_000),
+        flow_starts_s=tuple(0.1 * i for i in range(8)),
+        flow_ues=(0, 1, 2, 3) * 2,
+    ))
+    run_until = sim.loop.run_until
+    most = 0
+
+    def stepped(t_end_us):
+        nonlocal most
+        for t in range(0, t_end_us + 1, 1_000):
+            run_until(t)
+            pending = [fn for (_, _, fn, _) in sim.loop._heap
+                       if getattr(fn, "__name__", "") == "_watchdog_check"]
+            most = max(most, len(pending))
+
+    sim.loop.run_until = stepped
+    res = sim.run()
+    assert most == 1  # one check for the whole stream, not one per flow
+    # feedback stops at 2 s, and every flow still falls back
+    assert [f.mode_log[-1][1] for f in res.flows] == ["fallback"] * 8
+
+
+def test_each_revert_runs_at_the_key_reserved_for_its_flow(monkeypatch):
+    sim = Simulation(cfg(
+        duration_s=3.0,
+        assist=NetAssistConfig(period_us=20_000, suppress_after_us=2_000_000),
+        flow_starts_s=tuple(0.1 * i for i in range(6)),
+        flow_ues=(0, 1, 2) * 2,
+    ))
+    watchdog_us = WATCHDOG_PERIODS * 20_000
+    applying = []        # (flow, now) of the digest being applied
+    reserved = {}        # flow -> (deadline, tick) of its last applied digest
+    handling = [None]    # key of the event being handled
+    reverted = []
+
+    handle_feedback, reserve = sim._handle_feedback, sim.loop.reserve
+
+    def tracked_feedback(flow_id, msg, now, *rest):
+        applying.append((flow_id, now))
+        handle_feedback(flow_id, msg, now, *rest)
+        applying.pop()
+
+    def tracked_reserve():
+        tick = reserve()
+        if applying:
+            flow_id, now = applying[-1]
+            reserved[flow_id] = (now + watchdog_us, tick)
+        return tick
+
+    def tracked_pop(heap):
+        event = heappop(heap)
+        handling[0] = event[:2]
+        return event
+
+    sim._handle_feedback, sim.loop.reserve = tracked_feedback, tracked_reserve
+    monkeypatch.setattr(engine, "heappop", tracked_pop)
+    for fid, snd in sim.senders.items():
+        def revert(now, fid=fid, revert=snd.controller.revert):
+            assert handling[0] == reserved[fid]
+            reverted.append(fid)
+            revert(now)
+        snd.controller.revert = revert
+    sim.run()
+    assert sorted(reverted) == list(range(6))
 
 
 def test_one_out_of_band_arrival_per_period_reaches_every_started_flow():

@@ -200,7 +200,9 @@ def test_ack_restarts_timer_and_resets_backoff():
     assert snd.timeouts == timeouts_before
 
 
-def test_fresh_rtt_sample_pulls_a_backed_off_timeout_earlier():
+def backed_off_then_rearmed_earlier():
+    """A sender whose backed-off RTO event (600 ms) is superseded by an
+    earlier one (430 ms) after a fresh RTT sample resets the timeout."""
     snd, ctl, loop, _ = make_sender(cwnd=3_000)
     snd.try_send(0)                                   # seq 0 and 1500
     loop.run_until(RTO_MIN_US)                        # timeout: event pending at 600 ms
@@ -211,10 +213,24 @@ def test_fresh_rtt_sample_pulls_a_backed_off_timeout_earlier():
     assert snd.srtt_us == 20_000                      # from seq 3000, the newest fresh one
     assert snd.rto_us == RTO_MIN_US
     snd.try_send(230_000)                             # re-arms at 430 ms, before 600 ms
+    return snd, ctl, loop
+
+
+def test_fresh_rtt_sample_pulls_a_backed_off_timeout_earlier():
+    snd, ctl, loop = backed_off_then_rearmed_earlier()
     loop.run_until(430_000 - 1)
     assert snd.timeouts == 1
     loop.run_until(700_000)
     assert ctl.losses == [(RTO_MIN_US, "timeout"), (430_000, "timeout")]
+
+
+def test_superseded_rto_event_leaves_one_pending():
+    snd, _, loop = backed_off_then_rearmed_earlier()
+    # the 430 ms timeout re-arms at 830 ms; the superseded 600 ms event
+    # must then fire without pushing a second event for that deadline
+    loop.run_until(700_000)
+    pending = [t for (t, _, fn, _) in loop._heap if fn == snd._on_rto_event]
+    assert pending == [830_000]
 
 
 def test_no_timeout_when_everything_acked():
