@@ -137,11 +137,13 @@ def cmd_run(args) -> int:
     summary = result.summary_row()
     write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [summary])
     if args.events_csv:
+        # the rows csv.writer would write (no cell needs quoting), one
+        # line at a time: the log is the largest output a run makes
         with open(outdir / args.events_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("time_us", "kind", "flow", "seq", "qdelay_us"))
-            for t, kind, flow, seq, qdelay in result.event_log:
-                writer.writerow((t, kind, flow, seq, qdelay if qdelay >= 0 else ""))
+            fh.write("time_us,kind,flow,seq,qdelay_us\r\n")
+            fh.writelines(
+                f"{t},{kind},{flow},{seq},{qdelay if qdelay >= 0 else ''}\r\n"
+                for t, kind, flow, seq, qdelay in result.event_log)
     if args.feedback_csv:
         with open(outdir / args.feedback_csv, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -10,6 +10,17 @@ The uplink (acks) is an ideal pipe: fixed one-way delay plus per-packet
 serialization at a configured depletion rate, no queuing.  Measurement
 probes bypass the UE queues entirely and observe only fixed network delay.
 
+Both legs in flight, server to BTS and UE to server, are a FIFO each,
+like htsim's pipes: a packet sent onto a leg takes its heap key
+``(arrival, tick)`` at send time, and only the leg's first entry is on the
+event heap.  Its handler (``_arrive`` on the downlink, ``_ack_arrive`` on the
+uplink) pushes the next one before it handles its packet, so the heap pops
+every arrival exactly where it would with one entry per packet in flight.
+That is exact because each leg delivers in send order: the downlink delay
+is constant, and every ack has the same size and so the same uplink delay.
+A send that would overtake the one before it breaks that premise and raises
+``LinkError``.
+
 ``BtsLink`` reads its ``PathConfig`` once: the downlink delay, loss
 probability and probe jitter at construction, and the uplink delay of each
 ack size the first time an ack of that size is sent.  Every data packet and
@@ -24,9 +35,12 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .trace import TraceSchedule
+
+if TYPE_CHECKING:
+    from .engine import EventLoop
 
 
 class LinkError(ValueError):
@@ -140,7 +154,7 @@ class BtsLink:
         schedule: TraceSchedule,
         path: PathConfig,
         rng: random.Random,
-        schedule_event: Callable[[int, Callable, tuple], None],
+        loop: EventLoop,
         log: Callable | None = None,
     ) -> None:
         self.schedule = schedule
@@ -150,7 +164,12 @@ class BtsLink:
         self._probe_jitter_us = path.probe_jitter_us
         self._up_delay_us: dict[int, int] = {}   # ack size -> uplink delay
         self.rng = rng
-        self._schedule_event = schedule_event
+        self._reserve = loop.reserve
+        self._push = loop.push
+        # each leg in flight: a FIFO of (arrival_us, tick, fn, args) entries,
+        # the first of which is on the event heap
+        self._down: deque = deque()
+        self._up: deque = deque()
         self._log = log   # event-log sink; None when the run records no log
         self.queues: dict[int, UeQueue] = {}
         self._deliver: dict[int, Callable[[int, Packet], None]] = {}
@@ -194,9 +213,25 @@ class BtsLink:
             raise LinkError("send_downlink carries data packets only")
         if ue_id not in self.queues:  # validate early, as queue_for does
             raise LinkError(f"unknown UE {ue_id!r}")
-        self._schedule_event(now + self._down_owd_us, self._arrive, (pkt, ue_id))
+        self._launch(self._down, (now + self._down_owd_us, self._reserve(),
+                                  self._arrive, (pkt, ue_id)))
+
+    def _launch(self, leg: deque, entry: tuple) -> None:
+        """Queue a heap entry on a leg in flight; it is pushed when it is
+        the leg's first, by ``_launch`` or by the handler of the one before."""
+        if leg:
+            if entry[0] < leg[-1][0]:
+                raise LinkError(f"arrival at {entry[0]} us would overtake the "
+                                f"one at {leg[-1][0]} us on its leg")
+        else:
+            self._push(entry)
+        leg.append(entry)
 
     def _arrive(self, now: int, pkt: Packet, ue_id: int) -> None:
+        down = self._down
+        down.popleft()
+        if down:
+            self._push(down[0])
         q = self.queues[ue_id]
         if q.offer(pkt, now):
             if self._log is not None:
@@ -212,8 +247,12 @@ class BtsLink:
 
     def _start_drain(self, now: int) -> None:
         """Schedule the first unserved opportunity at or after ``now``."""
-        idx = max(self._next_opp_index, self.schedule.index_at_or_after(now))
-        self._schedule_event(self.schedule.instant(idx), self._on_opportunity, (idx,))
+        idx = self._next_opp_index
+        t_us = self.schedule.instant(idx)
+        if t_us < now:  # the link idled past it: search from now
+            idx = self.schedule.index_at_or_after(now)
+            t_us = self.schedule.instant(idx)
+        self._push((t_us, self._reserve(), self._on_opportunity, (idx,)))
 
     def _on_opportunity(self, now: int, idx: int) -> None:
         """Serve one packet from the next backlogged UE (round-robin)."""
@@ -238,8 +277,8 @@ class BtsLink:
             self._deliver[q.ue_id](now, pkt)
         if self._backlogged:
             # instant(idx + 1) >= now, so it is the first unserved opportunity
-            self._schedule_event(self.schedule.instant(idx + 1),
-                                 self._on_opportunity, (idx + 1,))
+            self._push((self.schedule.instant(idx + 1), self._reserve(),
+                        self._on_opportunity, (idx + 1,)))
 
     def _pick_backlogged(self) -> UeQueue | None:
         n = len(self._rr)
@@ -272,7 +311,16 @@ class BtsLink:
         if delay is None:
             delay = self._up_delay_us[pkt.size] = (
                 self.path.up_owd_us + self.path.serialization_us(pkt.size))
-        self._schedule_event(now + delay, arrive, (pkt,))
+        self._launch(self._up, (now + delay, self._reserve(), self._ack_arrive,
+                                (arrive, pkt)))
+
+    def _ack_arrive(self, now: int, arrive: Callable[[int, Packet], None],
+                    pkt: Packet) -> None:
+        up = self._up
+        up.popleft()
+        if up:
+            self._push(up[0])
+        arrive(now, pkt)
 
     # -- probes -----------------------------------------------------------
 

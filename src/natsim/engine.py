@@ -6,9 +6,19 @@ network-side measurement entity whose one feedback digest per period the
 engine hands to every UE.  Everything advances on a single
 integer-microsecond event heap.  Ties break by the point at which the
 causing event was handled: each event carries a tick taken from one
-counter, either when it is scheduled or, for a watchdog check, reserved
-when the feedback that arms it is applied.  Identical configurations
-therefore replay identically.
+counter, either when it is scheduled or reserved for a push made later.
+Identical configurations therefore replay identically.
+
+The heap holds only work that is next in line: the next period's feedback
+emit, the first packet on each link leg, the link's one drain event,
+per-flow timers, one watchdog check per feedback stream, out-of-band
+arrivals and flow starts.  Its depth follows the flows, not the periods of
+the run or the packets in flight.  Reserved ticks keep every
+``(time, tick)`` key what it would be with one entry per pending event:
+``run`` reserves one tick per period's emit where pushing every emit up
+front would take them, and each emit pushes only the next; a packet takes
+its tick when it is sent onto a link leg (see ``emulink``); a watchdog
+check takes its tick when the feedback that arms it is applied.
 
 Watchdogs are kept per feedback stream: the flows that receive one digest
 at one instant, which is every started flow for out-of-band feedback and a
@@ -37,8 +47,9 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cc import make_controller
 from .config import SimConfig, resolve_schedule
@@ -56,6 +67,10 @@ class EventLoop:
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._tick = itertools.count()
+        # reserve() takes the next tie-break tick for an event pushed later,
+        # push((t_us, tick, fn, args)) pushes it
+        self.reserve: Callable[[], int] = self._tick.__next__
+        self.push: Callable[[tuple], None] = partial(heappush, self._heap)
         self.processed = 0
 
     def schedule(self, t_us: int, fn: Callable, args: tuple = (),
@@ -65,16 +80,16 @@ class EventLoop:
             tick = next(self._tick)
         heappush(self._heap, (t_us, tick, fn, args))
 
-    def reserve(self) -> int:
-        """Take the next tie-break tick for an event pushed later."""
-        return next(self._tick)
-
     def run_until(self, t_end_us: int) -> None:
         heap = self._heap
-        while heap and heap[0][0] <= t_end_us:
-            t, _, fn, args = heappop(heap)
-            self.processed += 1
-            fn(t, *args)
+        n = 0
+        try:
+            while heap and heap[0][0] <= t_end_us:
+                t, _, fn, args = heappop(heap)
+                n += 1
+                fn(t, *args)
+        finally:
+            self.processed += n
 
 
 @dataclass
@@ -227,8 +242,8 @@ class Simulation:
         # event-log sink shared by every log site; None when no log is recorded
         self._sink = self._log if cfg.log_events else None
 
-        self.link = BtsLink(self.schedule, cfg.path, self.rng,
-                            self.loop.schedule, self._sink)
+        self.link = BtsLink(self.schedule, cfg.path, self.rng, self.loop,
+                            self._sink)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
         self.flows_on_ue: dict[int, list[int]] = {}
@@ -237,6 +252,8 @@ class Simulation:
         # stream -> (deadline, [(tick, flow), ...]) of its latest arrival;
         # present while a check for the stream is on the heap
         self._watchdog: dict[object, tuple[int, list[tuple[int, int]]]] = {}
+        # ticks reserved by ``run`` for the emits not yet pushed
+        self._emit_ticks: Iterator[int] = iter(())
 
         for ue in cfg.ue_ids():
             recv = UeReceiver(ue, self._transmit_ack)
@@ -305,6 +322,10 @@ class Simulation:
         sender.try_send(now)
 
     def _emit_feedback(self, now: int) -> None:
+        tick = next(self._emit_ticks, None)
+        if tick is not None:  # chain the next period's emit at its reserved key
+            self.loop.schedule(now + self.cfg.assist.period_us,
+                               self._emit_feedback, (), tick)
         msg = self.assist.emit(now)
         if msg is None:
             return
@@ -377,10 +398,13 @@ class Simulation:
     def run(self) -> RunResult:
         duration = self.cfg.duration_us
         period = self.cfg.assist.period_us
-        t = period
-        while t <= duration:
-            self.loop.schedule(t, self._emit_feedback)
-            t += period
+        # one tick per period's emit, taken where pushing every emit up
+        # front would take them; each emit pushes only the next one
+        ticks = [self.loop.reserve() for _ in range(duration // period)]
+        self._emit_ticks = iter(ticks)
+        if ticks:
+            self.loop.schedule(period, self._emit_feedback, (),
+                               next(self._emit_ticks))
         for spec in self.cfg.flows():
             self.loop.schedule(spec.start_us, self._start_flow, (spec.flow_id,))
         self.loop.run_until(duration)

@@ -189,6 +189,32 @@ def test_event_log_recorded_exactly_when_written(tmp_path, recorded_runs):
     assert deq == recorded_runs[1][1].qdelay_samples_us
 
 
+def test_events_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
+    # every row kind, both qdelay forms (-1 writes an empty cell, 0 a zero)
+    # and flow ids of two digits
+    log = [(0, "snd", 12, 0, -1), (2_500, "enq", 12, 0, -1),
+           (2_500, "drop", 3, 1500, -1), (3_000, "deq", 12, 0, 0),
+           (4_000, "deq", 10, 3000, 1_000), (4_000, "airdrop", 10, 3000, -1),
+           (3_000, "dlv", 12, 0, -1), (9_500, "ack", 12, 1500, -1)]
+    real = cli.run_simulation
+
+    def logged(cfg):
+        result = real(cfg)
+        result.event_log = log
+        return result
+
+    monkeypatch.setattr(cli, "run_simulation", logged)
+    assert main(["run", "--duration", "0.1", "-o", str(tmp_path),
+                 "--events-csv", "events.csv"]) == EXIT_OK
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time_us", "kind", "flow", "seq", "qdelay_us"))
+        for t, kind, flow, seq, qdelay in log:
+            writer.writerow((t, kind, flow, seq, qdelay if qdelay >= 0 else ""))
+    assert (tmp_path / "events.csv").read_bytes() == expected.read_bytes()
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("NATSIM_OUTPUT_DIR", str(tmp_path / "out"))
     rc = main(["run", "--duration", "1"])

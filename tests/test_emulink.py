@@ -27,7 +27,7 @@ def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
         synth_constant(rate_bps, duration_ms),
         path,
         random.Random(seed),
-        loop.schedule,
+        loop,
         lambda *row: log.append(row),
     )
     delivered = {ue: [] for ue in ues}
@@ -140,6 +140,16 @@ def test_round_robin_across_ues():
     assert flows == [0, 1, 0, 1]
 
 
+def test_downlink_arrivals_keep_send_order_across_ues():
+    link, loop, log, delivered = make_link(ues=(0, 1))
+    link.send_downlink(data(flow=1, seq=0), now=0, ue_id=1)
+    link.send_downlink(data(flow=0, seq=0), now=0, ue_id=0)
+    link.send_downlink(data(flow=1, seq=1500), now=0, ue_id=1)
+    loop.run_until(50_000)
+    enq = [(row[0], row[2], row[3]) for row in log if row[1] == "enq"]
+    assert enq == [(2_500, 1, 0), (2_500, 0, 0), (2_500, 1, 1500)]
+
+
 def test_unused_opportunities_are_not_banked():
     link, loop, log, delivered = make_link()
     # Queue joins at t=10.2 ms; the ten earlier opportunities must not burst.
@@ -199,6 +209,20 @@ def test_uplink_delay_includes_serialization():
     assert arrivals == [1_000 + 6_457 + 43]
     with pytest.raises(LinkError):
         link.send_uplink(data(), 0, lambda now, pkt: None)
+
+
+def test_uplink_ack_that_would_overtake_raises():
+    link, loop, _, _ = make_link()
+    arrivals = []
+    arrive = lambda now, pkt: arrivals.append((now, pkt.size))
+    big = Packet(flow_id=0, seq=0, size=1500, kind=PacketKind.ACK, cum_ack=1500)
+    small = Packet(flow_id=0, seq=0, size=64, kind=PacketKind.ACK, cum_ack=1500)
+    link.send_uplink(big, now=0, arrive=arrive)
+    # 1000 us of serialization for 1500 bytes against 43 us for 64
+    with pytest.raises(LinkError, match="arrival at 6500 us would overtake the one at 7457 us"):
+        link.send_uplink(small, now=0, arrive=arrive)
+    loop.run_until(50_000)
+    assert arrivals == [(6_457 + 1_000, 1500)]   # the leg is left as it was
 
 
 def test_probe_rtt_fixed_and_jittered():

@@ -292,6 +292,31 @@ def test_each_revert_runs_at_the_key_reserved_for_its_flow(monkeypatch):
     assert sorted(reverted) == list(range(6))
 
 
+@pytest.mark.parametrize("trace,duration_s", [("const:12mbps", 5.0),
+                                               ("const:1gbps", 0.2)])
+def test_heap_holds_only_pending_work(trace, duration_s):
+    # one emit, one head per link leg, the drain and per-flow timers: the
+    # depth does not grow with the run's periods or packets in flight
+    sim = Simulation(cfg(trace=trace, duration_s=duration_s))
+    run_until = sim.loop.run_until
+    depths, emits = [], set()
+
+    def stepped(t_end_us):
+        for t in range(0, t_end_us + 1, 1_000):
+            run_until(t)
+            heap = sim.loop._heap
+            depths.append(len(heap))
+            if t < t_end_us:  # the last emit runs at the duration itself
+                emits.add(sum(getattr(fn, "__name__", "") == "_emit_feedback"
+                              for (_, _, fn, _) in heap))
+
+    sim.loop.run_until = stepped
+    res = sim.run()
+    assert max(depths) <= 8
+    assert emits == {1}
+    assert len(res.feedback_log) == int(duration_s * 1e6) // 50_000 - 1
+
+
 def test_one_out_of_band_arrival_per_period_reaches_every_started_flow():
     # 16 flows on 8 UEs, listed out of UE order, starting on odd
     # microseconds so no start ties with a feedback arrival

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from natsim.emulink import BtsLink, PathConfig
+from natsim.engine import EventLoop
 from natsim.netassist import FeedbackMsg, MeasureError, NetAssist, NetAssistConfig
 from natsim.trace import synth_constant, synth_step
 
@@ -134,7 +135,7 @@ def test_emit_digest_matches_the_measurement_of_its_period():
     # a varying rate with outages (stretched windows) and jittered probes
     schedule = synth_step([(12e6, 100), (0.0, 90), (3e6, 200), (24e6, 60)])
     path = PathConfig(probe_jitter_us=800)
-    link = BtsLink(schedule, path, random.Random(1), lambda *a: None, lambda *a: None)
+    link = BtsLink(schedule, path, random.Random(1), EventLoop())
     assist = NetAssist(NetAssistConfig(period_us=20_000), schedule, path,
                        [3, 0, 7], link.probe_rtt)
     rtts = set()
