@@ -80,6 +80,15 @@ def describe(row: dict) -> str:
 # ---------------------------------------------------------------------------
 # config assembly
 
+def comma_list(item):
+    """argparse ``type=`` for a comma-separated list of ``item`` values: a
+    bad entry is a usage error before any run starts."""
+    def parse(text: str) -> list:
+        return [item(part.strip()) for part in text.split(",")]
+    parse.__name__ = f"{item.__name__} list"   # argparse names it in errors
+    return parse
+
+
 def parse_set_pairs(pairs: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for pair in pairs or []:
@@ -158,10 +167,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_single_flow(args) -> int:
-    schemes = args.schemes.split(",")
+    configs = [config_from_args(args, {"scheme": s}) for s in args.schemes]
     rows = []
-    for scheme in schemes:
-        cfg = config_from_args(args, {"scheme": scheme.strip()})
+    for cfg in configs:
         row = run_simulation(cfg).summary_row()
         rows.append(row)
         print(describe(row))
@@ -170,24 +178,25 @@ def cmd_single_flow(args) -> int:
 
 
 def cmd_fairness(args) -> int:
-    schemes = args.schemes.split(",")
-    summary_rows = []
-    flow_rows = []
-    for scheme in schemes:
-        scheme = scheme.strip()
+    configs = []
+    for scheme in args.schemes:
         cfg = config_from_args(args, {"scheme": scheme})
         second = args.second_start if args.second_start is not None \
             else cfg.duration_s / 4
         cfg.flow_starts_s = (0.0, second)
         cfg.flow_ues = (0, 0)
         cfg.require_valid()
+        configs.append(cfg)
+    summary_rows = []
+    flow_rows = []
+    for cfg in configs:
         result = run_simulation(cfg)
         row = result.summary_row()
         summary_rows.append(row)
-        t0 = int(round(second * 1e6))
+        t0 = result.flows[1].start_us
         for fs in result.flows:
             flow_rows.append({
-                "scheme": scheme,
+                "scheme": cfg.scheme,
                 "flow": fs.flow_id,
                 "ue": fs.ue_id,
                 "start_s": fs.start_us / 1e6,
@@ -210,13 +219,10 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_feedback_modes(args) -> int:
-    schemes = [s.strip() for s in args.schemes.split(",")]
-    modes = [m.strip() for m in args.modes.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
     configs = []
-    for scheme in schemes:
-        for mode in modes:
-            for seed in seeds:
+    for scheme in args.schemes:
+        for mode in args.modes:
+            for seed in args.seeds:
                 cfg = config_from_args(args, {
                     "scheme": scheme,
                     "assist.mode": mode,
@@ -237,9 +243,8 @@ def cmd_feedback_modes(args) -> int:
 
 
 def cmd_period_sweep(args) -> int:
-    periods = [int(p) for p in args.periods_us.split(",")]
     configs = []
-    for period in periods:
+    for period in args.periods_us:
         cfg = config_from_args(args, {"assist.period_us": str(period)})
         configs.append(cfg)
     rows = run_many(configs, args.workers)
@@ -288,13 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_single = sub.add_parser("single-flow", help="one flow, several schemes")
     _add_common(p_single)
-    p_single.add_argument("--schemes", default=",".join(SCHEMES),
+    p_single.add_argument("--schemes", type=comma_list(str),
+                          default=",".join(SCHEMES),
                           help="comma-separated scheme list")
     p_single.set_defaults(fn=cmd_single_flow)
 
     p_fair = sub.add_parser("fairness", help="two staggered flows per scheme")
     _add_common(p_fair)
-    p_fair.add_argument("--schemes", default="natcp,nacubic,cubic",
+    p_fair.add_argument("--schemes", type=comma_list(str),
+                        default="natcp,nacubic,cubic",
                         help="comma-separated scheme list")
     p_fair.add_argument("--second-start", type=float, metavar="SECONDS",
                         help="start time of the second flow "
@@ -304,9 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_modes = sub.add_parser("feedback-modes",
                              help="out-of-band vs in-band feedback comparison")
     _add_common(p_modes, default_duration=30.0)
-    p_modes.add_argument("--schemes", default="natcp,tg")
-    p_modes.add_argument("--modes", default="oob,ib")
-    p_modes.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_MODE_SEEDS))
+    p_modes.add_argument("--schemes", type=comma_list(str), default="natcp,tg")
+    p_modes.add_argument("--modes", type=comma_list(str), default="oob,ib")
+    p_modes.add_argument("--seeds", type=comma_list(int),
+                         default=",".join(str(s) for s in DEFAULT_MODE_SEEDS))
     p_modes.add_argument("--period-us", type=int, default=10_000)
     p_modes.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_modes.set_defaults(fn=cmd_feedback_modes)
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("period-sweep", help="feedback period sweep")
     _add_common(p_sweep)
     p_sweep.add_argument("--scheme", choices=SCHEMES, default="natcp")
-    p_sweep.add_argument("--periods-us",
+    p_sweep.add_argument("--periods-us", type=comma_list(int),
                          default=",".join(str(p) for p in DEFAULT_SWEEP_PERIODS_US))
     p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_sweep.set_defaults(fn=cmd_period_sweep)

@@ -21,6 +21,11 @@ is constant, and every ack has the same size and so the same uplink delay.
 A send that would overtake the one before it breaks that premise and raises
 ``LinkError``.
 
+The link sees every packet, so it writes every per-packet event-log row
+through its one sink (``None`` when no log is kept): ``snd`` on send,
+``enq`` or ``drop`` at the UE queue, ``deq`` at service, ``airdrop`` or
+``dlv`` just before the receiver's ``deliver(pkt, now)``, and ``ack``.
+
 ``BtsLink`` reads its ``PathConfig`` once: the downlink delay, loss
 probability and probe jitter at construction, and the uplink delay of each
 ack size the first time an ack of that size is sent.  Every data packet and
@@ -172,7 +177,7 @@ class BtsLink:
         self._up: deque = deque()
         self._log = log   # event-log sink; None when the run records no log
         self.queues: dict[int, UeQueue] = {}
-        self._deliver: dict[int, Callable[[int, Packet], None]] = {}
+        self._deliver: dict[int, Callable[[Packet, int], None]] = {}
         self._rr: list[int] = []
         self._rr_next = 0
         self._next_opp_index = 0   # first opportunity not yet served
@@ -188,7 +193,7 @@ class BtsLink:
         self,
         ue_id: int,
         capacity_bytes: int,
-        deliver: Callable[[int, Packet], None],
+        deliver: Callable[[Packet, int], None],
     ) -> UeQueue:
         if ue_id in self.queues:
             raise LinkError(f"UE {ue_id!r} already registered")
@@ -213,6 +218,8 @@ class BtsLink:
             raise LinkError("send_downlink carries data packets only")
         if ue_id not in self.queues:  # validate early, as queue_for does
             raise LinkError(f"unknown UE {ue_id!r}")
+        if self._log is not None:
+            self._log(now, "snd", pkt.flow_id, pkt.seq)
         self._launch(self._down, (now + self._down_owd_us, self._reserve(),
                                   self._arrive, (pkt, ue_id)))
 
@@ -274,7 +281,9 @@ class BtsLink:
             if self._log is not None:
                 self._log(now, "airdrop", pkt.flow_id, pkt.seq)
         else:  # zero residual radio-leg delay
-            self._deliver[q.ue_id](now, pkt)
+            if self._log is not None:
+                self._log(now, "dlv", pkt.flow_id, pkt.seq)
+            self._deliver[q.ue_id](pkt, now)
         if self._backlogged:
             # instant(idx + 1) >= now, so it is the first unserved opportunity
             self._push((self.schedule.instant(idx + 1), self._reserve(),
@@ -320,6 +329,8 @@ class BtsLink:
         up.popleft()
         if up:
             self._push(up[0])
+        if self._log is not None:
+            self._log(now, "ack", pkt.flow_id, pkt.cum_ack)
         arrive(now, pkt)
 
     # -- probes -----------------------------------------------------------

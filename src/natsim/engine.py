@@ -9,16 +9,23 @@ causing event was handled: each event carries a tick taken from one
 counter, either when it is scheduled or reserved for a push made later.
 Identical configurations therefore replay identically.
 
+The engine is the control plane: it starts flows, emits and applies the
+feedback digests and runs the watchdogs.  Packets move between senders,
+link and receivers, which call each other directly.  The link writes every
+per-packet event-log row through the one sink it is given, the bound
+``_log`` when ``log.events`` is on, else ``None``.  Each receiver keeps
+its own flows' deliveries, which ``_collect`` reads.
+
 The heap holds only work that is next in line: the next period's feedback
 emit, the first packet on each link leg, the link's one drain event,
 per-flow timers, one watchdog check per feedback stream, out-of-band
 arrivals and flow starts.  Its depth follows the flows, not the periods of
 the run or the packets in flight.  Reserved ticks keep every
-``(time, tick)`` key what it would be with one entry per pending event:
-``run`` reserves one tick per period's emit where pushing every emit up
-front would take them, and each emit pushes only the next; a packet takes
-its tick when it is sent onto a link leg (see ``emulink``); a watchdog
-check takes its tick when the feedback that arms it is applied.
+``(time, tick)`` key what it would be with one entry per pending event: a
+packet takes its tick when it is sent onto a link leg (see ``emulink``); a
+watchdog check takes its tick when the feedback that arms it is applied.
+The one pending emit is keyed ``(time, EMIT_TICK)``, below every counter
+tick, so it runs first at its instant, and it pushes the next one.
 
 Watchdogs are kept per feedback stream: the flows that receive one digest
 at one instant, which is every started flow for out-of-band feedback and a
@@ -29,11 +36,6 @@ check on the heap.  A check that finds a fresher arrival moves itself to
 that arrival's first key; one that finds its own arrival still the latest
 reverts one flow and moves to the next flow's key.  Every revert therefore
 runs exactly where it would if each feedback had pushed one check per flow.
-
-The per-packet event log has one optional sink: the bound ``_log`` when
-``log.events`` is on, else ``None``.  The transmit and deliver closures,
-the ack handler and the link each test that one sink at their log sites;
-with the log off ``RunResult.event_log`` stays empty.
 
 Randomness: one generator seeded from the config drives air-interface loss
 (and nothing else); synthetic walk traces derive their own generator from
@@ -49,7 +51,7 @@ import statistics
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Iterator
+from typing import Callable
 
 from .cc import make_controller
 from .config import SimConfig, resolve_schedule
@@ -59,6 +61,7 @@ from .transport import Sender, UeReceiver
 
 WATCHDOG_PERIODS = 3   # feedback silence tolerated before reverting
 OOB_STREAM = "oob"     # key of the out-of-band watchdog stream; in band, the flow id
+EMIT_TICK = -1         # tie-break of every feedback emit: first at its instant
 
 
 class EventLoop:
@@ -73,12 +76,9 @@ class EventLoop:
         self.push: Callable[[tuple], None] = partial(heappush, self._heap)
         self.processed = 0
 
-    def schedule(self, t_us: int, fn: Callable, args: tuple = (),
-                 tick: int | None = None) -> None:
-        """Push fn(t_us, *args); ``tick`` is one taken from ``reserve``."""
-        if tick is None:
-            tick = next(self._tick)
-        heappush(self._heap, (t_us, tick, fn, args))
+    def schedule(self, t_us: int, fn: Callable, args: tuple = ()) -> None:
+        """Push fn(t_us, *args) at the next tie-break tick."""
+        heappush(self._heap, (t_us, next(self._tick), fn, args))
 
     def run_until(self, t_end_us: int) -> None:
         heap = self._heap
@@ -239,32 +239,26 @@ class Simulation:
         self.rng = random.Random(cfg.seed)
         self.event_log: list[tuple] = []
         self.feedback_log: list[tuple] = []
-        # event-log sink shared by every log site; None when no log is recorded
-        self._sink = self._log if cfg.log_events else None
 
+        # the link writes every event-log row, through _log when it is on
         self.link = BtsLink(self.schedule, cfg.path, self.rng, self.loop,
-                            self._sink)
+                            self._log if cfg.log_events else None)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
         self.flows_on_ue: dict[int, list[int]] = {}
-        self._deliveries: dict[int, list] = {}
         self._active: set[int] = set()
         # stream -> (deadline, [(tick, flow), ...]) of its latest arrival;
         # present while a check for the stream is on the heap
         self._watchdog: dict[object, tuple[int, list[tuple[int, int]]]] = {}
-        # ticks reserved by ``run`` for the emits not yet pushed
-        self._emit_ticks: Iterator[int] = iter(())
 
         for ue in cfg.ue_ids():
-            recv = UeReceiver(ue, self._transmit_ack)
-            self.receivers[ue] = recv
+            self.receivers[ue] = UeReceiver(ue, self._transmit_ack)
             self.link.register_ue(ue, cfg.queue_capacity_bytes,
                                   self._make_deliver(ue))
             self.flows_on_ue[ue] = []
 
-        ue_ids = cfg.ue_ids()
         self.assist = NetAssist(cfg.assist, self.schedule, cfg.path,
-                                ue_ids, self.link.probe_rtt)
+                                cfg.ue_ids(), self.link.probe_rtt)
 
         for spec in cfg.flows():
             ctl = make_controller(cfg.scheme, cfg.mtu, cfg.alpha,
@@ -273,7 +267,6 @@ class Simulation:
                          self._make_transmit(spec.ue_id), self.loop.schedule)
             self.senders[spec.flow_id] = snd
             self.flows_on_ue[spec.ue_id].append(spec.flow_id)
-            self._deliveries[spec.flow_id] = []
 
     # -- logging --------------------------------------------------------------
 
@@ -283,25 +276,14 @@ class Simulation:
     # -- wiring callbacks -------------------------------------------------------
 
     def _make_transmit(self, ue_id: int):
-        sink = self._sink
+        send = self.link.send_downlink
 
         def transmit(pkt: Packet, now: int) -> None:
-            if sink is not None:
-                sink(now, "snd", pkt.flow_id, pkt.seq)
-            self.link.send_downlink(pkt, now, ue_id)
+            send(pkt, now, ue_id)
         return transmit
 
     def _make_deliver(self, ue_id: int):
-        sink = self._sink
-        on_data = self.receivers[ue_id].on_data
-        deliveries = self._deliveries
-
-        def deliver(now: int, pkt: Packet) -> None:
-            if sink is not None:
-                sink(now, "dlv", pkt.flow_id, pkt.seq)
-            first = on_data(pkt, now)
-            deliveries[pkt.flow_id].append((now, pkt.size, first))
-        return deliver
+        return self.receivers[ue_id].on_data
 
     def _transmit_ack(self, pkt: Packet, now: int) -> None:
         self.link.send_uplink(pkt, now, self._on_ack_arrival)
@@ -309,11 +291,7 @@ class Simulation:
     # -- event handlers ---------------------------------------------------------
 
     def _on_ack_arrival(self, now: int, pkt: Packet) -> None:
-        sender = self.senders.get(pkt.flow_id)
-        if sender is None:
-            return
-        if self._sink is not None:
-            self._sink(now, "ack", pkt.flow_id, pkt.cum_ack)
+        sender = self.senders[pkt.flow_id]
         sender.process_ack(pkt, now)
         if pkt.feedback is not None:
             keys: list[tuple[int, int]] = []
@@ -322,10 +300,9 @@ class Simulation:
         sender.try_send(now)
 
     def _emit_feedback(self, now: int) -> None:
-        tick = next(self._emit_ticks, None)
-        if tick is not None:  # chain the next period's emit at its reserved key
-            self.loop.schedule(now + self.cfg.assist.period_us,
-                               self._emit_feedback, (), tick)
+        nxt = now + self.cfg.assist.period_us
+        if nxt <= self.cfg.duration_us:  # chain the next period's emit
+            self.loop.push((nxt, EMIT_TICK, self._emit_feedback, ()))
         msg = self.assist.emit(now)
         if msg is None:
             return
@@ -367,16 +344,16 @@ class Simulation:
             return
         deadline = now + WATCHDOG_PERIODS * self.cfg.assist.period_us
         if stream not in self._watchdog:
-            self.loop.schedule(deadline, self._watchdog_check,
-                               (stream, keys, 0), keys[0][0])
+            self.loop.push((deadline, keys[0][0], self._watchdog_check,
+                            (stream, keys, 0)))
         self._watchdog[stream] = (deadline, keys)
 
     def _watchdog_check(self, now: int, stream, keys: list[tuple[int, int]],
                         i: int) -> None:
         deadline, latest = self._watchdog[stream]
         if latest is not keys:  # fresher feedback arrived: wait for its deadline
-            self.loop.schedule(deadline, self._watchdog_check,
-                               (stream, latest, 0), latest[0][0])
+            self.loop.push((deadline, latest[0][0], self._watchdog_check,
+                            (stream, latest, 0)))
             return
         sender = self.senders[keys[i][1]]
         sender.controller.revert(now)
@@ -384,8 +361,8 @@ class Simulation:
         sender.try_send(now)
         i += 1
         if i < len(keys):  # the next flow reverts at its own reserved tick
-            self.loop.schedule(now, self._watchdog_check, (stream, keys, i),
-                               keys[i][0])
+            self.loop.push((now, keys[i][0], self._watchdog_check,
+                            (stream, keys, i)))
         else:
             del self._watchdog[stream]
 
@@ -398,13 +375,8 @@ class Simulation:
     def run(self) -> RunResult:
         duration = self.cfg.duration_us
         period = self.cfg.assist.period_us
-        # one tick per period's emit, taken where pushing every emit up
-        # front would take them; each emit pushes only the next one
-        ticks = [self.loop.reserve() for _ in range(duration // period)]
-        self._emit_ticks = iter(ticks)
-        if ticks:
-            self.loop.schedule(period, self._emit_feedback, (),
-                               next(self._emit_ticks))
+        if period <= duration:  # each emit pushes the next one
+            self.loop.push((period, EMIT_TICK, self._emit_feedback, ()))
         for spec in self.cfg.flows():
             self.loop.schedule(spec.start_us, self._start_flow, (spec.flow_id,))
         self.loop.run_until(duration)
@@ -429,7 +401,7 @@ class Simulation:
                 drops=self.link.drops_by_flow.get(spec.flow_id, 0),
                 fb_count=ctl.fb_count,
                 mode_log=list(ctl.mode_log),
-                deliveries=self._deliveries[spec.flow_id],
+                deliveries=recv.deliveries[spec.flow_id],
             ))
         qdelay: list[int] = []
         queue_drops = 0

@@ -291,8 +291,9 @@ def schedule_from_spec(
         segments = []
         for part in body.split(","):
             rate_s, _, hold_s = part.partition("@")
-            if not hold_s.endswith("ms"):
-                raise TraceError(f"step segment {part!r} must end in 'ms'")
+            if not re.fullmatch(r"\s*\d+ms", hold_s):
+                raise TraceError(f"step segment {part!r} must end in 'ms' "
+                                 f"after a whole number")
             segments.append((parse_rate(rate_s), int(hold_s[:-2])))
         return synth_step(segments, mtu)
     if kind == "walk":

@@ -16,7 +16,9 @@ The sender models a bulk (always-backlogged) flow with MTU-sized segments:
 
 The receiver keeps a per-flow cumulative/out-of-order reassembly map,
 acks every data packet immediately, and reports how many flows were
-recently active so senders can share capacity fairly.  A segment that
+recently active so senders can share capacity fairly.  It decides whether
+a payload is new, so it keeps each flow's ``(t_us, size, first_time)``
+deliveries, which a run's ``FlowStats`` carry.  A segment that
 arrives in order while nothing is buffered advances the cumulative point
 directly, without passing through the reassembly map.  The sender
 computes its pacing gap when the pacing rate changes, not per segment.
@@ -25,6 +27,7 @@ computes its pacing gap when the pacing rate changes, not per segment.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Callable
 
 from .cc import LOSS_DUPACK, LOSS_TIMEOUT, Controller
@@ -251,6 +254,8 @@ class UeReceiver:
         self.delivered_bytes: dict[int, int] = {}  # everything that arrived
         self.unique_bytes: dict[int, int] = {}     # first-time payload only
         self.last_data_us: dict[int, int] = {}
+        # flow -> (t_us, size, first_time) per arriving data packet
+        self.deliveries: defaultdict[int, list] = defaultdict(list)
 
     def expected(self, flow_id: int) -> int:
         return self.cum.get(flow_id, 0)
@@ -264,7 +269,8 @@ class UeReceiver:
         return n
 
     def on_data(self, pkt: Packet, now: int) -> bool:
-        """Integrate and ack one data packet; True when its payload is new."""
+        """Integrate, record and ack one data packet; True when its payload
+        is new."""
         fid = pkt.flow_id
         seq = pkt.seq
         size = pkt.size
@@ -289,6 +295,7 @@ class UeReceiver:
         if first:
             self.unique_bytes[fid] = self.unique_bytes.get(fid, 0) + size
         self.cum[fid] = cum
+        self.deliveries[fid].append((now, size, first))
 
         # this flow was just stamped active, so the count is at least 1
         beta = self.active_flows(now)

@@ -120,6 +120,36 @@ def test_malformed_trace_file_exit_code(tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("trace", ["step:12mbps@5.5ms", "step:12mbps@xms"])
+def test_malformed_step_hold_exit_code(tmp_path, trace):
+    rc = main(["run", "--trace", trace, "--duration", "1", "-o", str(tmp_path)])
+    assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["feedback-modes", "--seeds", "1,x"],
+    ["period-sweep", "--periods-us", "5000,abc"],
+])
+def test_malformed_list_flag_exits_before_any_run(tmp_path, recorded_runs,
+                                                  capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--duration", "1", "--workers", "1", "-o", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid int list value" in capsys.readouterr().err
+    assert recorded_runs == []
+
+
+@pytest.mark.parametrize("command", ["single-flow", "fairness"])
+def test_bad_scheme_in_list_exits_before_any_run(tmp_path, recorded_runs,
+                                                 capsys, command):
+    rc = main([command, "--schemes", "natcp,bogus", "--duration", "1",
+               "-o", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert recorded_runs == []
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def test_run_writes_summary_and_logs(tmp_path, capsys):

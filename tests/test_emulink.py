@@ -32,7 +32,7 @@ def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
     )
     delivered = {ue: [] for ue in ues}
     for ue in ues:
-        link.register_ue(ue, capacity, lambda now, pkt, ue=ue: delivered[ue].append((now, pkt)))
+        link.register_ue(ue, capacity, lambda pkt, now, ue=ue: delivered[ue].append((now, pkt)))
     return link, loop, log, delivered
 
 
@@ -94,7 +94,8 @@ def test_downlink_propagation_then_service():
     # arrives at queue at 2_500 (one-way delay), served at next opportunity
     assert pkt.t_enqueued == 2_500
     assert t_dlv == 3_000            # opportunities every 1 ms
-    assert [row[:2] for row in log] == [(2_500, "enq"), (3_000, "deq")]
+    assert [row[:2] for row in log] == [(0, "snd"), (2_500, "enq"),
+                                        (3_000, "deq"), (3_000, "dlv")]
 
 
 def test_downlink_rejects_non_data():
@@ -245,4 +246,4 @@ def test_serialization_zero_rate_means_ideal():
 def test_register_twice_rejected():
     link, _, _, _ = make_link()
     with pytest.raises(LinkError, match="already registered"):
-        link.register_ue(0, 1000, lambda now, pkt: None)
+        link.register_ue(0, 1000, lambda pkt, now: None)

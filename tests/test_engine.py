@@ -83,7 +83,7 @@ def test_event_loop_reserved_tick_runs_before_later_schedules():
     seen = []
     tick = loop.reserve()
     loop.schedule(10, lambda now: seen.append("scheduled later"))
-    loop.schedule(10, lambda now: seen.append("reserved earlier"), (), tick)
+    loop.push((10, tick, lambda now: seen.append("reserved earlier"), ()))
     loop.run_until(100)
     assert seen == ["reserved earlier", "scheduled later"]
 
@@ -129,6 +129,39 @@ def test_conservation_and_counters_line_up():
     assert n_snd >= n_enq + n_tail                  # in-flight at cutoff
     delivered = sum(f.delivered_bytes for f in res.flows)
     assert delivered == n_dlv * 1500
+
+
+def test_link_is_the_one_writer_of_the_event_log():
+    # every row kind, in-band digests riding data to two UEs, air loss
+    sim = Simulation(cfg(duration_s=2.0, log_events=True,
+                         queue_capacity_bytes=15_000,
+                         path_kw={"loss_prob": 0.01},
+                         assist=NetAssistConfig(mode="ib"),
+                         flow_starts_s=(0.0, 0.0), flow_ues=(0, 1)))
+    sink = sim.link._log
+    passed = []
+
+    def wrapped(*row):
+        sink(*row)
+        passed.append(sim.event_log[-1])
+
+    sim.link._log = wrapped
+    res = sim.run()
+    assert res.event_log == passed
+    assert {row[1] for row in passed} == {
+        "snd", "enq", "drop", "deq", "airdrop", "dlv", "ack"}
+
+
+def test_receivers_keep_their_own_deliveries():
+    sim = Simulation(cfg(duration_s=1.0, path_kw={"loss_prob": 0.02},
+                         flow_starts_s=(0.0, 0.0, 0.0), flow_ues=(0, 1, 0)))
+    res = sim.run()
+    for fs in res.flows:
+        recv = sim.receivers[fs.ue_id]
+        assert fs.deliveries is recv.deliveries[fs.flow_id]
+        assert sum(size for _, size, _ in fs.deliveries) == fs.delivered_bytes
+        assert sum(size for _, size, first in fs.deliveries
+                   if first) == fs.unique_bytes
 
 
 def test_departures_need_a_recorded_log():

@@ -237,6 +237,9 @@ def test_schedule_from_spec_errors():
         schedule_from_spec("ramp:1mbps", 100)
     with pytest.raises(TraceError, match="must end in 'ms'"):
         schedule_from_spec("step:1mbps@5s", 100)
+    for hold in ("5.5ms", "xms", "ms"):
+        with pytest.raises(TraceError, match="after a whole number"):
+            schedule_from_spec(f"step:12mbps@{hold}", 100)
     with pytest.raises(TraceError, match="invalid walk"):
         schedule_from_spec("walk:1mbps@100ms", 100)
 
