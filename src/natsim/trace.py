@@ -11,6 +11,14 @@ Internally all instants are integer microseconds.  A timestamp equal to the
 cycle length wraps to the start of the cycle, so a trace listing both ``0``
 and the cycle length yields back-to-back opportunities at the wrap point
 (kept as-is, not deduplicated).
+
+A constant-rate schedule repeats exactly every
+P = mtu*8e6 / gcd(mtu*8e6, rate) us (12 us at 1 Gbit/s, 1 ms at 12 Mbit/s),
+so ``synth_constant`` stores one period of instants and a ``phase``, the
+index in that cyclic sequence where replay starts, whenever the period fits
+in the run and the spacing is at least 1 us; its size then does not grow
+with the run's duration.  ``render_trace`` renders one cycle of whatever
+form a schedule has.
 """
 
 from __future__ import annotations
@@ -37,12 +45,19 @@ class TraceSchedule:
         each in [0, cycle_us]).
     cycle_us: replay period.  May be 0 only for an empty schedule.
     mtu: bytes deliverable per opportunity.
+    phase: index in the cyclic sequence of wrapped instants where replay
+        starts; opportunity 0 is the phase-th one.  A one-period constant
+        schedule uses phase 1 to skip the opportunity at t = 0 that its
+        duration-long equivalent would not have.
     """
 
     opportunities_us: tuple[int, ...]
     cycle_us: int
     mtu: int = DEFAULT_MTU
+    phase: int = 0
     # Cycle-local instants with boundary timestamps wrapped to 0 (sorted).
+    # Only trailing instants equal to cycle_us wrap, so this shares the
+    # opportunities' int objects (and the tuple itself when none wraps).
     _locals: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -63,9 +78,11 @@ class TraceSchedule:
             raise TraceError(
                 "zero-length cycle with opportunities; pass an explicit cycle length"
             )
-        wrapped = sorted(t % self.cycle_us for t in self.opportunities_us) \
-            if self.cycle_us else []
-        object.__setattr__(self, "_locals", tuple(wrapped))
+        if self.phase < 0:
+            raise TraceError("phase must be non-negative")
+        opps = tuple(self.opportunities_us)
+        n = bisect.bisect_left(opps, self.cycle_us)
+        object.__setattr__(self, "_locals", (0,) * (len(opps) - n) + opps[:n])
 
     @property
     def n_opportunities(self) -> int:
@@ -87,7 +104,7 @@ class TraceSchedule:
         n = len(self._locals)
         if n == 0 or self.cycle_us == 0:
             raise TraceError("empty or zero-cycle schedule cannot be replayed")
-        k, r = divmod(index, n)
+        k, r = divmod(index + self.phase, n)
         return k * self.cycle_us + self._locals[r]
 
     def index_at_or_after(self, t_us: int) -> int:
@@ -98,7 +115,7 @@ class TraceSchedule:
         if t_us <= 0:
             return 0
         k, r = divmod(t_us, self.cycle_us)
-        return k * n + bisect.bisect_left(self._locals, r)
+        return max(0, k * n + bisect.bisect_left(self._locals, r) - self.phase)
 
     def count_in(self, t0_us: int, t1_us: int) -> int:
         """Number of opportunities in the half-open window [t0_us, t1_us)."""
@@ -164,11 +181,12 @@ def parse_trace(text: str, cycle_ms: int | None = None, mtu: int = DEFAULT_MTU) 
 
 
 def render_trace(schedule: TraceSchedule) -> str:
-    """Serialize a schedule to Mahimahi format (integer milliseconds).
+    """Serialize one cycle of a schedule to Mahimahi format (integer ms).
 
-    Sub-millisecond instants are rounded to the nearest millisecond; the
-    parse/render round-trip is exact for millisecond-aligned schedules whose
-    cycle equals the last timestamp.
+    A one-period constant schedule renders its one period; ``phase`` is not
+    rendered.  Sub-millisecond instants are rounded to the nearest
+    millisecond; the parse/render round-trip is exact for millisecond-aligned
+    schedules whose cycle equals the last timestamp.
     """
     lines = [str(int(round(t / US_PER_MS))) for t in schedule.opportunities_us]
     return "\n".join(lines) + "\n"
@@ -190,16 +208,35 @@ def _spaced(rate_bps: float, start_us: int, end_us: int, mtu: int) -> list[int]:
 def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) -> TraceSchedule:
     """Constant-rate schedule: evenly spaced opportunities at ``rate_bps``.
 
-    The long-run rate over whole cycles is exact (spacing is accumulated in
-    integer arithmetic, so rounding never drifts).  duration_ms = 0 yields an
-    empty schedule that cannot be replayed.
+    Over [0, duration] it replays ``_spaced(rate_bps, 0, duration, mtu)``
+    cycled at the duration, which has an opportunity at t = 0 only when the
+    duration is itself an instant.  Those instants repeat every period
+    P = mtu*8e6 / gcd(mtu*8e6, rate) us, so when P fits in the duration the
+    schedule holds one period, with ``phase`` 1 to skip the t = 0
+    opportunity when the duration is not an instant.  A longer period keeps
+    the duration-long cycle, and so does a spacing under 1 us (rate above
+    mtu*8e6 bit/s): several instants then share a microsecond, those at the
+    cycle's end all wrap to t = 0, and a one-period cycle would hold a
+    different burst there than the duration-long one.  The rate is exact over
+    whole cycles (spacing is accumulated in integer arithmetic, so rounding
+    never drifts).  duration_ms = 0 yields an empty schedule that cannot be
+    replayed.
     """
     if rate_bps <= 0:
         raise TraceError("rate must be positive")
     if duration_ms < 0:
         raise TraceError("duration must be non-negative")
     duration_us = duration_ms * US_PER_MS
-    return TraceSchedule(tuple(_spaced(rate_bps, 0, duration_us, mtu)), duration_us, mtu)
+    rate = round(rate_bps)
+    numer = mtu * 8 * 1_000_000
+    period_us = numer // math.gcd(numer, rate)
+    if rate > numer or period_us > duration_us:
+        return TraceSchedule(tuple(_spaced(rate_bps, 0, duration_us, mtu)), duration_us, mtu)
+    # D is an instant when the first instant at or after it comes before D + 1
+    first = -(-duration_us * rate // numer)
+    phase = 0 if first * numer < (duration_us + 1) * rate else 1
+    return TraceSchedule(tuple(_spaced(rate_bps, 0, period_us, mtu)), period_us, mtu,
+                         phase=phase)
 
 
 def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> TraceSchedule:

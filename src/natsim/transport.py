@@ -268,9 +268,8 @@ class UeReceiver:
                 n += 1
         return n
 
-    def on_data(self, pkt: Packet, now: int) -> bool:
-        """Integrate, record and ack one data packet; True when its payload
-        is new."""
+    def on_data(self, pkt: Packet, now: int) -> None:
+        """Integrate, record and ack one data packet."""
         fid = pkt.flow_id
         seq = pkt.seq
         size = pkt.size
@@ -301,4 +300,3 @@ class UeReceiver:
         beta = self.active_flows(now)
         self.transmit_ack(Packet(fid, seq, ACK_SIZE, ACK, UNSET, False, cum, beta,
                                  pkt.feedback), now)
-        return first

@@ -4,10 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from natsim.config import SimConfig, resolve_schedule
 from natsim.trace import (
     TraceError,
     TraceSchedule,
+    _spaced,
     avg_rate,
     is_trace_expression,
     parse_rate,
@@ -130,6 +134,8 @@ def test_schedule_validation():
         TraceSchedule((5, 3), 10)
     with pytest.raises(TraceError, match="exceeds cycle"):
         TraceSchedule((15,), 10)
+    with pytest.raises(TraceError, match="phase"):
+        TraceSchedule((5,), 10, phase=-1)
     empty = TraceSchedule((), 0)
     assert not empty.usable
     assert empty.long_run_bps() == 0.0
@@ -141,12 +147,90 @@ def test_schedule_validation():
 
 def test_synth_constant_spacing_and_rate():
     sched = synth_constant(12e6, duration_ms=500)
-    assert sched.n_opportunities == 500
-    assert sched.opportunities_us[0] == 1_000
-    assert sched.opportunities_us[-1] == 500_000
-    spacings = {b - a for a, b in zip(sched.opportunities_us, sched.opportunities_us[1:])}
-    assert spacings == {1_000}
-    assert sched.long_run_bps() == pytest.approx(12e6)
+    instants = [sched.instant(i) for i in range(sched.index_at_or_after(500_001))]
+    assert len(instants) == 501             # t = 0 is an instant: 500 ms is one
+    assert sched.instant(1) == 1_000
+    assert instants[-1] == 500_000
+    assert {b - a for a, b in zip(instants, instants[1:])} == {1_000}
+    assert sched.capacity_bits(0, 500_001) == 501 * MTU_BITS
+    assert sched.long_run_bps() == 12e6
+
+
+def _duration_long(rate_bps, duration_ms, mtu):
+    """A constant schedule as one duration-long cycle of ``_spaced`` instants."""
+    duration_us = duration_ms * 1000
+    return TraceSchedule(tuple(_spaced(rate_bps, 0, duration_us, mtu)), duration_us, mtu)
+
+
+@st.composite
+def constant_cases(draw):
+    """(rate, duration_ms, mtu) with at most ~5,000 instants in the horizon.
+
+    A rate built from a short period takes the one-period form at phase 0
+    or 1.  Above mtu*8e6 bit/s (spacing under 1 us) a short period that need
+    not divide the run takes the duration-long fallback, and an arbitrary
+    rate mostly has a period longer than the run, the fallback too.
+    """
+    mtu = draw(st.sampled_from([1, 3, 576, 1500, 9000]))
+    numer = mtu * 8_000_000
+    kind = draw(st.sampled_from(["period", "sub-us", "any"]))
+    if kind == "period":
+        period = draw(st.sampled_from([1, 3, 8, 12, 16, 25, 64, 125, 256, 512,
+                                       625, 1000, 3125, 8000, 15625]))
+        rate = draw(st.integers(1, 7)) * numer // period
+    elif kind == "sub-us":
+        period = draw(st.sampled_from([3, 12, 16, 625]))
+        rate = draw(st.integers(period + 1, 3 * period)) * numer // period
+    else:
+        rate = draw(st.integers(1, 10**9))
+    max_ms = min(40, 5 * numer // rate)
+    return rate, draw(st.integers(kind == "sub-us", max_ms)), mtu
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(constant_cases())
+@example((12_000_000, 500, 1500))       # phase 0: 500 ms is an instant
+@example((1_000_000_000, 2, 1500))      # phase 1: P = 12 us, 2 ms is no instant
+@example((12_000_001, 50, 1500))        # P > D: the duration-long fallback
+@example((75_000_000, 3, 1))            # 10 instants at D: the fallback
+@example((13_000_000_000, 1, 1500))     # sub-us spacing, P = 12 us: the fallback
+@example((32_000_000, 1, 3))            # sub-us spacing, P = 3 us: the fallback
+@example((8_000_000_000, 1, 1500))      # phase 0, though D*rate % (mtu*8e6) != 0
+@example((0.3, 5, 1500))                # a rate that rounds to 0: no instant
+def test_synth_constant_replays_the_duration_long_cycle(case):
+    rate, duration_ms, mtu = case
+    D = duration_ms * 1000
+    try:
+        ref = _duration_long(rate, duration_ms, mtu)
+    except TraceError:          # instants at t = 0 of a zero-length cycle
+        with pytest.raises(TraceError):
+            synth_constant(rate, duration_ms, mtu)
+        return
+    sched = synth_constant(rate, duration_ms, mtu)
+    assert sched.usable == ref.usable
+    if not ref.usable:
+        return
+    # the run fires no event after D: the instants up to D are the same, and
+    # both schedules' next instant lies past D
+    n = ref.index_at_or_after(D + 1)
+    instants = [ref.instant(i) for i in range(n)]
+    assert [sched.instant(i) for i in range(n)] == instants
+    assert sched.instant(n) > D
+    # both query functions are step functions with steps just after an
+    # instant, so these points cover every t in [0, D + 1], including the
+    # cycle boundaries of the one-period form
+    points = {0, D, D + 1}
+    points.update(t + d for t in instants for d in (0, 1))
+    points.update(t + d for t in range(0, D + 2, sched.cycle_us) for d in (-1, 0, 1))
+    for t in sorted(p for p in points if 0 <= p <= D + 1):
+        assert sched.index_at_or_after(t) == ref.index_at_or_after(t), t
+        assert sched.capacity_bits(0, t) == ref.capacity_bits(0, t), t
+
+
+def test_synth_constant_holds_one_period_not_the_run():
+    sched = resolve_schedule(SimConfig(trace="const:1gbps", duration_s=60))
+    assert sched.n_opportunities <= 1
+    assert sched.long_run_bps() == 1e9
 
 
 def test_synth_constant_integer_spacing_never_drifts():

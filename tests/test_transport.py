@@ -271,8 +271,10 @@ def test_receiver_cumulative_and_out_of_order():
 
 def test_receiver_duplicate_counts_throughput_not_goodput():
     recv, acks = make_receiver()
-    assert recv.on_data(seg(0, 0), now=10)          # new payload
-    assert not recv.on_data(seg(0, 0), now=20)      # duplicate
+    recv.on_data(seg(0, 0), now=10)
+    assert recv.deliveries[0][-1][2]                # new payload
+    recv.on_data(seg(0, 0), now=20)
+    assert not recv.deliveries[0][-1][2]            # duplicate
     assert recv.delivered_bytes[0] == 3_000
     assert recv.unique_bytes[0] == 1_500
     assert acks[-1][1].cum_ack == 1_500
@@ -324,7 +326,8 @@ def test_receiver_matches_reference_reassembly(arrivals):
     now = 0
     for flow, index, gap in arrivals:
         now += gap
-        first = recv.on_data(seg(flow, index * MTU), now)
+        recv.on_data(seg(flow, index * MTU), now)
+        first = recv.deliveries[flow][-1][2]
 
         seen = received.setdefault(flow, set())
         assert first == (index not in seen)
