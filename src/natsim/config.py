@@ -189,13 +189,17 @@ _SETTINGS = _key_table(SimConfig)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Read flat ``key = value`` lines into a string map."""
+    """Read flat ``key = value`` lines into a string map; sections are rejected."""
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # keep dotted keys as written
     try:
         parser.read_string("[run]\n" + text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    extra = parser.sections()[1:] + ([parser.default_section] if parser.defaults() else [])
+    if extra:
+        raise ConfigError(f"config files hold flat key = value lines, "
+                          f"not sections: [{extra[0]}]")
     return dict(parser.items("run"))
 
 

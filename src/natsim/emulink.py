@@ -73,7 +73,6 @@ class Packet:
     size: int
     kind: PacketKind
     t_enqueued: int = UNSET
-    retransmission: bool = False
     cum_ack: int = UNSET          # acks only
     beta: int = 0                 # acks only: active-flow count at the UE
     feedback: object = None       # in-band feedback digest riding this packet
@@ -107,8 +106,9 @@ class UeQueue:
     """Droptail FIFO in front of one UE, sized in bytes.
 
     A packet is accepted only when its full size fits; the byte conservation
-    identity (enqueued = dequeued + dropped + occupancy) is re-checked on
-    every mutation.
+    identity (enqueued = dequeued + occupancy) is re-checked on every
+    mutation.  A dropped packet never enters the queue, so it sits outside
+    the identity and is only counted.
     """
 
     ue_id: int
@@ -117,7 +117,6 @@ class UeQueue:
     occupancy: int = 0
     enqueued_bytes: int = 0
     dequeued_bytes: int = 0
-    dropped_bytes: int = 0
     drop_count: int = 0
     qdelay_samples_us: list = field(default_factory=list)
 
@@ -125,8 +124,6 @@ class UeQueue:
         """Enqueue pkt, or drop it when it does not fit whole."""
         if self.occupancy + pkt.size > self.capacity_bytes:
             self.drop_count += 1
-            self.dropped_bytes += pkt.size
-            self._audit()
             return False
         pkt.t_enqueued = now
         self.fifo.append(pkt)
@@ -144,8 +141,6 @@ class UeQueue:
         return pkt
 
     def _audit(self) -> None:
-        # dropped bytes never enter the queue, so they sit outside the identity
-        # below; they are tracked separately for the end-of-run check.
         if not (0 <= self.occupancy <= self.capacity_bytes
                 and self.enqueued_bytes == self.dequeued_bytes + self.occupancy):
             raise LinkError(f"queue byte identity broken at UE {self.ue_id}")

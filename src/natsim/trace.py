@@ -7,18 +7,18 @@ non-decreasing) or from the synthetic generators below, and are replayed
 cyclically: an opportunity at time ``t`` within the cycle repeats at
 ``t + k * cycle_length`` for every k >= 0.
 
-Internally all instants are integer microseconds.  A timestamp equal to the
-cycle length wraps to the start of the cycle, so a trace listing both ``0``
-and the cycle length yields back-to-back opportunities at the wrap point
-(kept as-is, not deduplicated).
+Internally all instants are integer microseconds, and a schedule stores
+each once, local to its cycle.  A timestamp equal to the cycle length is
+the next cycle's t = 0, so a trace listing both ``0`` and the cycle length
+yields back-to-back opportunities at the wrap point (kept as-is, not
+deduplicated).  A trace file's cycle is its last timestamp.
 
-A constant-rate schedule repeats exactly every
-P = mtu*8e6 / gcd(mtu*8e6, rate) us (12 us at 1 Gbit/s, 1 ms at 12 Mbit/s),
-so ``synth_constant`` stores one period of instants and a ``phase``, the
-index in that cyclic sequence where replay starts, whenever the period fits
-in the run and the spacing is at least 1 us; its size then does not grow
-with the run's duration.  ``render_trace`` renders one cycle of whatever
-form a schedule has.
+Synthetic rates are spaced at least 1 us apart: a rate above mtu*8e6 bit/s
+would put more than one packet in a microsecond and raises TraceError.  A
+constant-rate schedule repeats exactly every P = mtu*8e6 / gcd(mtu*8e6, rate)
+us (12 us at 1 Gbit/s, 1 ms at 12 Mbit/s), so ``synth_constant`` stores one
+period of instants and a ``phase``, the index in that cyclic sequence where
+replay starts, or the whole run when the period is longer.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import bisect
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_MTU = 1500
 US_PER_MS = 1000
@@ -41,8 +41,9 @@ class TraceError(ValueError):
 class TraceSchedule:
     """Cyclic schedule of per-packet delivery opportunities.
 
-    opportunities_us: raw opportunity instants within one cycle (sorted,
-        each in [0, cycle_us]).
+    opportunities_us: opportunity instants within one cycle, sorted, each
+        in [0, cycle_us].  Instants equal to cycle_us are stored as 0, the
+        next cycle's start, so the stored tuple holds cycle-local instants.
     cycle_us: replay period.  May be 0 only for an empty schedule.
     mtu: bytes deliverable per opportunity.
     phase: index in the cyclic sequence of wrapped instants where replay
@@ -55,10 +56,6 @@ class TraceSchedule:
     cycle_us: int
     mtu: int = DEFAULT_MTU
     phase: int = 0
-    # Cycle-local instants with boundary timestamps wrapped to 0 (sorted).
-    # Only trailing instants equal to cycle_us wrap, so this shares the
-    # opportunities' int objects (and the tuple itself when none wraps).
-    _locals: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mtu <= 0:
@@ -75,14 +72,12 @@ class TraceSchedule:
                 raise TraceError("opportunity instant exceeds cycle_length")
             prev = t
         if self.cycle_us == 0 and self.opportunities_us:
-            raise TraceError(
-                "zero-length cycle with opportunities; pass an explicit cycle length"
-            )
+            raise TraceError("zero-length cycle with opportunities")
         if self.phase < 0:
             raise TraceError("phase must be non-negative")
         opps = tuple(self.opportunities_us)
         n = bisect.bisect_left(opps, self.cycle_us)
-        object.__setattr__(self, "_locals", (0,) * (len(opps) - n) + opps[:n])
+        object.__setattr__(self, "opportunities_us", (0,) * (len(opps) - n) + opps[:n])
 
     @property
     def n_opportunities(self) -> int:
@@ -91,7 +86,7 @@ class TraceSchedule:
     @property
     def usable(self) -> bool:
         """True when the schedule can be replayed over any horizon."""
-        return self.cycle_us > 0 and bool(self.opportunities_us)
+        return bool(self.opportunities_us)
 
     def long_run_bps(self) -> float:
         """Long-run average capacity in bits/s over whole cycles."""
@@ -101,21 +96,21 @@ class TraceSchedule:
 
     def instant(self, index: int) -> int:
         """Global time (us) of the index-th opportunity (0-based, cyclic)."""
-        n = len(self._locals)
-        if n == 0 or self.cycle_us == 0:
-            raise TraceError("empty or zero-cycle schedule cannot be replayed")
-        k, r = divmod(index + self.phase, n)
-        return k * self.cycle_us + self._locals[r]
+        opps = self.opportunities_us
+        if not opps:
+            raise TraceError("empty schedule cannot be replayed")
+        k, r = divmod(index + self.phase, len(opps))
+        return k * self.cycle_us + opps[r]
 
     def index_at_or_after(self, t_us: int) -> int:
         """Smallest opportunity index whose instant is >= t_us."""
-        n = len(self._locals)
-        if n == 0 or self.cycle_us == 0:
-            raise TraceError("empty or zero-cycle schedule cannot be replayed")
+        opps = self.opportunities_us
+        if not opps:
+            raise TraceError("empty schedule cannot be replayed")
         if t_us <= 0:
             return 0
         k, r = divmod(t_us, self.cycle_us)
-        return max(0, k * n + bisect.bisect_left(self._locals, r) - self.phase)
+        return max(0, k * len(opps) + bisect.bisect_left(opps, r) - self.phase)
 
     def count_in(self, t0_us: int, t1_us: int) -> int:
         """Number of opportunities in the half-open window [t0_us, t1_us)."""
@@ -142,13 +137,12 @@ def avg_rate(schedule: TraceSchedule, window_ms: float, t_start_ms: float = 0.0)
     return bits * 1e6 / (t1 - t0)
 
 
-def parse_trace(text: str, cycle_ms: int | None = None, mtu: int = DEFAULT_MTU) -> TraceSchedule:
+def parse_trace(text: str, mtu: int = DEFAULT_MTU) -> TraceSchedule:
     """Parse a Mahimahi-format trace body into a schedule.
 
     One non-negative integer millisecond timestamp per line, non-decreasing.
     Blank lines and lines starting with ``#`` are ignored.  The cycle length
-    defaults to the last timestamp; pass ``cycle_ms`` to override (required
-    when the last timestamp is 0).
+    is the last timestamp, which must be positive.
     """
     stamps_ms: list[int] = []
     prev = 0
@@ -168,28 +162,13 @@ def parse_trace(text: str, cycle_ms: int | None = None, mtu: int = DEFAULT_MTU) 
         prev = value
     if not stamps_ms:
         raise TraceError("empty trace: no timestamps found")
-    cycle = stamps_ms[-1] if cycle_ms is None else cycle_ms
-    if cycle_ms is not None and cycle_ms < stamps_ms[-1]:
-        raise TraceError("cycle override is shorter than the last timestamp")
-    if cycle == 0:
-        raise TraceError("zero-length cycle; pass an explicit cycle length")
+    if prev == 0:
+        raise TraceError("zero-length cycle: the last timestamp, the cycle length, is 0")
     return TraceSchedule(
         opportunities_us=tuple(t * US_PER_MS for t in stamps_ms),
-        cycle_us=cycle * US_PER_MS,
+        cycle_us=prev * US_PER_MS,
         mtu=mtu,
     )
-
-
-def render_trace(schedule: TraceSchedule) -> str:
-    """Serialize one cycle of a schedule to Mahimahi format (integer ms).
-
-    A one-period constant schedule renders its one period; ``phase`` is not
-    rendered.  Sub-millisecond instants are rounded to the nearest
-    millisecond; the parse/render round-trip is exact for millisecond-aligned
-    schedules whose cycle equals the last timestamp.
-    """
-    lines = [str(int(round(t / US_PER_MS))) for t in schedule.opportunities_us]
-    return "\n".join(lines) + "\n"
 
 
 def _spaced(rate_bps: float, start_us: int, end_us: int, mtu: int) -> list[int]:
@@ -197,10 +176,14 @@ def _spaced(rate_bps: float, start_us: int, end_us: int, mtu: int) -> list[int]:
 
     The k-th is at start + floor(k * mtu * 8e6 / rate) in integer
     arithmetic, so rounding never drifts; the last k is the largest with
-    k * mtu * 8e6 < (end - start + 1) * rate.
+    k * mtu * 8e6 < (end - start + 1) * rate.  A rate above mtu*8e6 bit/s
+    would put more than one packet in a microsecond and is rejected.
     """
     rate = round(rate_bps)
     numer = mtu * 8 * 1_000_000
+    if rate > numer:
+        raise TraceError(f"rate {rate} bit/s puts more than one {mtu}-byte packet "
+                         f"in a microsecond (at most {numer} bit/s)")
     last = ((end_us - start_us + 1) * rate - 1) // numer
     return [start_us + k * numer // rate for k in range(1, last + 1)]
 
@@ -211,13 +194,9 @@ def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) ->
     Over [0, duration] it replays ``_spaced(rate_bps, 0, duration, mtu)``
     cycled at the duration, which has an opportunity at t = 0 only when the
     duration is itself an instant.  Those instants repeat every period
-    P = mtu*8e6 / gcd(mtu*8e6, rate) us, so when P fits in the duration the
-    schedule holds one period, with ``phase`` 1 to skip the t = 0
-    opportunity when the duration is not an instant.  A longer period keeps
-    the duration-long cycle, and so does a spacing under 1 us (rate above
-    mtu*8e6 bit/s): several instants then share a microsecond, those at the
-    cycle's end all wrap to t = 0, and a one-period cycle would hold a
-    different burst there than the duration-long one.  The rate is exact over
+    P = mtu*8e6 / gcd(mtu*8e6, rate) us, so the schedule holds one cycle of
+    min(P, duration).  When P is the shorter, ``phase`` 1 skips the t = 0
+    opportunity if the duration is not an instant.  The rate is exact over
     whole cycles (spacing is accumulated in integer arithmetic, so rounding
     never drifts).  duration_ms = 0 yields an empty schedule that cannot be
     replayed.
@@ -229,13 +208,11 @@ def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) ->
     duration_us = duration_ms * US_PER_MS
     rate = round(rate_bps)
     numer = mtu * 8 * 1_000_000
-    period_us = numer // math.gcd(numer, rate)
-    if rate > numer or period_us > duration_us:
-        return TraceSchedule(tuple(_spaced(rate_bps, 0, duration_us, mtu)), duration_us, mtu)
+    cycle_us = min(numer // math.gcd(numer, rate), duration_us)
     # D is an instant when the first instant at or after it comes before D + 1
     first = -(-duration_us * rate // numer)
-    phase = 0 if first * numer < (duration_us + 1) * rate else 1
-    return TraceSchedule(tuple(_spaced(rate_bps, 0, period_us, mtu)), period_us, mtu,
+    phase = int(cycle_us < duration_us and first * numer >= (duration_us + 1) * rate)
+    return TraceSchedule(tuple(_spaced(rate_bps, 0, cycle_us, mtu)), cycle_us, mtu,
                          phase=phase)
 
 
@@ -279,6 +256,7 @@ def synth_walk(
         raise TraceError("need 0 < min rate <= max rate")
     if step_ms <= 0:
         raise TraceError("step must be positive")
+    _spaced(max_bps, 0, 0, mtu)     # rejects a too-fast bound before any draw
     rng = random.Random(seed)
     rate = math.sqrt(min_bps * max_bps)
     segments: list[tuple[float, int]] = []

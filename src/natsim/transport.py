@@ -140,7 +140,7 @@ class Sender:
             return
         self.segments[seq] = None
         self.retransmits += 1
-        self.transmit(Packet(self.flow_id, seq, self.mtu, DATA, UNSET, True), now)
+        self.transmit(Packet(self.flow_id, seq, self.mtu, DATA), now)
 
     # acks ---------------------------------------------------------------
     def process_ack(self, pkt: Packet, now: int) -> None:
@@ -298,5 +298,5 @@ class UeReceiver:
 
         # this flow was just stamped active, so the count is at least 1
         beta = self.active_flows(now)
-        self.transmit_ack(Packet(fid, seq, ACK_SIZE, ACK, UNSET, False, cum, beta,
+        self.transmit_ack(Packet(fid, seq, ACK_SIZE, ACK, UNSET, cum, beta,
                                  pkt.feedback), now)

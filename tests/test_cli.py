@@ -82,6 +82,9 @@ def test_flow_lists_must_align():
 def test_parse_config_text_rejects_garbage():
     with pytest.raises(ConfigError):
         parse_config_text("this is not key value\n")
+    for section in ("extra", "run", "DEFAULT"):
+        with pytest.raises(ConfigError, match=section):
+            parse_config_text(f"scheme = natcp\n[{section}]\nscheme = cubic\n")
 
 
 def test_parse_set_pairs():
@@ -123,6 +126,27 @@ def test_malformed_trace_file_exit_code(tmp_path):
 @pytest.mark.parametrize("trace", ["step:12mbps@5.5ms", "step:12mbps@xms"])
 def test_malformed_step_hold_exit_code(tmp_path, trace):
     rc = main(["run", "--trace", trace, "--duration", "1", "-o", str(tmp_path)])
+    assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("args", [
+    ["--trace", "const:13gbps"],
+    ["--set", "mtu=1", "--trace", "const:75mbps"],
+    ["--trace", "step:12mbps@100ms,13gbps@100ms"],
+    ["--trace", "walk:1mbps-13gbps@100ms"],
+])
+def test_sub_microsecond_spacing_exits_at_set_up(tmp_path, capsys, args):
+    rc = main(["run", *args, "--duration", "20", "-o", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "bit/s puts more than one" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_file_section_exit_code(tmp_path):
+    # a [section] line would otherwise drop every key after it
+    path = tmp_path / "run.ini"
+    path.write_text("scheme = natcp\n[extra]\nscheme = cubic\nduration_s = 5\n")
+    rc = main(["run", "--config", str(path), "-o", str(tmp_path)])
     assert rc == EXIT_USAGE
 
 

@@ -1,6 +1,7 @@
 """Config keys: every key parses to the right field with the right type,
 the README's key table documents exactly these keys and their defaults, and
-validation rejects non-finite values and negative delays."""
+validation rejects non-finite values, negative delays and every key's
+lower bound."""
 
 import re
 from functools import reduce
@@ -135,6 +136,17 @@ def test_validation_rejects(key, raw):
     assert any(key in err for err in cfg.validate())
     with pytest.raises(ConfigError, match=re.escape(key)):
         cfg.require_valid()
+
+
+@pytest.mark.parametrize("key,raw,message", [
+    *((key, "0", "must be positive") for key in config._POSITIVE),
+    *((key, "-1", "must not be negative") for key in config._NON_NEGATIVE),
+])
+def test_validation_bound_names_the_key(key, raw, message):
+    # a misspelt name in _POSITIVE or _NON_NEGATIVE would drop its bound
+    assert key in config._SETTINGS
+    cfg = apply_settings(SimConfig(), {key: raw})
+    assert f"{key} {message}" in cfg.validate()
 
 
 def test_validation_accepts_zero_delays():

@@ -44,7 +44,7 @@ def test_queue_droptail_and_conservation():
     assert q.offer(data(seq=1500), now=2)
     assert not q.offer(data(seq=3000), now=3)   # full: dropped whole
     assert q.drop_count == 1
-    assert q.dropped_bytes == 1500
+    assert q.enqueued_bytes == 3000              # the dropped bytes never entered
     assert q.occupancy == 3000
     pkt = q.pop(now=10)
     assert pkt.seq == 0

@@ -16,7 +16,6 @@ from natsim.trace import (
     is_trace_expression,
     parse_rate,
     parse_trace,
-    render_trace,
     schedule_from_spec,
     synth_constant,
     synth_step,
@@ -30,14 +29,16 @@ MTU_BITS = 1500 * 8
 
 def test_parse_basic_trace():
     sched = parse_trace("10\n20\n30\n")
-    assert sched.opportunities_us == (10_000, 20_000, 30_000)
+    assert [sched.instant(i) for i in range(3)] == [0, 10_000, 20_000]
+    assert sched.count_in(0, 30_001) == 4   # the last stamp is the next t = 0
     assert sched.cycle_us == 30_000
     assert sched.mtu == 1500
 
 
 def test_parse_skips_blanks_and_comments():
     sched = parse_trace("# header\n\n5\n # note\n7\n")
-    assert sched.opportunities_us == (5_000, 7_000)
+    assert sched.cycle_us == 7_000
+    assert [sched.instant(i) for i in range(4)] == [0, 5_000, 7_000, 12_000]
 
 
 def test_parse_avg_rate_example():
@@ -61,21 +62,9 @@ def test_parse_empty_trace_rejected():
 
 
 def test_parse_zero_cycle_needs_explicit_length():
-    with pytest.raises(TraceError, match="zero-length cycle"):
+    # the cycle is the last timestamp, and no option sets another
+    with pytest.raises(TraceError, match="zero-length cycle: the last timestamp"):
         parse_trace("0\n0\n")
-    sched = parse_trace("0\n0\n", cycle_ms=10)
-    assert sched.cycle_us == 10_000
-    assert sched.n_opportunities == 2
-
-
-def test_parse_cycle_override_must_cover_last_stamp():
-    with pytest.raises(TraceError, match="cycle override"):
-        parse_trace("10\n20\n", cycle_ms=15)
-
-
-def test_render_round_trip():
-    text = "3\n7\n7\n12\n"
-    assert render_trace(parse_trace(text)) == text
 
 
 # -- replay arithmetic -------------------------------------------------------
@@ -136,6 +125,10 @@ def test_schedule_validation():
         TraceSchedule((15,), 10)
     with pytest.raises(TraceError, match="phase"):
         TraceSchedule((5,), 10, phase=-1)
+    with pytest.raises(TraceError, match="zero-length cycle"):
+        TraceSchedule((0,), 0)
+    # an instant at the cycle length is stored as the next cycle's t = 0
+    assert TraceSchedule((5, 10), 10) == TraceSchedule((0, 5), 10)
     empty = TraceSchedule((), 0)
     assert not empty.usable
     assert empty.long_run_bps() == 0.0
@@ -167,9 +160,9 @@ def constant_cases(draw):
     """(rate, duration_ms, mtu) with at most ~5,000 instants in the horizon.
 
     A rate built from a short period takes the one-period form at phase 0
-    or 1.  Above mtu*8e6 bit/s (spacing under 1 us) a short period that need
-    not divide the run takes the duration-long fallback, and an arbitrary
-    rate mostly has a period longer than the run, the fallback too.
+    or 1, and an arbitrary rate mostly has a period longer than the run, so
+    its one cycle is the run.  A rate above mtu*8e6 bit/s (spacing under
+    1 us) is rejected.
     """
     mtu = draw(st.sampled_from([1, 3, 576, 1500, 9000]))
     numer = mtu * 8_000_000
@@ -184,28 +177,30 @@ def constant_cases(draw):
     else:
         rate = draw(st.integers(1, 10**9))
     max_ms = min(40, 5 * numer // rate)
-    return rate, draw(st.integers(kind == "sub-us", max_ms)), mtu
+    return rate, draw(st.integers(0, max_ms)), mtu
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(constant_cases())
 @example((12_000_000, 500, 1500))       # phase 0: 500 ms is an instant
 @example((1_000_000_000, 2, 1500))      # phase 1: P = 12 us, 2 ms is no instant
-@example((12_000_001, 50, 1500))        # P > D: the duration-long fallback
-@example((75_000_000, 3, 1))            # 10 instants at D: the fallback
-@example((13_000_000_000, 1, 1500))     # sub-us spacing, P = 12 us: the fallback
-@example((32_000_000, 1, 3))            # sub-us spacing, P = 3 us: the fallback
+@example((12_000_001, 50, 1500))        # P > D: the cycle is the run
+@example((8_000_000, 3, 1))             # spacing exactly 1 us, P = 1 us
+@example((75_000_000, 3, 1))            # sub-us spacing: rejected
+@example((13_000_000_000, 1, 1500))     # sub-us spacing, P = 12 us: rejected
+@example((32_000_000, 1, 3))            # sub-us spacing, P = 3 us: rejected
+@example((13_000_000_000, 0, 1500))     # sub-us spacing on an empty run: rejected
 @example((8_000_000_000, 1, 1500))      # phase 0, though D*rate % (mtu*8e6) != 0
 @example((0.3, 5, 1500))                # a rate that rounds to 0: no instant
 def test_synth_constant_replays_the_duration_long_cycle(case):
     rate, duration_ms, mtu = case
     D = duration_ms * 1000
-    try:
-        ref = _duration_long(rate, duration_ms, mtu)
-    except TraceError:          # instants at t = 0 of a zero-length cycle
-        with pytest.raises(TraceError):
-            synth_constant(rate, duration_ms, mtu)
+    if round(rate) > mtu * 8_000_000:   # more than one packet per microsecond
+        for build in (_duration_long, synth_constant):
+            with pytest.raises(TraceError, match=f"rate {round(rate)} bit/s"):
+                build(rate, duration_ms, mtu)
         return
+    ref = _duration_long(rate, duration_ms, mtu)
     sched = synth_constant(rate, duration_ms, mtu)
     assert sched.usable == ref.usable
     if not ref.usable:
@@ -245,7 +240,8 @@ def test_synth_step_counts():
     assert sched.n_opportunities == 550
     assert sched.cycle_us == 1_000_000
     # second segment opportunities are 10 ms apart, within (500 ms, 1000 ms]
-    second = [t for t in sched.opportunities_us if t > 500_000]
+    second = [sched.instant(i) for i in range(sched.index_at_or_after(500_001),
+                                              sched.index_at_or_after(1_000_001))]
     assert len(second) == 50
     assert second[0] == 510_000
     assert second[-1] == 1_000_000
@@ -283,6 +279,14 @@ def test_synth_walk_starts_at_geometric_middle():
     sched = synth_walk(1e6, 24e6, step_ms=100, duration_ms=100, seed=5)
     want = math.sqrt(1e6 * 24e6)
     assert avg_rate(sched, window_ms=100) == pytest.approx(want, rel=0.05)
+
+
+def test_synth_walk_checks_its_bound_before_any_draw():
+    # a 100 ms walk holds the geometric middle and never nears 13 Gbit/s,
+    # yet the bound alone rejects it, whatever the seed
+    for seed in range(1, 6):
+        with pytest.raises(TraceError, match="rate 13000000000 bit/s"):
+            synth_walk(1e6, 13e9, step_ms=100, duration_ms=100, seed=seed)
 
 
 # -- expressions ---------------------------------------------------------------

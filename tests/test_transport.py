@@ -40,6 +40,17 @@ def make_sender(cwnd=15_000, pacing=None):
     return snd, ctl, loop, sent
 
 
+def resent(sent):
+    """The (t, pkt) pairs of ``sent`` whose seq already went out: resends."""
+    seen = set()
+    out = []
+    for t, pkt in sent:
+        if pkt.seq in seen:
+            out.append((t, pkt))
+        seen.add(pkt.seq)
+    return out
+
+
 def ack(cum, beta=1, feedback=None):
     return Packet(flow_id=0, seq=0, size=ACK_SIZE, kind=PacketKind.ACK,
                   cum_ack=cum, beta=beta, feedback=feedback)
@@ -107,14 +118,14 @@ def test_three_dupacks_trigger_one_retransmit_and_one_cut():
     snd.try_send(0)
     for i in range(3):
         snd.process_ack(ack(0), now=10_000 + i)
-    retx = [pkt for (_, pkt) in sent if pkt.retransmission]
+    retx = [pkt for (_, pkt) in resent(sent)]
     assert [p.seq for p in retx] == [0]
     assert ctl.losses == [(10_002, "dupack")]
     assert snd.in_recovery
     assert snd.recover_seq == 15_000
     # further duplicates do not retransmit again or cut again
     snd.process_ack(ack(0), now=10_003)
-    assert len([p for (_, p) in sent if p.retransmission]) == 1
+    assert len(resent(sent)) == 1
     assert len(ctl.losses) == 1
 
 
@@ -124,7 +135,7 @@ def test_partial_ack_fills_next_hole_without_new_cut():
     for i in range(3):
         snd.process_ack(ack(0), now=10_000 + i)
     snd.process_ack(ack(3_000), now=20_000)   # below recover point (15000)
-    retx = [p.seq for (_, p) in sent if p.retransmission]
+    retx = [p.seq for (_, p) in resent(sent)]
     assert retx == [0, 3_000]
     assert len(ctl.losses) == 1
     assert snd.in_recovery
@@ -174,7 +185,7 @@ def test_rto_fires_retransmits_and_backs_off():
     snd.try_send(0)
     loop.run_until(RTO_MIN_US)
     assert ctl.losses == [(RTO_MIN_US, "timeout")]
-    retx = [(t, p.seq) for (t, p) in sent if p.retransmission]
+    retx = [(t, p.seq) for (t, p) in resent(sent)]
     assert retx == [(RTO_MIN_US, 0)]
     assert snd.rto_us == 2 * RTO_MIN_US
     assert snd.timeouts == 1
