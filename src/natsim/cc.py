@@ -46,7 +46,7 @@ CUBIC_C = 0.4
 CUBIC_BETA = 0.7
 INITIAL_WINDOW_SEGMENTS = 10
 MIN_WINDOW_SEGMENTS = 2
-# Floor pacing rate: one MTU packet per 100 ms (the probe cadence).
+# Floor pacing rate: one MTU packet per 100 ms.
 PACING_FLOOR_INTERVAL_US = 100_000
 
 LOSS_DUPACK = "dupack"

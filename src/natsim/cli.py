@@ -89,6 +89,13 @@ def comma_list(item):
     return parse
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a count of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def parse_set_pairs(pairs: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for pair in pairs or []:
@@ -130,7 +137,8 @@ def run_job(cfg: SimConfig) -> dict:
 
 def run_many(configs: list[SimConfig], workers: int) -> list[dict]:
     """Run configs, in parallel when asked; results keep submission order."""
-    if workers <= 1 or len(configs) <= 1:
+    workers = min(workers, len(configs))   # a pool may start them all at once
+    if workers <= 1:
         return [run_job(cfg) for cfg in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_job, configs))
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_modes.add_argument("--seeds", type=comma_list(int),
                          default=",".join(str(s) for s in DEFAULT_MODE_SEEDS))
     p_modes.add_argument("--period-us", type=int, default=10_000)
-    p_modes.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_modes.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
     p_modes.set_defaults(fn=cmd_feedback_modes)
 
     p_sweep = sub.add_parser("period-sweep", help="feedback period sweep")
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scheme", choices=SCHEMES, default="natcp")
     p_sweep.add_argument("--periods-us", type=comma_list(int),
                          default=",".join(str(p) for p in DEFAULT_SWEEP_PERIODS_US))
-    p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
     p_sweep.set_defaults(fn=cmd_period_sweep)
 
     return parser

@@ -1,11 +1,10 @@
 """Emulated cellular path: base-station queue, downlink replay, uplink, probes.
 
 The downlink is a per-UE droptail FIFO drained by the trace schedule: each
-delivery opportunity transmits the head packet of one backlogged UE
-(round-robin across UEs).  Unused opportunities are wasted, never banked.
-A count of backlogged UEs decides whether to keep draining, and at most one
-drain event is pending: while any queue holds a packet, the event for
-opportunity ``i`` schedules the one for ``i + 1``.
+delivery opportunity transmits the head packet of one backlogged UE,
+round-robin in registration order.  Unused opportunities are wasted, never
+banked.  The backlog lists the UEs with a packet queued in ascending rank,
+and one drain event is pending exactly while it is non-empty.
 The uplink (acks) is an ideal pipe: fixed one-way delay plus per-packet
 serialization at a configured depletion rate, no queuing.  Measurement
 probes bypass the UE queues entirely and observe only fixed network delay.
@@ -36,10 +35,12 @@ All times are integer microseconds.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from .trace import TraceSchedule
@@ -103,7 +104,9 @@ class PathConfig:
 
 @dataclass
 class UeQueue:
-    """Droptail FIFO in front of one UE, sized in bytes.
+    """The link's record of one UE: a droptail FIFO sized in bytes, its
+    registration ``rank``, its receiver's ``deliver`` and the in-band digest
+    ``staged`` for its next dequeue (``None`` when there is none).
 
     A packet is accepted only when its full size fits; the byte conservation
     identity (enqueued = dequeued + occupancy) is re-checked on every
@@ -113,6 +116,9 @@ class UeQueue:
 
     ue_id: int
     capacity_bytes: int
+    rank: int = 0
+    deliver: Callable[[Packet, int], None] | None = None
+    staged: object = None
     fifo: deque = field(default_factory=deque)
     occupancy: int = 0
     enqueued_bytes: int = 0
@@ -146,6 +152,9 @@ class UeQueue:
             raise LinkError(f"queue byte identity broken at UE {self.ue_id}")
 
 
+_RANK = attrgetter("rank")
+
+
 class BtsLink:
     """Bottleneck link: trace-driven drain over per-UE droptail queues."""
 
@@ -172,12 +181,9 @@ class BtsLink:
         self._up: deque = deque()
         self._log = log   # event-log sink; None when the run records no log
         self.queues: dict[int, UeQueue] = {}
-        self._deliver: dict[int, Callable[[Packet, int], None]] = {}
-        self._rr: list[int] = []
-        self._rr_next = 0
+        self._backlog: list[UeQueue] = []   # queues holding a packet, by rank
+        self._rr_next = 0          # lowest rank the next service may pick
         self._next_opp_index = 0   # first opportunity not yet served
-        self._backlogged = 0       # UEs with a packet queued; > 0 while draining
-        self._pending_ib: dict[int, object] = {}
         self.served_opportunities = 0
         self.air_drops = 0
         self.drops_by_flow: dict[int, int] = {}
@@ -192,10 +198,8 @@ class BtsLink:
     ) -> UeQueue:
         if ue_id in self.queues:
             raise LinkError(f"UE {ue_id!r} already registered")
-        q = UeQueue(ue_id, capacity_bytes)
+        q = UeQueue(ue_id, capacity_bytes, len(self.queues), deliver)
         self.queues[ue_id] = q
-        self._deliver[ue_id] = deliver
-        self._rr.append(ue_id)
         return q
 
     def queue_for(self, ue_id: int) -> UeQueue:
@@ -211,12 +215,11 @@ class BtsLink:
         downlink one-way delay).  Probes never take this path."""
         if pkt.kind is not DATA:
             raise LinkError("send_downlink carries data packets only")
-        if ue_id not in self.queues:  # validate early, as queue_for does
-            raise LinkError(f"unknown UE {ue_id!r}")
+        q = self.queue_for(ue_id)
         if self._log is not None:
             self._log(now, "snd", pkt.flow_id, pkt.seq)
         self._launch(self._down, (now + self._down_owd_us, self._reserve(),
-                                  self._arrive, (pkt, ue_id)))
+                                  self._arrive, (pkt, q)))
 
     def _launch(self, leg: deque, entry: tuple) -> None:
         """Queue a heap entry on a leg in flight; it is pushed when it is
@@ -229,18 +232,17 @@ class BtsLink:
             self._push(entry)
         leg.append(entry)
 
-    def _arrive(self, now: int, pkt: Packet, ue_id: int) -> None:
+    def _arrive(self, now: int, pkt: Packet, q: UeQueue) -> None:
         down = self._down
         down.popleft()
         if down:
             self._push(down[0])
-        q = self.queues[ue_id]
         if q.offer(pkt, now):
             if self._log is not None:
                 self._log(now, "enq", pkt.flow_id, pkt.seq)
             if len(q.fifo) == 1:
-                self._backlogged += 1
-                if self._backlogged == 1:
+                bisect.insort(self._backlog, q, key=_RANK)
+                if len(self._backlog) == 1:
                     self._start_drain(now)
         else:
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
@@ -258,18 +260,21 @@ class BtsLink:
 
     def _on_opportunity(self, now: int, idx: int) -> None:
         """Serve one packet from the next backlogged UE (round-robin)."""
-        q = self._pick_backlogged()
+        backlog = self._backlog
+        # the first at or after the round-robin position, else the lowest
+        i = bisect.bisect_left(backlog, self._rr_next, key=_RANK) % len(backlog)
+        q = backlog[i]
+        self._rr_next = q.rank + 1
         self._next_opp_index = idx + 1
         self.served_opportunities += 1
         pkt = q.pop(now)
         if not q.fifo:
-            self._backlogged -= 1
+            del backlog[i]
         if self._log is not None:
             self._log(now, "deq", pkt.flow_id, pkt.seq, now - pkt.t_enqueued)
-        if self._pending_ib:  # only in-band runs stage digests
-            ib = self._pending_ib.pop(q.ue_id, None)
-            if ib is not None:
-                pkt.feedback = ib
+        if q.staged is not None:
+            pkt.feedback = q.staged
+            q.staged = None
         if self._loss_prob > 0 and self.rng.random() < self._loss_prob:
             self.air_drops += 1
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
@@ -278,21 +283,9 @@ class BtsLink:
         else:  # zero residual radio-leg delay
             if self._log is not None:
                 self._log(now, "dlv", pkt.flow_id, pkt.seq)
-            self._deliver[q.ue_id](pkt, now)
-        if self._backlogged:
-            # instant(idx + 1) >= now, so it is the first unserved opportunity
-            self._push((self.schedule.instant(idx + 1), self._reserve(),
-                        self._on_opportunity, (idx + 1,)))
-
-    def _pick_backlogged(self) -> UeQueue | None:
-        n = len(self._rr)
-        for off in range(n):
-            ue = self._rr[(self._rr_next + off) % n]
-            q = self.queues[ue]
-            if q.fifo:
-                self._rr_next = (self._rr_next + off + 1) % n
-                return q
-        return None
+            q.deliver(pkt, now)
+        if backlog:
+            self._start_drain(now)
 
     # -- in-band feedback -------------------------------------------------
 
@@ -302,8 +295,7 @@ class BtsLink:
         A newer digest replaces an unattached older one (stale feedback is
         useless by the time a later one exists).
         """
-        self.queue_for(ue_id)
-        self._pending_ib[ue_id] = msg
+        self.queue_for(ue_id).staged = msg
 
     # -- uplink -----------------------------------------------------------
 

@@ -405,11 +405,10 @@ class Simulation:
             ))
         qdelay: list[int] = []
         queue_drops = 0
-        for ue in self.cfg.ue_ids():
-            q = self.link.queue_for(ue)
+        for q in self.link.queues.values():
             qdelay.extend(q.qdelay_samples_us)
             queue_drops += q.drop_count
-        if len(self.cfg.ue_ids()) > 1:
+        if len(self.link.queues) > 1:
             qdelay.sort()
         return RunResult(
             scheme=self.cfg.scheme,

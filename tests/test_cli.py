@@ -322,6 +322,57 @@ def test_period_sweep_parallel_workers(tmp_path):
     assert overhead[0] == pytest.approx(2 * overhead[1])
 
 
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """max_workers of every pool the CLI asks for; the runs stay in-process."""
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return widths
+
+
+@pytest.mark.parametrize("workers, periods, widths", [
+    (["--workers", "64"], "20000,50000", [2]),
+    (["--workers", "2"], "20000,50000,100000", [2]),
+    (["--workers", "8"], "50000", []),    # one run needs no pool
+    ([], "20000,50000", [2]),             # the default, os.cpu_count() = 64
+])
+def test_pool_is_never_wider_than_the_runs(tmp_path, monkeypatch, pool_widths,
+                                           workers, periods, widths):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    rc = main(["period-sweep", "--periods-us", periods, "--duration", "0.2",
+               *workers, "-o", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert pool_widths == widths
+    assert len(read_csv(tmp_path / "sweep.csv")) == 1 + len(periods.split(","))
+
+
+@pytest.mark.parametrize("command", ["period-sweep", "feedback-modes"])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_exits_before_any_run(tmp_path, recorded_runs,
+                                                pool_widths, capsys,
+                                                command, workers):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--duration", "1", "--workers", workers,
+              "-o", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+    assert recorded_runs == [] and pool_widths == []
+
+
 def test_seeded_rerun_is_byte_identical(tmp_path):
     args = ["run", "--duration", "1", "--seed", "9",
             "--set", "path.loss_prob=0.02", "--events-csv", "events.csv"]

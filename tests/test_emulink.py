@@ -4,9 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import natsim
 from natsim.emulink import BtsLink, LinkError, Packet, PacketKind, PathConfig, UeQueue
@@ -139,6 +142,47 @@ def test_round_robin_across_ues():
     order = [(row[2], row[0]) for row in log if row[1] == "deq"]
     flows = [f for (f, _) in order]
     assert flows == [0, 1, 0, 1]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ues=st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True),
+       sends=st.lists(st.tuples(st.integers(0, 80), st.integers(0, 5)),
+                      min_size=1, max_size=40),
+       capacity=st.sampled_from([3_000, 150_000]))
+@example(ues=[5, 2, 7, 0], sends=[(0, 0), (0, 2), (0, 2), (0, 3), (30, 1)],
+         capacity=150_000)
+def test_round_robin_matches_a_scan_of_the_registration_order(ues, sends, capacity):
+    # UEs register in the drawn order, so rank and id differ; sends at
+    # random instants let queues empty between bursts
+    link, loop, log, _ = make_link(ues=tuple(ues), capacity=capacity)
+    next_seq = dict.fromkeys(ues, 0)
+    for t_half_ms, k in sorted(sends):
+        ue = ues[k % len(ues)]
+        link.send_downlink(data(flow=ue, seq=next_seq[ue]), now=t_half_ms * 500, ue_id=ue)
+        next_seq[ue] += 1500
+    loop.run_until(1_000_000)
+
+    # reference: go round the registration order from the position after
+    # the last UE served, and serve at the first unserved opportunity
+    schedule = link.schedule
+    fifo = {ue: deque() for ue in ues}
+    pos, last_deq, due = 0, -1, None
+    for t, kind, flow, seq, *_ in log:
+        if kind == "enq":
+            if not any(fifo.values()):
+                due = schedule.instant(schedule.index_at_or_after(max(t, last_deq + 1)))
+            fifo[flow].append(seq)
+        elif kind == "deq":
+            for off in range(len(ues)):
+                ue = ues[(pos + off) % len(ues)]
+                if fifo[ue]:
+                    break
+            pos = (pos + off + 1) % len(ues)
+            assert (t, flow, seq) == (due, ue, fifo[ue].popleft())
+            last_deq = t
+            due = schedule.instant(schedule.index_at_or_after(t + 1))
+    assert not any(fifo.values())
+    assert link.served_opportunities == sum(row[1] == "deq" for row in log)
 
 
 def test_downlink_arrivals_keep_send_order_across_ues():

@@ -383,11 +383,10 @@ def test_in_band_digest_staged_on_every_ue():
     sim = Simulation(cfg(assist=NetAssistConfig(mode="ib"),
                          flow_starts_s=(0.0,) * 8, flow_ues=tuple(range(8))))
     sim._emit_feedback(50_000)
-    staged = sim.link._pending_ib
-    assert sorted(staged) == list(range(8))
+    staged = [sim.link.queues[ue].staged for ue in range(8)]
     digest = staged[0]
     assert (digest.seq, digest.t_emitted) == (1, 50_000)
-    assert all(msg is digest for msg in staged.values())
+    assert all(msg is digest for msg in staged)
 
 
 @pytest.mark.parametrize("trace", ["step:0mbps@500ms", "const:0.3bps"])
