@@ -27,12 +27,21 @@ class-level choices, both off for natcp:
 Every controller exposes ``cwnd`` (bytes) and ``pacing_bps`` (None = unpaced);
 the transport applies them after each callback.
 
-``on_feedback`` counts every digest, but natcp and nacubic recompute only
-when one can move the decision: while assisted, a digest whose ``bl_bw``
-and ``min_rtt`` equal the applied ones is skipped, since every ack, loss
-and revert that changes another input already ends in ``_apply``.  tg
-recomputes on every digest, because its ``_apply`` ages the RTT samples
-by ``now``.
+``on_feedback`` counts every digest and returns whether the decision may
+have moved, so the caller adopts ``cwnd`` and ``pacing_bps`` only then.
+natcp and nacubic recompute only when a digest can move the decision:
+while assisted, a digest whose ``bl_bw`` and ``min_rtt`` equal the applied
+ones is skipped and returns False, since every ack, loss and revert that
+changes another input already ends in ``_apply``.  Cubic returns False.
+tg recomputes on every digest and returns True, because its ``_apply``
+ages the RTT samples by ``now``.
+
+The assisted core caches the feedback window and sets the pacing rate
+with it; both depend only on beta, min-RTT and ``bl_bw``.  A change of
+beta or of tg's own min-RTT clears the cache, and so does every digest
+that passes the early-out, including the one that re-engages after a
+revert, whose fallback unpaced the flow.  An ack that finds the cache
+set costs nacubic ``min(cubic.cwnd, window)``.
 """
 
 from __future__ import annotations
@@ -109,8 +118,11 @@ class Controller:
     def on_loss(self, now: int, kind: str) -> None:
         pass
 
-    def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
+    def on_feedback(self, now: int, msg: FeedbackMsg) -> bool:
+        """Count one digest; return whether ``cwnd`` or ``pacing_bps`` may
+        have moved (False: the caller may skip adopting them)."""
         self.fb_count += 1
+        return False
 
     def revert(self, now: int) -> None:
         pass
@@ -190,6 +202,7 @@ class NatcpController(Controller):
 
     cap = False      # on for nacubic; see the module docstring
     own_rtt = False  # on for tg
+    uses_watchdog = True  # off for tg, with own_rtt
 
     def __init__(
         self,
@@ -207,14 +220,11 @@ class NatcpController(Controller):
         self.min_rtt_us = 0
         self._samples: deque[tuple[int, int]] = deque()  # own_rtt: (t, rtt)
         self._last_est_us: int | None = None
+        self._window: int | None = None  # feedback window; None = recompute
         self.cubic = CubicController(mtu)
         self.cwnd = self.cubic.cwnd
         if self.uses_watchdog:
             self.mode_log.append((0, "fallback"))
-
-    @property
-    def uses_watchdog(self) -> bool:
-        return not self.own_rtt
 
     def _apply(self, now: int) -> None:
         if not self.assisted:
@@ -225,26 +235,32 @@ class NatcpController(Controller):
             est = self.rtt_estimate_us(now)
             if est is None:
                 return  # no RTT sample yet: keep the bootstrap window, unpaced
-            self.min_rtt_us = est
-        window = self._clamp_cwnd(
-            assisted_cwnd_bytes(self.alpha, self.beta, self.min_rtt_us, self.bl_bw)
-        )
+            if est != self.min_rtt_us:
+                self.min_rtt_us = est
+                self._window = None
+        window = self._window
+        if window is None:
+            window = self._window = self._clamp_cwnd(
+                assisted_cwnd_bytes(self.alpha, self.beta, self.min_rtt_us, self.bl_bw)
+            )
+            rate = self.bl_bw / self.beta if self.divide_pacing_by_beta else self.bl_bw
+            self.pacing_bps = self._clamp_pacing(rate)
         self.cwnd = min(self.cubic.cwnd, window) if self.cap else window
-        rate = self.bl_bw / self.beta if self.divide_pacing_by_beta else self.bl_bw
-        self.pacing_bps = self._clamp_pacing(rate)
 
-    def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
+    def on_feedback(self, now: int, msg: FeedbackMsg) -> bool:
         self.fb_count += 1
         if (self.assisted and not self.own_rtt and msg.bl_bw == self.bl_bw
                 and msg.min_rtt == self.min_rtt_us):
-            return  # an unchanged digest: the decision already reflects it
+            return False  # an unchanged digest: the decision already reflects it
         self.bl_bw = msg.bl_bw
         self.min_rtt_us = msg.min_rtt  # own_rtt replaces it in _apply
+        self._window = None
         if not self.assisted:
             self.assisted = True
             if self.uses_watchdog:
                 self.mode_log.append((now, "assisted"))
         self._apply(now)
+        return True
 
     def on_ack(self, now: int, acked_bytes: int, rtt_us: int | None, beta: int) -> None:
         if self.own_rtt:  # beta stays 1, so it divides neither window nor pacing
@@ -254,6 +270,7 @@ class NatcpController(Controller):
                 self._samples.append((now, rtt_us))
         elif max(1, beta) != self.beta:
             self.beta = max(1, beta)
+            self._window = None
         elif self.assisted and not self.cap:
             return  # a frozen cubic and unchanged beta: the window stands
         if self.cap or not self.assisted:
@@ -294,6 +311,7 @@ class TgController(NatcpController):
     """Bandwidth-only guidance with a sender-side distributed min-RTT."""
 
     own_rtt = True
+    uses_watchdog = False
 
 
 CONTROLLERS = {

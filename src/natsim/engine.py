@@ -37,6 +37,19 @@ that arrival's first key; one that finds its own arrival still the latest
 reverts one flow and moves to the next flow's key.  Every revert therefore
 runs exactly where it would if each feedback had pushed one check per flow.
 
+Feedback fan-out walks one list of the started senders in the order they
+receive a digest: UE rank, then flow id.  ``_start_flow`` inserts each
+sender as it starts, so the list costs no set-up work and an out-of-band
+arrival touches no flow that has not started.  Each flow counts the
+digest and logs it, but adopts the controller's window and pacing only
+when ``on_feedback`` says the decision may have moved; with one digest
+per period for the whole cell, most applications move nothing.
+``try_send`` still runs for every flow whose window is open, even one
+whose decision did not move: a flow whose pacer releases at the arrival
+instant sends from the fan-out, ahead of its own pacer event, and
+skipping the call would reorder those sends.  Only a closed window, the
+test ``try_send`` makes first, lets the fan-out skip the call.
+
 Randomness: one generator seeded from the config drives air-interface loss
 (and nothing else); synthetic walk traces derive their own generator from
 the same seed at construction time.
@@ -48,6 +61,7 @@ import itertools
 import math
 import random
 import statistics
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
@@ -245,8 +259,8 @@ class Simulation:
                             self._log if cfg.log_events else None)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
-        self.flows_on_ue: dict[int, list[int]] = {}
-        self._active: set[int] = set()
+        # (UE rank, flow, sender) of every started flow, in fan-out order
+        self._started: list[tuple[int, int, Sender]] = []
         # stream -> (deadline, [(tick, flow), ...]) of its latest arrival;
         # present while a check for the stream is on the heap
         self._watchdog: dict[object, tuple[int, list[tuple[int, int]]]] = {}
@@ -255,7 +269,6 @@ class Simulation:
             self.receivers[ue] = UeReceiver(ue, self._transmit_ack)
             self.link.register_ue(ue, cfg.queue_capacity_bytes,
                                   self._make_deliver(ue))
-            self.flows_on_ue[ue] = []
 
         self.assist = NetAssist(cfg.assist, self.schedule, cfg.path,
                                 cfg.ue_ids(), self.link.probe_rtt)
@@ -266,7 +279,6 @@ class Simulation:
             snd = Sender(spec.flow_id, cfg.mtu, ctl,
                          self._make_transmit(spec.ue_id), self.loop.schedule)
             self.senders[spec.flow_id] = snd
-            self.flows_on_ue[spec.ue_id].append(spec.flow_id)
 
     # -- logging --------------------------------------------------------------
 
@@ -310,18 +322,27 @@ class Simulation:
             self.loop.schedule(now + self.cfg.path.oob_delay_us,
                                self._oob_arrive, (msg,))
         else:
-            for ue in self.flows_on_ue:
+            for ue in self.receivers:
                 self.link.attach_ib(ue, msg)
 
     def _oob_arrive(self, now: int, msg: FeedbackMsg) -> None:
-        """Hand one period's digest to every started flow, UE by UE."""
+        """Hand one period's digest to every started flow, UE by UE; the
+        per-flow steps are ``_handle_feedback``'s, then ``try_send``."""
         keys: list[tuple[int, int]] = []
-        for flows in self.flows_on_ue.values():
-            for fid in flows:
-                if fid not in self._active:
-                    continue  # not started; must not react, let alone send
-                self._handle_feedback(fid, msg, now, keys)
-                self.senders[fid].try_send(now)
+        reserve = self.loop.reserve
+        log = self.feedback_log.append
+        seq, t_emitted, bl_bw, min_rtt = msg.seq, msg.t_emitted, msg.bl_bw, msg.min_rtt
+        for _, fid, sender in self._started:
+            ctl = sender.controller
+            moved = ctl.on_feedback(now, msg)
+            log((fid, seq, t_emitted, now, bl_bw, min_rtt))
+            if moved:
+                sender.apply_decision()
+            if ctl.uses_watchdog:
+                keys.append((reserve(), fid))
+            # try_send's own window test: a closed window sends nothing
+            if sender.next_seq - sender.cum_acked + sender.mtu <= sender.cwnd:
+                sender.try_send(now)
         self._arm_watchdog(OOB_STREAM, now, keys)
 
     def _handle_feedback(self, flow_id: int, msg: FeedbackMsg, now: int,
@@ -330,10 +351,11 @@ class Simulation:
         tick its revert would run at to its stream's ``keys``."""
         sender = self.senders[flow_id]
         ctl = sender.controller
-        ctl.on_feedback(now, msg)
+        moved = ctl.on_feedback(now, msg)
         self.feedback_log.append(
             (flow_id, msg.seq, msg.t_emitted, now, msg.bl_bw, msg.min_rtt))
-        sender.apply_decision()
+        if moved:
+            sender.apply_decision()
         if ctl.uses_watchdog:
             keys.append((self.loop.reserve(), flow_id))
 
@@ -366,9 +388,10 @@ class Simulation:
         else:
             del self._watchdog[stream]
 
-    def _start_flow(self, now: int, flow_id: int) -> None:
-        self._active.add(flow_id)
-        self.senders[flow_id].try_send(now)
+    def _start_flow(self, now: int, flow_id: int, ue_id: int) -> None:
+        sender = self.senders[flow_id]
+        insort(self._started, (self.link.queues[ue_id].rank, flow_id, sender))
+        sender.try_send(now)
 
     # -- run --------------------------------------------------------------------
 
@@ -378,7 +401,8 @@ class Simulation:
         if period <= duration:  # each emit pushes the next one
             self.loop.push((period, EMIT_TICK, self._emit_feedback, ()))
         for spec in self.cfg.flows():
-            self.loop.schedule(spec.start_us, self._start_flow, (spec.flow_id,))
+            self.loop.schedule(spec.start_us, self._start_flow,
+                               (spec.flow_id, spec.ue_id))
         self.loop.run_until(duration)
         return self._collect()
 

@@ -214,8 +214,10 @@ def test_natcp_uses_watchdog():
     assert not CubicController(MTU).uses_watchdog
 
 
-def always_recomputes(cls):
-    """``cls`` with an ``on_feedback`` that recomputes on every digest."""
+def closed_form(cls):
+    """``cls`` recomputing on every digest, with window and pacing computed
+    in closed form from ``assisted_cwnd_bytes`` on every call, so neither
+    the class's early-out nor its cached window takes part."""
 
     class Reference(cls):
         def on_feedback(self, now, msg):
@@ -224,8 +226,25 @@ def always_recomputes(cls):
             self.min_rtt_us = msg.min_rtt
             if not self.assisted:
                 self.assisted = True
-                self.mode_log.append((now, "assisted"))
+                if self.uses_watchdog:
+                    self.mode_log.append((now, "assisted"))
             self._apply(now)
+            return True
+
+        def _apply(self, now):
+            if not self.assisted:
+                self.cwnd, self.pacing_bps = self.cubic.cwnd, None
+                return
+            if self.own_rtt:
+                est = self.rtt_estimate_us(now)
+                if est is None:
+                    return
+                self.min_rtt_us = est
+            window = max(cwnd_floor_bytes(MTU), assisted_cwnd_bytes(
+                self.alpha, self.beta, self.min_rtt_us, self.bl_bw))
+            self.cwnd = min(self.cubic.cwnd, window) if self.cap else window
+            rate = self.bl_bw / self.beta if self.divide_pacing_by_beta else self.bl_bw
+            self.pacing_bps = max(pacing_floor_bps(MTU), rate)
 
     return Reference
 
@@ -241,20 +260,44 @@ CALLS = st.lists(st.one_of(
 ), max_size=40)
 
 
-@pytest.mark.parametrize("cls", [NatcpController, NaCubicController])
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(calls=CALLS)
-def test_unchanged_digest_early_out_matches_a_full_recompute(cls, calls):
-    ctl, ref = cls(MTU), always_recomputes(cls)(MTU)
+@pytest.mark.parametrize("cls", [NatcpController, NaCubicController, TgController])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(calls=CALLS, divide=st.booleans())
+def test_unchanged_digest_early_out_matches_a_full_recompute(cls, calls, divide):
+    # a 50 ms horizon ages tg's RTT samples out within a run of calls
+    ctl, ref = (c(MTU, 2.0, divide, 50_000) for c in (cls, closed_form(cls)))
     for i, (method, *args) in enumerate(calls):
         if method == "on_feedback":
             args = [fb(*args, seq=i)]
         now = (i + 1) * 10_000
-        for c in (ctl, ref):
-            getattr(c, method)(now, *args)
+        before = (ctl.cwnd, ctl.pacing_bps)
+        moved = getattr(ctl, method)(now, *args)
+        getattr(ref, method)(now, *args)
         assert (ctl.cwnd, ctl.pacing_bps, ctl.fb_count) == \
             (ref.cwnd, ref.pacing_bps, ref.fb_count)
         assert ctl.mode_log == ref.mode_log
+        if method == "on_feedback" and moved is False:
+            assert (ctl.cwnd, ctl.pacing_bps) == before
+
+
+@pytest.mark.parametrize("cls", [NatcpController, NaCubicController])
+def test_the_same_digest_after_a_revert_restores_the_pacing(cls):
+    ctl = cls(MTU)
+    assert ctl.on_feedback(52_000, fb(12e6, 6_043))
+    assisted = (ctl.cwnd, ctl.pacing_bps)
+    assert not ctl.on_feedback(72_000, fb(12e6, 6_043, seq=2))
+    ctl.revert(200_000)
+    assert ctl.pacing_bps is None
+    # the digest equals the one the cached window was computed from
+    assert ctl.on_feedback(220_000, fb(12e6, 6_043, seq=3))
+    assert (ctl.cwnd, ctl.pacing_bps) == assisted
+    assert ctl.pacing_bps == 12e6
+
+
+def test_cubic_feedback_never_moves_the_decision():
+    ctl = CubicController(MTU)
+    assert ctl.on_feedback(52_000, fb(12e6, 6_043)) is False
+    assert (ctl.cwnd, ctl.pacing_bps, ctl.fb_count) == (10 * MTU, None, 1)
 
 
 def test_tg_recomputes_on_a_repeated_digest():

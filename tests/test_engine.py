@@ -294,17 +294,13 @@ def test_each_revert_runs_at_the_key_reserved_for_its_flow(monkeypatch):
     handling = [None]    # key of the event being handled
     reverted = []
 
-    handle_feedback, reserve = sim._handle_feedback, sim.loop.reserve
-
-    def tracked_feedback(flow_id, msg, now, *rest):
-        applying.append((flow_id, now))
-        handle_feedback(flow_id, msg, now, *rest)
-        applying.pop()
+    reserve = sim.loop.reserve
 
     def tracked_reserve():
+        # the first tick reserved after a flow's on_feedback is its revert key
         tick = reserve()
         if applying:
-            flow_id, now = applying[-1]
+            flow_id, now = applying.pop()
             reserved[flow_id] = (now + watchdog_us, tick)
         return tick
 
@@ -313,9 +309,13 @@ def test_each_revert_runs_at_the_key_reserved_for_its_flow(monkeypatch):
         handling[0] = event[:2]
         return event
 
-    sim._handle_feedback, sim.loop.reserve = tracked_feedback, tracked_reserve
+    sim.loop.reserve = tracked_reserve
     monkeypatch.setattr(engine, "heappop", tracked_pop)
     for fid, snd in sim.senders.items():
+        def on_feedback(now, msg, fid=fid, on_feedback=snd.controller.on_feedback):
+            applying.append((fid, now))
+            return on_feedback(now, msg)
+        snd.controller.on_feedback = on_feedback
         def revert(now, fid=fid, revert=snd.controller.revert):
             assert handling[0] == reserved[fid]
             reverted.append(fid)
@@ -377,6 +377,50 @@ def test_one_out_of_band_arrival_per_period_reaches_every_started_flow():
         assert {row[3] for row in rows} == {t_arr}
         assert [row[0] for row in rows] == [
             f.flow_id for f in in_ue_order if f.start_us < t_arr]
+
+
+def crowd_settings(seed, duration_s):
+    """64 UEs x 4 nacubic flows at 48 Mbit/s, with the flow starts drawn
+    from the seed as perfbench/workloads.py draws crowd's."""
+    rng = random.Random(seed)
+    starts = ",".join(f"{rng.randrange(1_000_000) / 1e6:.6f}" for _ in range(256))
+    return {"scheme": "nacubic", "trace": "const:48mbps",
+            "duration_s": str(duration_s), "seed": str(seed),
+            "assist.period_us": "20000", "flows.start_s": starts,
+            "flows.ue": ",".join(str(i // 4) for i in range(256))}
+
+
+def test_an_unmoved_flow_due_at_the_arrival_sends_from_the_fan_out():
+    # a digest that moves no decision still lets a flow whose pacer releases
+    # at the arrival instant send there, ahead of its own pacer event
+    sim = Simulation(build_config(None, crowd_settings(1, 1)))
+    unmoved = []
+    for fid, snd in sim.senders.items():
+        def on_feedback(now, msg, fid=fid, on_feedback=snd.controller.on_feedback):
+            moved = on_feedback(now, msg)
+            if not moved:
+                unmoved.append(fid)
+            return moved
+        snd.controller.on_feedback = on_feedback
+    oob_arrive = sim._oob_arrive
+    due = []
+
+    def tracked(now, msg):
+        before = {fid: (snd.sent_segments, snd._gap_us is not None
+                        and snd._next_allowed_us <= now
+                        and snd.in_flight + snd.mtu <= snd.cwnd)
+                  for fid, snd in sim.senders.items()}
+        unmoved.clear()
+        oob_arrive(now, msg)
+        for fid in unmoved:
+            sent, released = before[fid]
+            if released:
+                due.append((now, fid))
+                assert sim.senders[fid].sent_segments > sent
+
+    sim._oob_arrive = tracked
+    sim.run()
+    assert due == [(562_000, 152), (682_000, 82), (782_000, 169), (802_000, 241)]
 
 
 def test_in_band_digest_staged_on_every_ue():
