@@ -38,8 +38,10 @@ from __future__ import annotations
 import bisect
 import enum
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
@@ -111,7 +113,8 @@ class UeQueue:
     A packet is accepted only when its full size fits; the byte conservation
     identity (enqueued = dequeued + occupancy) is re-checked on every
     mutation.  A dropped packet never enters the queue, so it sits outside
-    the identity and is only counted.
+    the identity and is only counted.  Each dequeue appends the packet's
+    queuing delay to ``qdelay_samples_us``, 8 bytes a sample.
     """
 
     ue_id: int
@@ -124,7 +127,7 @@ class UeQueue:
     enqueued_bytes: int = 0
     dequeued_bytes: int = 0
     drop_count: int = 0
-    qdelay_samples_us: list = field(default_factory=list)
+    qdelay_samples_us: array = field(default_factory=partial(array, "q"))
 
     def offer(self, pkt: Packet, now: int) -> bool:
         """Enqueue pkt, or drop it when it does not fit whole."""

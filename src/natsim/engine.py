@@ -61,6 +61,7 @@ import itertools
 import math
 import random
 import statistics
+from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
@@ -120,8 +121,8 @@ class FlowStats:
     drops: int = 0
     fb_count: int = 0
     mode_log: list = field(default_factory=list)
-    # (t_us, size, first_time) per arriving data packet
-    deliveries: list = field(default_factory=list)
+    # arrival time of each data packet (one MTU each); ~t for a duplicate
+    deliveries: array = field(default_factory=partial(array, "q"))
 
 
 @dataclass
@@ -130,8 +131,9 @@ class RunResult:
     trace: str
     duration_us: int
     seed: int
+    mtu: int
     flows: list[FlowStats]
-    qdelay_samples_us: list[int]
+    qdelay_samples_us: array
     event_log: list[tuple]
     feedback_log: list[tuple]
     overhead_kbps: float
@@ -172,15 +174,19 @@ class RunResult:
         return sum(f.drops for f in self.flows)
 
     def flow_goodput_mbps(self, flow_id: int, t0_us: int = 0, t1_us: int | None = None) -> float:
-        """First-delivery rate for one flow over [t0, t1] (Mbit/s)."""
+        """First-delivery rate for one flow over [t0, t1] (Mbit/s).
+
+        A duplicate is stored as a negative time, so no window that starts
+        at or after 0 counts one.
+        """
         if t1_us is None:
             t1_us = self.duration_us
+        if t0_us < 0:
+            raise ValueError("window must start at or after 0")
         if t1_us <= t0_us:
             raise ValueError("window must have positive length")
-        fs = self.flows[flow_id]
-        total = sum(size for (t, size, first) in fs.deliveries
-                    if first and t0_us <= t <= t1_us)
-        return total * 8 / (t1_us - t0_us)
+        n = sum(1 for t in self.flows[flow_id].deliveries if t0_us <= t <= t1_us)
+        return n * self.mtu * 8 / (t1_us - t0_us)
 
     def departures(self) -> list[tuple]:
         """Bottleneck departure log: (t_us, flow, seq, qdelay_us) rows.
@@ -427,18 +433,19 @@ class Simulation:
                 mode_log=list(ctl.mode_log),
                 deliveries=recv.deliveries[spec.flow_id],
             ))
-        qdelay: list[int] = []
-        queue_drops = 0
-        for q in self.link.queues.values():
-            qdelay.extend(q.qdelay_samples_us)
-            queue_drops += q.drop_count
-        if len(self.link.queues) > 1:
-            qdelay.sort()
+        queues = list(self.link.queues.values())
+        queue_drops = sum(q.drop_count for q in queues)
+        if len(queues) == 1:  # the one queue's samples, as they are
+            qdelay = queues[0].qdelay_samples_us
+        else:  # pooled in ascending order
+            qdelay = array("q", sorted(itertools.chain.from_iterable(
+                q.qdelay_samples_us for q in queues)))
         return RunResult(
             scheme=self.cfg.scheme,
             trace=self.cfg.trace,
             duration_us=self.cfg.duration_us,
             seed=self.cfg.seed,
+            mtu=self.cfg.mtu,
             flows=flows,
             qdelay_samples_us=qdelay,
             event_log=self.event_log,

@@ -17,8 +17,10 @@ The sender models a bulk (always-backlogged) flow with MTU-sized segments:
 The receiver keeps a per-flow cumulative/out-of-order reassembly map,
 acks every data packet immediately, and reports how many flows were
 recently active so senders can share capacity fairly.  It decides whether
-a payload is new, so it keeps each flow's ``(t_us, size, first_time)``
-deliveries, which a run's ``FlowStats`` carry.  A segment that
+a payload is new, so it keeps each flow's deliveries, which a run's
+``FlowStats`` carry: one ``array('q')`` entry per arriving data packet, its
+arrival time for new payload and ``~t`` (that is, -t-1, always negative) for a
+duplicate.  Every segment is one MTU, so no size is stored.  A segment that
 arrives in order while nothing is buffered advances the cumulative point
 directly, without passing through the reassembly map.  The sender
 computes its pacing gap when the pacing rate changes, not per segment.
@@ -27,7 +29,9 @@ computes its pacing gap when the pacing rate changes, not per segment.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
+from functools import partial
 from typing import Callable
 
 from .cc import LOSS_DUPACK, LOSS_TIMEOUT, Controller
@@ -254,8 +258,8 @@ class UeReceiver:
         self.delivered_bytes: dict[int, int] = {}  # everything that arrived
         self.unique_bytes: dict[int, int] = {}     # first-time payload only
         self.last_data_us: dict[int, int] = {}
-        # flow -> (t_us, size, first_time) per arriving data packet
-        self.deliveries: defaultdict[int, list] = defaultdict(list)
+        # flow -> arrival time of each data packet; ~t for a duplicate
+        self.deliveries: defaultdict[int, array] = defaultdict(partial(array, "q"))
 
     def expected(self, flow_id: int) -> int:
         return self.cum.get(flow_id, 0)
@@ -294,7 +298,7 @@ class UeReceiver:
         if first:
             self.unique_bytes[fid] = self.unique_bytes.get(fid, 0) + size
         self.cum[fid] = cum
-        self.deliveries[fid].append((now, size, first))
+        self.deliveries[fid].append(now if first else ~now)
 
         # this flow was just stamped active, so the count is at least 1
         beta = self.active_flows(now)

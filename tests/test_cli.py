@@ -240,7 +240,7 @@ def test_event_log_recorded_exactly_when_written(tmp_path, recorded_runs):
     events = read_csv(tmp_path / "logged" / "events.csv")
     assert events[0] == ["time_us", "kind", "flow", "seq", "qdelay_us"]
     deq = [int(row[4]) for row in events[1:] if row[1] == "deq"]
-    assert deq == recorded_runs[1][1].qdelay_samples_us
+    assert deq == list(recorded_runs[1][1].qdelay_samples_us)
 
 
 def test_events_csv_bytes_match_csv_writer(tmp_path, monkeypatch):

@@ -84,7 +84,7 @@ def test_queue_delay_sampled_at_dequeue():
     q = UeQueue(0, capacity_bytes=10_000)
     q.offer(data(), now=5)
     q.pop(now=25)
-    assert q.qdelay_samples_us == [20]
+    assert list(q.qdelay_samples_us) == [20]
 
 
 # -- downlink ----------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_air_loss_drops_after_dequeue():
     assert link.air_drops == 1
     assert link.drops_by_flow[0] == 1
     # the queue-delay sample still exists: the packet did occupy the queue
-    assert link.queue_for(0).qdelay_samples_us == [500]
+    assert list(link.queue_for(0).qdelay_samples_us) == [500]
 
 
 def test_loss_rng_untouched_when_disabled():

@@ -159,9 +159,10 @@ def test_receivers_keep_their_own_deliveries():
     for fs in res.flows:
         recv = sim.receivers[fs.ue_id]
         assert fs.deliveries is recv.deliveries[fs.flow_id]
-        assert sum(size for _, size, _ in fs.deliveries) == fs.delivered_bytes
-        assert sum(size for _, size, first in fs.deliveries
-                   if first) == fs.unique_bytes
+        # one MTU per entry; a duplicate is stored as a negative time
+        assert len(fs.deliveries) * res.mtu == fs.delivered_bytes
+        assert sum(1 for t in fs.deliveries
+                   if t >= 0) * res.mtu == fs.unique_bytes
 
 
 def test_departures_need_a_recorded_log():
@@ -171,7 +172,7 @@ def test_departures_need_a_recorded_log():
         res.departures()
     logged = run_simulation(cfg(duration_s=1.0, log_events=True))
     departures = logged.departures()
-    assert [q for *_, q in departures] == logged.qdelay_samples_us
+    assert [q for *_, q in departures] == list(logged.qdelay_samples_us)
 
 
 def test_feedback_log_and_fb_count():
@@ -468,3 +469,21 @@ def test_goodput_window_helper():
     assert 0 < full <= tail
     with pytest.raises(ValueError):
         res.flow_goodput_mbps(0, 5, 5)
+    # a window reaching below 0 would count duplicates, stored as ~t < 0
+    with pytest.raises(ValueError, match="at or after 0"):
+        res.flow_goodput_mbps(0, -1, 1_000_000)
+
+
+def test_lossy_deliveries_keep_eight_bytes_per_arriving_packet():
+    # cubic fills a deep queue under air loss, and a timeout resends a
+    # segment whose first copy is still queued: both copies arrive
+    res = run_simulation(cfg(scheme="cubic", duration_s=2.0,
+                             queue_capacity_bytes=300_000,
+                             path_kw={"loss_prob": 0.01},
+                             flow_starts_s=(0.0, 0.0, 0.5), flow_ues=(0, 1, 0)))
+    assert any(t < 0 for fs in res.flows for t in fs.deliveries)
+    for fs in res.flows:
+        assert fs.deliveries.itemsize == 8
+        assert len(fs.deliveries) == fs.delivered_bytes // res.mtu
+        assert (res.flow_goodput_mbps(fs.flow_id, 0, res.duration_us)
+                == fs.unique_bytes * 8 / res.duration_us)

@@ -114,8 +114,11 @@ def digest(res, with_event_log: bool = True) -> str:
     h = hashlib.sha256()
     parts = [res.summary_row()]
     parts += [res.event_log] if with_event_log else []
-    parts += [res.feedback_log, res.qdelay_samples_us]
-    parts += [vars(flow) for flow in res.flows]
+    parts += [res.feedback_log, list(res.qdelay_samples_us)]
+    # deliveries expanded to the (t_us, size, first_time) tuples they encode
+    parts += [{**vars(flow), "deliveries": [
+        (t, res.mtu, True) if t >= 0 else (~t, res.mtu, False)
+        for t in flow.deliveries]} for flow in res.flows]
     for part in parts:
         h.update(repr(part).encode())
         h.update(b"\n")

@@ -283,9 +283,9 @@ def test_receiver_cumulative_and_out_of_order():
 def test_receiver_duplicate_counts_throughput_not_goodput():
     recv, acks = make_receiver()
     recv.on_data(seg(0, 0), now=10)
-    assert recv.deliveries[0][-1][2]                # new payload
+    assert recv.deliveries[0][-1] == 10             # new payload: its time
     recv.on_data(seg(0, 0), now=20)
-    assert not recv.deliveries[0][-1][2]            # duplicate
+    assert recv.deliveries[0][-1] == ~20            # duplicate: ~time
     assert recv.delivered_bytes[0] == 3_000
     assert recv.unique_bytes[0] == 1_500
     assert acks[-1][1].cum_ack == 1_500
@@ -338,7 +338,9 @@ def test_receiver_matches_reference_reassembly(arrivals):
     for flow, index, gap in arrivals:
         now += gap
         recv.on_data(seg(flow, index * MTU), now)
-        first = recv.deliveries[flow][-1][2]
+        t = recv.deliveries[flow][-1]
+        first = t >= 0
+        assert (t if first else ~t) == now
 
         seen = received.setdefault(flow, set())
         assert first == (index not in seen)
