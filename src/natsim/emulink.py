@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 
 
 class LinkError(ValueError):
-    """Raised for invalid link operations (unknown UE, wrong packet kind)."""
+    """Raised for invalid link operations and broken queue byte identities."""
 
 
 class PacketKind(enum.Enum):
@@ -110,11 +110,11 @@ class UeQueue:
     registration ``rank``, its receiver's ``deliver`` and the in-band digest
     ``staged`` for its next dequeue (``None`` when there is none).
 
-    A packet is accepted only when its full size fits; the byte conservation
-    identity (enqueued = dequeued + occupancy) is re-checked on every
-    mutation.  A dropped packet never enters the queue, so it sits outside
-    the identity and is only counted.  Each dequeue appends the packet's
-    queuing delay to ``qdelay_samples_us``, 8 bytes a sample.
+    A packet is accepted only when its full size fits.  A dropped packet
+    never enters the queue, so it sits outside the byte identity (enqueued =
+    dequeued + occupancy) and is only counted; ``BtsLink.conservation_ok``
+    checks that identity once, at the end of the run.  Each dequeue appends
+    the packet's queuing delay to ``qdelay_samples_us``, 8 bytes a sample.
     """
 
     ue_id: int
@@ -138,7 +138,6 @@ class UeQueue:
         self.fifo.append(pkt)
         self.occupancy += pkt.size
         self.enqueued_bytes += pkt.size
-        self._audit()
         return True
 
     def pop(self, now: int) -> Packet:
@@ -146,13 +145,7 @@ class UeQueue:
         self.occupancy -= pkt.size
         self.dequeued_bytes += pkt.size
         self.qdelay_samples_us.append(now - pkt.t_enqueued)
-        self._audit()
         return pkt
-
-    def _audit(self) -> None:
-        if not (0 <= self.occupancy <= self.capacity_bytes
-                and self.enqueued_bytes == self.dequeued_bytes + self.occupancy):
-            raise LinkError(f"queue byte identity broken at UE {self.ue_id}")
 
 
 _RANK = attrgetter("rank")
@@ -213,12 +206,11 @@ class BtsLink:
 
     # -- downlink ---------------------------------------------------------
 
-    def send_downlink(self, pkt: Packet, now: int, ue_id: int) -> None:
-        """Launch a data packet toward the UE queue (arrives after the
+    def send_downlink(self, q: UeQueue, pkt: Packet, now: int) -> None:
+        """Launch a data packet toward the UE queue ``q`` (arrives after the
         downlink one-way delay).  Probes never take this path."""
         if pkt.kind is not DATA:
             raise LinkError("send_downlink carries data packets only")
-        q = self.queue_for(ue_id)
         if self._log is not None:
             self._log(now, "snd", pkt.flow_id, pkt.seq)
         self._launch(self._down, (now + self._down_owd_us, self._reserve(),
@@ -345,7 +337,11 @@ class BtsLink:
         return max(0, elapsed - self.served_opportunities)
 
     def conservation_ok(self) -> bool:
+        """Per queue: enqueued = dequeued + occupancy, 0 <= occupancy <=
+        capacity, and occupancy = the bytes in its FIFO."""
         for q in self.queues.values():
-            if q.enqueued_bytes != q.dequeued_bytes + q.occupancy:
+            if not (q.enqueued_bytes == q.dequeued_bytes + q.occupancy
+                    and 0 <= q.occupancy <= q.capacity_bytes
+                    and q.occupancy == sum(p.size for p in q.fifo)):
                 return False
         return True

@@ -11,10 +11,12 @@ Identical configurations therefore replay identically.
 
 The engine is the control plane: it starts flows, emits and applies the
 feedback digests and runs the watchdogs.  Packets move between senders,
-link and receivers, which call each other directly.  The link writes every
-per-packet event-log row through the one sink it is given, the bound
-``_log`` when ``log.events`` is on, else ``None``.  Each receiver keeps
-its own flows' deliveries, which ``_collect`` reads.
+link and receivers, which call each other directly: ``transmit`` is
+``send_downlink`` bound to the UE's queue, and a data packet becomes its
+own ack.  The link writes every per-packet event-log row through its one
+sink, the bound ``_log`` when ``log.events`` is on, else ``None``.
+``_collect`` derives each flow's byte counts from its receiver's
+deliveries, and raises ``LinkError`` if a queue's byte identity broke.
 
 The heap holds only work that is next in line: the next period's feedback
 emit, the first packet on each link leg, the link's one drain event,
@@ -70,7 +72,7 @@ from typing import Callable
 
 from .cc import make_controller
 from .config import SimConfig, resolve_schedule
-from .emulink import BtsLink, Packet
+from .emulink import BtsLink, LinkError, Packet
 from .netassist import FeedbackMsg, NetAssist
 from .transport import Sender, UeReceiver
 
@@ -179,6 +181,8 @@ class RunResult:
         A duplicate is stored as a negative time, so no window that starts
         at or after 0 counts one.
         """
+        if not 0 <= flow_id < len(self.flows):
+            raise ValueError(f"no flow {flow_id}: flows are 0..{len(self.flows) - 1}")
         if t1_us is None:
             t1_us = self.duration_us
         if t0_us < 0:
@@ -294,11 +298,7 @@ class Simulation:
     # -- wiring callbacks -------------------------------------------------------
 
     def _make_transmit(self, ue_id: int):
-        send = self.link.send_downlink
-
-        def transmit(pkt: Packet, now: int) -> None:
-            send(pkt, now, ue_id)
-        return transmit
+        return partial(self.link.send_downlink, self.link.queue_for(ue_id))
 
     def _make_deliver(self, ue_id: int):
         return self.receivers[ue_id].on_data
@@ -413,11 +413,14 @@ class Simulation:
         return self._collect()
 
     def _collect(self) -> RunResult:
+        if not self.link.conservation_ok():
+            raise LinkError("queue byte identity broken")
+        mtu = self.cfg.mtu
         flows = []
         for spec in self.cfg.flows():
             snd = self.senders[spec.flow_id]
             ctl = snd.controller
-            recv = self.receivers[spec.ue_id]
+            deliveries = self.receivers[spec.ue_id].deliveries[spec.flow_id]
             flows.append(FlowStats(
                 flow_id=spec.flow_id,
                 ue_id=spec.ue_id,
@@ -426,12 +429,13 @@ class Simulation:
                 sent_segments=snd.sent_segments,
                 retransmits=snd.retransmits,
                 timeouts=snd.timeouts,
-                delivered_bytes=recv.delivered_bytes.get(spec.flow_id, 0),
-                unique_bytes=recv.unique_bytes.get(spec.flow_id, 0),
+                delivered_bytes=len(deliveries) * mtu,
+                # a list, not a generator: one call, however many entries
+                unique_bytes=sum([t >= 0 for t in deliveries]) * mtu,
                 drops=self.link.drops_by_flow.get(spec.flow_id, 0),
                 fb_count=ctl.fb_count,
                 mode_log=list(ctl.mode_log),
-                deliveries=recv.deliveries[spec.flow_id],
+                deliveries=deliveries,
             ))
         queues = list(self.link.queues.values())
         queue_drops = sum(q.drop_count for q in queues)
@@ -452,7 +456,7 @@ class Simulation:
             feedback_log=self.feedback_log,
             overhead_kbps=self.assist.overhead_kbps(self.cfg.duration_us),
             queue_drops=queue_drops,
-            conservation_ok=self.link.conservation_ok(),
+            conservation_ok=True,  # checked above
         )
 
 

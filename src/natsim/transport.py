@@ -15,12 +15,13 @@ The sender models a bulk (always-backlogged) flow with MTU-sized segments:
   outstanding segment is only its send time, cleared when it is resent.
 
 The receiver keeps a per-flow cumulative/out-of-order reassembly map,
-acks every data packet immediately, and reports how many flows were
-recently active so senders can share capacity fairly.  It decides whether
-a payload is new, so it keeps each flow's deliveries, which a run's
-``FlowStats`` carry: one ``array('q')`` entry per arriving data packet, its
-arrival time for new payload and ``~t`` (that is, -t-1, always negative) for a
-duplicate.  Every segment is one MTU, so no size is stored.  A segment that
+turns every data packet into its ack at once, and reports how many flows
+were recently active so senders can share capacity fairly.  It decides
+whether a payload is new, so it keeps each flow's deliveries, the one
+record of what arrived, from which a run derives its byte counts: one
+``array('q')`` entry per arriving data packet, its arrival time for new
+payload and ``~t`` (that is, -t-1, always negative) for a duplicate.
+Every segment is one MTU, so no size is stored.  A segment that
 arrives in order while nothing is buffered advances the cumulative point
 directly, without passing through the reassembly map.  The sender
 computes its pacing gap when the pacing rate changes, not per segment.
@@ -35,7 +36,7 @@ from functools import partial
 from typing import Callable
 
 from .cc import LOSS_DUPACK, LOSS_TIMEOUT, Controller
-from .emulink import ACK, DATA, UNSET, Packet
+from .emulink import ACK, DATA, Packet
 
 ACK_SIZE = 64
 DUPACK_THRESHOLD = 3
@@ -255,8 +256,6 @@ class UeReceiver:
         self.transmit_ack = transmit_ack
         self.cum: dict[int, int] = {}            # flow -> next expected byte
         self.ooo: dict[int, dict[int, int]] = {}  # flow -> {seq: size}
-        self.delivered_bytes: dict[int, int] = {}  # everything that arrived
-        self.unique_bytes: dict[int, int] = {}     # first-time payload only
         self.last_data_us: dict[int, int] = {}
         # flow -> arrival time of each data packet; ~t for a duplicate
         self.deliveries: defaultdict[int, array] = defaultdict(partial(array, "q"))
@@ -273,11 +272,10 @@ class UeReceiver:
         return n
 
     def on_data(self, pkt: Packet, now: int) -> None:
-        """Integrate, record and ack one data packet."""
+        """Integrate and record one data packet, then send it back as its ack."""
         fid = pkt.flow_id
         seq = pkt.seq
         size = pkt.size
-        self.delivered_bytes[fid] = self.delivered_bytes.get(fid, 0) + size
         self.last_data_us[fid] = now
 
         cum = self.cum.get(fid, 0)
@@ -295,12 +293,12 @@ class UeReceiver:
                 pending[seq] = size
             while cum in pending:
                 cum += pending.pop(cum)
-        if first:
-            self.unique_bytes[fid] = self.unique_bytes.get(fid, 0) + size
         self.cum[fid] = cum
         self.deliveries[fid].append(now if first else ~now)
 
+        pkt.size = ACK_SIZE
+        pkt.kind = ACK
+        pkt.cum_ack = cum
         # this flow was just stamped active, so the count is at least 1
-        beta = self.active_flows(now)
-        self.transmit_ack(Packet(fid, seq, ACK_SIZE, ACK, UNSET, cum, beta,
-                                 pkt.feedback), now)
+        pkt.beta = self.active_flows(now)
+        self.transmit_ack(pkt, now)

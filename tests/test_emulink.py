@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import natsim
+from natsim.config import build_config
 from natsim.emulink import BtsLink, LinkError, Packet, PacketKind, PathConfig, UeQueue
-from natsim.engine import EventLoop
+from natsim.engine import EventLoop, Simulation
 from natsim.trace import synth_constant
 
 
@@ -54,23 +55,28 @@ def test_queue_droptail_and_conservation():
     assert q.enqueued_bytes == q.dequeued_bytes + q.occupancy
 
 
+def small_sim():
+    return Simulation(build_config(None, {"duration_s": "0.5"}))
+
+
 def test_queue_audit_raises_when_byte_identity_breaks():
-    q = UeQueue(4, capacity_bytes=10_000)
-    q.offer(data(), now=0)
-    q.enqueued_bytes += 1
-    with pytest.raises(LinkError, match="byte identity broken at UE 4"):
-        q.pop(now=1)
+    # the identity is checked once, at the end of the run, not per mutation
+    sim = small_sim()
+    sim.link.queue_for(0).enqueued_bytes += 1
+    with pytest.raises(LinkError, match="byte identity broken"):
+        sim.run()
 
 
 def test_queue_audit_survives_optimized_python():
-    # plain asserts vanish under -O; the audit must not
+    # plain asserts vanish under -O; the end-of-run check must not
     code = (
-        "from natsim.emulink import LinkError, Packet, PacketKind, UeQueue\n"
-        "q = UeQueue(0, capacity_bytes=10_000)\n"
-        "q.offer(Packet(0, 0, 1500, PacketKind.DATA), 0)\n"
-        "q.enqueued_bytes += 1\n"
+        "from natsim.config import build_config\n"
+        "from natsim.emulink import LinkError\n"
+        "from natsim.engine import Simulation\n"
+        "sim = Simulation(build_config(None, {'duration_s': '0.5'}))\n"
+        "sim.link.queue_for(0).enqueued_bytes += 1\n"
         "try:\n"
-        "    q.pop(1)\n"
+        "    sim.run()\n"
         "except LinkError:\n"
         "    print('raised', __debug__)\n"
     )
@@ -78,6 +84,23 @@ def test_queue_audit_survives_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == ["raised", "False"]
+
+
+def test_conservation_checks_occupancy_bounds_and_held_bytes():
+    link, loop, _, _ = make_link(capacity=3_000)
+    q = link.queue_for(0)
+    link.send_downlink(q, data(seq=0), now=0)
+    loop.run_until(2_600)                    # enqueued, not yet served
+    assert link.conservation_ok()
+    q.occupancy += 1                         # no longer the bytes it holds
+    q.enqueued_bytes += 1
+    assert not link.conservation_ok()
+    q.occupancy -= 1
+    q.enqueued_bytes -= 1
+    q.fifo.extend([data(seq=1500), data(seq=3000)])
+    q.occupancy += 3_000                     # the bytes it holds, over capacity
+    q.enqueued_bytes += 3_000
+    assert not link.conservation_ok()
 
 
 def test_queue_delay_sampled_at_dequeue():
@@ -91,7 +114,7 @@ def test_queue_delay_sampled_at_dequeue():
 
 def test_downlink_propagation_then_service():
     link, loop, log, delivered = make_link()
-    link.send_downlink(data(seq=0), now=0, ue_id=0)
+    link.send_downlink(link.queue_for(0), data(seq=0), now=0)
     loop.run_until(100_000)
     (t_dlv, pkt), = delivered[0]
     # arrives at queue at 2_500 (one-way delay), served at next opportunity
@@ -105,15 +128,18 @@ def test_downlink_rejects_non_data():
     link, _, _, _ = make_link()
     ack = Packet(flow_id=0, seq=0, size=64, kind=PacketKind.ACK)
     with pytest.raises(LinkError):
-        link.send_downlink(ack, 0, 0)
+        link.send_downlink(link.queue_for(0), ack, 0)
+    # an unknown UE is refused at wiring, before any packet is sent
     with pytest.raises(LinkError, match="unknown UE"):
-        link.send_downlink(data(), 0, ue_id=99)
+        link.queue_for(99)
+    with pytest.raises(LinkError, match="unknown UE"):
+        small_sim()._make_transmit(99)
 
 
 def test_fifo_order_and_backlog_drain():
     link, loop, log, delivered = make_link()
     for i in range(5):
-        link.send_downlink(data(seq=i * 1500), now=0, ue_id=0)
+        link.send_downlink(link.queue_for(0), data(seq=i * 1500), now=0)
     loop.run_until(100_000)
     seqs = [pkt.seq for (_, pkt) in delivered[0]]
     assert seqs == [0, 1500, 3000, 4500, 6000]
@@ -124,7 +150,7 @@ def test_fifo_order_and_backlog_drain():
 def test_droptail_records_drop_rows():
     link, loop, log, delivered = make_link(capacity=3_000)
     for i in range(4):
-        link.send_downlink(data(seq=i * 1500), now=0, ue_id=0)
+        link.send_downlink(link.queue_for(0), data(seq=i * 1500), now=0)
     loop.run_until(50_000)
     drops = [row for row in log if row[1] == "drop"]
     assert len(drops) == 2
@@ -136,8 +162,8 @@ def test_droptail_records_drop_rows():
 def test_round_robin_across_ues():
     link, loop, log, delivered = make_link(ues=(0, 1))
     for i in range(2):
-        link.send_downlink(data(flow=0, seq=i * 1500), now=0, ue_id=0)
-        link.send_downlink(data(flow=1, seq=i * 1500), now=0, ue_id=1)
+        link.send_downlink(link.queue_for(0), data(flow=0, seq=i * 1500), now=0)
+        link.send_downlink(link.queue_for(1), data(flow=1, seq=i * 1500), now=0)
     loop.run_until(50_000)
     order = [(row[2], row[0]) for row in log if row[1] == "deq"]
     flows = [f for (f, _) in order]
@@ -158,7 +184,8 @@ def test_round_robin_matches_a_scan_of_the_registration_order(ues, sends, capaci
     next_seq = dict.fromkeys(ues, 0)
     for t_half_ms, k in sorted(sends):
         ue = ues[k % len(ues)]
-        link.send_downlink(data(flow=ue, seq=next_seq[ue]), now=t_half_ms * 500, ue_id=ue)
+        link.send_downlink(link.queue_for(ue), data(flow=ue, seq=next_seq[ue]),
+                           now=t_half_ms * 500)
         next_seq[ue] += 1500
     loop.run_until(1_000_000)
 
@@ -187,9 +214,9 @@ def test_round_robin_matches_a_scan_of_the_registration_order(ues, sends, capaci
 
 def test_downlink_arrivals_keep_send_order_across_ues():
     link, loop, log, delivered = make_link(ues=(0, 1))
-    link.send_downlink(data(flow=1, seq=0), now=0, ue_id=1)
-    link.send_downlink(data(flow=0, seq=0), now=0, ue_id=0)
-    link.send_downlink(data(flow=1, seq=1500), now=0, ue_id=1)
+    link.send_downlink(link.queue_for(1), data(flow=1, seq=0), now=0)
+    link.send_downlink(link.queue_for(0), data(flow=0, seq=0), now=0)
+    link.send_downlink(link.queue_for(1), data(flow=1, seq=1500), now=0)
     loop.run_until(50_000)
     enq = [(row[0], row[2], row[3]) for row in log if row[1] == "enq"]
     assert enq == [(2_500, 1, 0), (2_500, 0, 0), (2_500, 1, 1500)]
@@ -198,8 +225,8 @@ def test_downlink_arrivals_keep_send_order_across_ues():
 def test_unused_opportunities_are_not_banked():
     link, loop, log, delivered = make_link()
     # Queue joins at t=10.2 ms; the ten earlier opportunities must not burst.
-    link.send_downlink(data(seq=0), now=10_000, ue_id=0)   # enqueued 12_500
-    link.send_downlink(data(seq=1500), now=10_000, ue_id=0)
+    link.send_downlink(link.queue_for(0), data(seq=0), now=10_000)   # enqueued 12_500
+    link.send_downlink(link.queue_for(0), data(seq=1500), now=10_000)
     loop.run_until(100_000)
     times = [t for (t, _) in delivered[0]]
     assert times == [13_000, 14_000]
@@ -209,7 +236,7 @@ def test_unused_opportunities_are_not_banked():
 
 def test_air_loss_drops_after_dequeue():
     link, loop, log, delivered = make_link(loss=1.0)
-    link.send_downlink(data(seq=0), now=0, ue_id=0)
+    link.send_downlink(link.queue_for(0), data(seq=0), now=0)
     loop.run_until(50_000)
     assert delivered[0] == []
     assert link.air_drops == 1
@@ -224,7 +251,7 @@ def test_loss_rng_untouched_when_disabled():
     link, loop, _, _ = make_link()
     link.rng = rng
     for i in range(5):
-        link.send_downlink(data(seq=i * 1500), now=0, ue_id=0)
+        link.send_downlink(link.queue_for(0), data(seq=i * 1500), now=0)
     loop.run_until(50_000)
     assert rng.getstate() == before
 
@@ -233,8 +260,8 @@ def test_loss_rng_untouched_when_disabled():
 
 def test_attach_ib_latest_wins_and_single_use():
     link, loop, _, delivered = make_link()
-    link.send_downlink(data(seq=0), now=0, ue_id=0)
-    link.send_downlink(data(seq=1500), now=0, ue_id=0)
+    link.send_downlink(link.queue_for(0), data(seq=0), now=0)
+    link.send_downlink(link.queue_for(0), data(seq=1500), now=0)
     link.attach_ib(0, "stale")
     link.attach_ib(0, "fresh")
     loop.run_until(50_000)

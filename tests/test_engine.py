@@ -449,6 +449,15 @@ def test_multi_ue_round_robin_split():
     assert g1 == pytest.approx(6.0, rel=0.05)
 
 
+@pytest.mark.parametrize("flow_id", [-1, -2, 2])
+def test_goodput_of_a_flow_outside_the_run_is_refused(flow_id):
+    # a negative index would otherwise read a flow from the end of the list
+    res = run_simulation(cfg(duration_s=0.5,
+                             flow_starts_s=(0.0, 0.0), flow_ues=(0, 1)))
+    with pytest.raises(ValueError, match=f"no flow {flow_id}"):
+        res.flow_goodput_mbps(flow_id)
+
+
 def test_summary_row_schema():
     res = run_simulation(cfg(duration_s=2.0))
     row = res.summary_row()

@@ -276,8 +276,7 @@ def test_receiver_cumulative_and_out_of_order():
     assert acks[-1][1].cum_ack == 0
     recv.on_data(seg(0, 0), now=20)
     assert acks[-1][1].cum_ack == 3_000      # both integrated
-    assert recv.unique_bytes[0] == 3_000
-    assert recv.delivered_bytes[0] == 3_000
+    assert list(recv.deliveries[0]) == [10, 20]   # both new payload
 
 
 def test_receiver_duplicate_counts_throughput_not_goodput():
@@ -286,8 +285,9 @@ def test_receiver_duplicate_counts_throughput_not_goodput():
     assert recv.deliveries[0][-1] == 10             # new payload: its time
     recv.on_data(seg(0, 0), now=20)
     assert recv.deliveries[0][-1] == ~20            # duplicate: ~time
-    assert recv.delivered_bytes[0] == 3_000
-    assert recv.unique_bytes[0] == 1_500
+    deliveries = recv.deliveries[0]
+    assert len(deliveries) * MTU == 3_000                    # throughput
+    assert sum(1 for t in deliveries if t >= 0) * MTU == 1_500  # goodput
     assert acks[-1][1].cum_ack == 1_500
 
 
@@ -317,6 +317,16 @@ def test_receiver_echoes_piggybacked_feedback():
     recv.on_data(seg(0, 1_500), now=6)
     assert acks[0][1].feedback == "digest"
     assert acks[1][1].feedback is None
+
+
+def test_receiver_turns_the_data_packet_into_its_ack():
+    recv, acks = make_receiver()
+    pkt = seg(0, 0, feedback="digest")
+    recv.on_data(pkt, now=5)
+    assert acks[-1][1] is pkt
+    assert (pkt.kind, pkt.size, pkt.cum_ack, pkt.beta) == (PacketKind.ACK, ACK_SIZE,
+                                                           1_500, 1)
+    assert pkt.feedback == "digest"
 
 
 # Arrivals of 1-3 flows' MTU segments in any order, with gaps of up to 1.5 s:
@@ -357,5 +367,6 @@ def test_receiver_matches_reference_reassembly(arrivals):
         assert ack_pkt.beta == sum(1 for t in last_us.values()
                                    if now - t <= ACTIVITY_WINDOW_US)
     assert len(acks) == len(arrivals)
-    assert recv.delivered_bytes == delivered
-    assert recv.unique_bytes == {f: len(seen) * MTU for f, seen in received.items()}
+    assert {f: len(d) * MTU for f, d in recv.deliveries.items()} == delivered
+    assert ({f: sum(1 for t in d if t >= 0) * MTU for f, d in recv.deliveries.items()}
+            == {f: len(seen) * MTU for f, seen in received.items()})
