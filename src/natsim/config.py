@@ -39,6 +39,8 @@ _POSITIVE = ("duration_s", "mtu", "assist.period_us", "assist.probe_interval_us"
 _NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us",
                  "path.uplink_rate_bps", "path.probe_jitter_us",
                  "assist.feedback_size_bytes", "assist.part2_ceiling_us")
+# a window of a million bandwidth-delay products; far above, it overflows a float
+_AT_MOST = {"cc.alpha": 1_000_000}
 
 
 class ConfigError(ValueError):
@@ -116,6 +118,10 @@ class SimConfig:
                 errs.append(f"{key} must be positive")
             elif key in _NON_NEGATIVE and value < 0:
                 errs.append(f"{key} must not be negative")
+            elif key in _AT_MOST and value > _AT_MOST[key]:
+                errs.append(f"{key} must be at most {_AT_MOST[key]:,}")
+        if 0 < self.path.uplink_rate_bps < 1:  # else a serialization delay overflows
+            errs.append("path.uplink_rate_bps must be 0 (ideal) or at least 1 bit/s")
         if self.queue_capacity_bytes < self.mtu:
             errs.append("queue.capacity_bytes must hold at least one MTU packet")
         if not (0.0 <= self.path.loss_prob <= 1.0):

@@ -112,9 +112,9 @@ class UeQueue:
 
     A packet is accepted only when its full size fits.  A dropped packet
     never enters the queue, so it sits outside the byte identity (enqueued =
-    dequeued + occupancy) and is only counted; ``BtsLink.conservation_ok``
-    checks that identity once, at the end of the run.  Each dequeue appends
-    the packet's queuing delay to ``qdelay_samples_us``, 8 bytes a sample.
+    dequeued + occupancy) and is only counted; ``conserved`` checks that
+    identity once, at the end of the run.  Each dequeue appends the packet's
+    queuing delay to ``qdelay_samples_us``, 8 bytes a sample.
     """
 
     ue_id: int
@@ -146,6 +146,13 @@ class UeQueue:
         self.dequeued_bytes += pkt.size
         self.qdelay_samples_us.append(now - pkt.t_enqueued)
         return pkt
+
+    def conserved(self) -> bool:
+        """enqueued = dequeued + occupancy, 0 <= occupancy <= capacity, and
+        occupancy = the bytes in the FIFO (a list: one call, however long)."""
+        return (self.enqueued_bytes == self.dequeued_bytes + self.occupancy
+                and 0 <= self.occupancy <= self.capacity_bytes
+                and self.occupancy == sum([p.size for p in self.fifo]))
 
 
 _RANK = attrgetter("rank")
@@ -337,11 +344,5 @@ class BtsLink:
         return max(0, elapsed - self.served_opportunities)
 
     def conservation_ok(self) -> bool:
-        """Per queue: enqueued = dequeued + occupancy, 0 <= occupancy <=
-        capacity, and occupancy = the bytes in its FIFO."""
-        for q in self.queues.values():
-            if not (q.enqueued_bytes == q.dequeued_bytes + q.occupancy
-                    and 0 <= q.occupancy <= q.capacity_bytes
-                    and q.occupancy == sum(p.size for p in q.fifo)):
-                return False
-        return True
+        """Every queue's byte identity holds (``UeQueue.conserved``)."""
+        return all([q.conserved() for q in self.queues.values()])

@@ -16,7 +16,8 @@ link and receivers, which call each other directly: ``transmit`` is
 own ack.  The link writes every per-packet event-log row through its one
 sink, the bound ``_log`` when ``log.events`` is on, else ``None``.
 ``_collect`` derives each flow's byte counts from its receiver's
-deliveries, and raises ``LinkError`` if a queue's byte identity broke.
+deliveries, and raises ``LinkError`` naming the UE whose queue's byte
+identity broke.
 
 The heap holds only work that is next in line: the next period's feedback
 emit, the first packet on each link leg, the link's one drain event,
@@ -39,16 +40,18 @@ that arrival's first key; one that finds its own arrival still the latest
 reverts one flow and moves to the next flow's key.  Every revert therefore
 runs exactly where it would if each feedback had pushed one check per flow.
 
-Feedback fan-out walks one list of the started senders in the order they
-receive a digest: UE rank, then flow id.  ``_start_flow`` inserts each
-sender as it starts, so the list costs no set-up work and an out-of-band
-arrival touches no flow that has not started.  Each flow counts the
-digest and logs it, but adopts the controller's window and pacing only
-when ``on_feedback`` says the decision may have moved; with one digest
-per period for the whole cell, most applications move nothing.
-``try_send`` still runs for every flow whose window is open, even one
-whose decision did not move: a flow whose pacer releases at the arrival
-instant sends from the fan-out, ahead of its own pacer event, and
+One path applies a digest: ``_handle_feedback`` walks the flows of one
+stream in the order they receive it, then arms the stream's watchdog.
+Out of band, the stream is the list of the started senders in UE rank,
+then flow id order; ``_start_flow`` inserts each sender as it starts, so
+the list costs no set-up work and an arrival touches no flow that has not
+started.  In band, it is the one flow whose ack carried the digest.  Each
+flow counts the digest and logs it, but adopts the controller's window
+and pacing only when ``on_feedback`` says the decision may have moved;
+with one digest per period for the whole cell, most applications move
+nothing.  ``try_send`` still runs for every flow whose window is open,
+even one whose decision did not move: a flow whose pacer releases at the
+arrival instant sends from the fan-out, ahead of its own pacer event, and
 skipping the call would reorder those sends.  Only a closed window, the
 test ``try_send`` makes first, lets the fan-out skip the call.
 
@@ -68,7 +71,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Sequence
 
 from .cc import make_controller
 from .config import SimConfig, resolve_schedule
@@ -140,7 +143,6 @@ class RunResult:
     feedback_log: list[tuple]
     overhead_kbps: float
     queue_drops: int
-    conservation_ok: bool
 
     # -- aggregate metrics ---------------------------------------------------
 
@@ -311,11 +313,11 @@ class Simulation:
     def _on_ack_arrival(self, now: int, pkt: Packet) -> None:
         sender = self.senders[pkt.flow_id]
         sender.process_ack(pkt, now)
-        if pkt.feedback is not None:
-            keys: list[tuple[int, int]] = []
-            self._handle_feedback(pkt.flow_id, pkt.feedback, now, keys)
-            self._arm_watchdog(pkt.flow_id, now, keys)
-        sender.try_send(now)
+        if pkt.feedback is None:
+            sender.try_send(now)
+        else:  # an in-band digest is a stream of one flow; no rank is read
+            self._handle_feedback(now, pkt.feedback, pkt.flow_id,
+                                  ((0, pkt.flow_id, sender),))
 
     def _emit_feedback(self, now: int) -> None:
         nxt = now + self.cfg.assist.period_us
@@ -332,13 +334,19 @@ class Simulation:
                 self.link.attach_ib(ue, msg)
 
     def _oob_arrive(self, now: int, msg: FeedbackMsg) -> None:
-        """Hand one period's digest to every started flow, UE by UE; the
-        per-flow steps are ``_handle_feedback``'s, then ``try_send``."""
+        self._handle_feedback(now, msg, OOB_STREAM, self._started)
+
+    def _handle_feedback(self, now: int, msg: FeedbackMsg, stream,
+                         flows: Sequence[tuple[int, int, Sender]]) -> None:
+        """Apply one digest to ``flows``, ``(rank, flow, sender)`` entries in
+        the order they receive it, then make this arrival the stream's latest:
+        push a check unless one is already on the heap (it moves itself when
+        it fires)."""
         keys: list[tuple[int, int]] = []
         reserve = self.loop.reserve
         log = self.feedback_log.append
         seq, t_emitted, bl_bw, min_rtt = msg.seq, msg.t_emitted, msg.bl_bw, msg.min_rtt
-        for _, fid, sender in self._started:
+        for _, fid, sender in flows:
             ctl = sender.controller
             moved = ctl.on_feedback(now, msg)
             log((fid, seq, t_emitted, now, bl_bw, min_rtt))
@@ -349,25 +357,6 @@ class Simulation:
             # try_send's own window test: a closed window sends nothing
             if sender.next_seq - sender.cum_acked + sender.mtu <= sender.cwnd:
                 sender.try_send(now)
-        self._arm_watchdog(OOB_STREAM, now, keys)
-
-    def _handle_feedback(self, flow_id: int, msg: FeedbackMsg, now: int,
-                         keys: list[tuple[int, int]]) -> None:
-        """Apply one digest to one flow; a flow with a watchdog appends the
-        tick its revert would run at to its stream's ``keys``."""
-        sender = self.senders[flow_id]
-        ctl = sender.controller
-        moved = ctl.on_feedback(now, msg)
-        self.feedback_log.append(
-            (flow_id, msg.seq, msg.t_emitted, now, msg.bl_bw, msg.min_rtt))
-        if moved:
-            sender.apply_decision()
-        if ctl.uses_watchdog:
-            keys.append((self.loop.reserve(), flow_id))
-
-    def _arm_watchdog(self, stream, now: int, keys: list[tuple[int, int]]) -> None:
-        """Make ``keys`` the stream's latest arrival; push a check unless one
-        is already on the heap (it moves itself when it fires)."""
         if not keys:
             return
         deadline = now + WATCHDOG_PERIODS * self.cfg.assist.period_us
@@ -413,8 +402,9 @@ class Simulation:
         return self._collect()
 
     def _collect(self) -> RunResult:
-        if not self.link.conservation_ok():
-            raise LinkError("queue byte identity broken")
+        for q in self.link.queues.values():
+            if not q.conserved():
+                raise LinkError(f"queue byte identity broken at UE {q.ue_id}")
         mtu = self.cfg.mtu
         flows = []
         for spec in self.cfg.flows():
@@ -456,7 +446,6 @@ class Simulation:
             feedback_log=self.feedback_log,
             overhead_kbps=self.assist.overhead_kbps(self.cfg.duration_us),
             queue_drops=queue_drops,
-            conservation_ok=True,  # checked above
         )
 
 

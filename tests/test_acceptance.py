@@ -20,7 +20,7 @@ from natsim.cc import (
 from natsim.cli import main as cli_main
 from natsim.config import SimConfig
 from natsim.emulink import PathConfig
-from natsim.engine import percentile, run_simulation
+from natsim.engine import Simulation, percentile
 from natsim.netassist import FeedbackMsg, NetAssist, NetAssistConfig
 from natsim.trace import synth_constant
 
@@ -37,8 +37,9 @@ def simulate(label: str, **kw) -> "RunResult":
     cfg = SimConfig(**kw)
     for key, value in assist_kw.items():
         setattr(cfg.assist, key, value)
-    result = run_simulation(cfg)
-    AUDITS.append((label, result.conservation_ok))
+    sim = Simulation(cfg)
+    result = sim.run()
+    AUDITS.append((label, sim.link.conservation_ok()))
     return result
 
 

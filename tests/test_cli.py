@@ -142,6 +142,17 @@ def test_sub_microsecond_spacing_exits_at_set_up(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("setting,key", [
+    ("cc.alpha=1e300", "cc.alpha"),               # the feedback window overflowed
+    ("path.uplink_rate_bps=1e-299", "path.uplink_rate_bps"),  # the serialization delay did
+])
+def test_overflowing_value_exits_at_validation(tmp_path, capsys, setting, key):
+    rc = main(["run", "--duration", "1", "--set", setting, "-o", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_section_exit_code(tmp_path):
     # a [section] line would otherwise drop every key after it
     path = tmp_path / "run.ini"

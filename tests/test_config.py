@@ -130,6 +130,9 @@ def test_readme_documents_every_key_and_its_default():
     ("assist.feedback_size_bytes", "-64"),
     ("assist.part2_ceiling_us", "-5000"),
     ("cc.tg_horizon_us", "0"),
+    ("cc.alpha", "1e300"),
+    ("path.uplink_rate_bps", "1e-299"),
+    ("path.uplink_rate_bps", "0.5"),
 ])
 def test_validation_rejects(key, raw):
     cfg = apply_settings(SimConfig(), {key: raw})
@@ -141,9 +144,11 @@ def test_validation_rejects(key, raw):
 @pytest.mark.parametrize("key,raw,message", [
     *((key, "0", "must be positive") for key in config._POSITIVE),
     *((key, "-1", "must not be negative") for key in config._NON_NEGATIVE),
+    *((key, repr(high * 2), f"must be at most {high:,}")
+      for key, high in config._AT_MOST.items()),
 ])
 def test_validation_bound_names_the_key(key, raw, message):
-    # a misspelt name in _POSITIVE or _NON_NEGATIVE would drop its bound
+    # a misspelt name in _POSITIVE, _NON_NEGATIVE or _AT_MOST would drop its bound
     assert key in config._SETTINGS
     cfg = apply_settings(SimConfig(), {key: raw})
     assert f"{key} {message}" in cfg.validate()
@@ -152,6 +157,12 @@ def test_validation_bound_names_the_key(key, raw, message):
 def test_validation_accepts_zero_delays():
     cfg = apply_settings(SimConfig(), {
         "path.down_owd_us": "0", "path.up_owd_us": "0", "path.oob_delay_us": "0"})
+    assert cfg.validate() == []
+
+
+def test_validation_accepts_the_edges_of_the_upper_bounds():
+    cfg = apply_settings(SimConfig(), {
+        "cc.alpha": repr(config._AT_MOST["cc.alpha"]), "path.uplink_rate_bps": "1"})
     assert cfg.validate() == []
 
 

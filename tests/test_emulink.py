@@ -59,11 +59,15 @@ def small_sim():
     return Simulation(build_config(None, {"duration_s": "0.5"}))
 
 
+TWO_UES = {"duration_s": "0.5", "flows.start_s": "0, 0", "flows.ue": "3, 7"}
+
+
 def test_queue_audit_raises_when_byte_identity_breaks():
-    # the identity is checked once, at the end of the run, not per mutation
-    sim = small_sim()
-    sim.link.queue_for(0).enqueued_bytes += 1
-    with pytest.raises(LinkError, match="byte identity broken"):
+    # the identity is checked once, at the end of the run, not per mutation;
+    # the error names the UE whose queue broke
+    sim = Simulation(build_config(None, TWO_UES))
+    sim.link.queue_for(7).enqueued_bytes += 1
+    with pytest.raises(LinkError, match="byte identity broken at UE 7$"):
         sim.run()
 
 
@@ -73,17 +77,17 @@ def test_queue_audit_survives_optimized_python():
         "from natsim.config import build_config\n"
         "from natsim.emulink import LinkError\n"
         "from natsim.engine import Simulation\n"
-        "sim = Simulation(build_config(None, {'duration_s': '0.5'}))\n"
-        "sim.link.queue_for(0).enqueued_bytes += 1\n"
+        f"sim = Simulation(build_config(None, {TWO_UES!r}))\n"
+        "sim.link.queue_for(7).enqueued_bytes += 1\n"
         "try:\n"
         "    sim.run()\n"
-        "except LinkError:\n"
-        "    print('raised', __debug__)\n"
+        "except LinkError as exc:\n"
+        "    print('raised', __debug__, exc)\n"
     )
     src = str(Path(natsim.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["raised", "False"]
+    assert out.stdout.strip() == "raised False queue byte identity broken at UE 7"
 
 
 def test_conservation_checks_occupancy_bounds_and_held_bytes():

@@ -5,8 +5,11 @@ import random
 from heapq import heappop
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natsim import engine
+from natsim.cc import SCHEMES
 from natsim.config import SimConfig, build_config
 from natsim.engine import (
     WATCHDOG_PERIODS,
@@ -115,8 +118,9 @@ def test_different_seed_changes_loss_pattern():
 
 
 def test_conservation_and_counters_line_up():
-    res = run_simulation(cfg(scheme="cubic", duration_s=10.0, log_events=True))
-    assert res.conservation_ok
+    sim = Simulation(cfg(scheme="cubic", duration_s=10.0, log_events=True))
+    res = sim.run()
+    assert sim.link.conservation_ok()
     assert res.queue_drops > 0                      # cubic overfills droptail
     n_deq = sum(1 for row in res.event_log if row[1] == "deq")
     n_dlv = sum(1 for row in res.event_log if row[1] == "dlv")
@@ -129,6 +133,41 @@ def test_conservation_and_counters_line_up():
     assert n_snd >= n_enq + n_tail                  # in-flight at cutoff
     delivered = sum(f.delivered_bytes for f in res.flows)
     assert delivered == n_dlv * 1500
+
+
+@st.composite
+def small_runs(draw):
+    """Small valid run settings: every scheme and feedback mode, loss, queues
+    down to one packet, and 1-6 staggered flows over up to 4 UEs."""
+    n = draw(st.integers(1, 6))
+    starts = draw(st.lists(st.integers(0, 90), min_size=n, max_size=n))
+    ues = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return {
+        "scheme": draw(st.sampled_from(SCHEMES)),
+        "assist.mode": draw(st.sampled_from(("oob", "ib"))),
+        "trace": draw(st.sampled_from(("const:12mbps", "step:24mbps@200ms,6mbps@200ms",
+                                       "walk:4mbps-24mbps@100ms"))),
+        "path.loss_prob": draw(st.sampled_from(("0", "0.01", "0.05"))),
+        "queue.capacity_bytes": draw(st.sampled_from(("1500", "150000"))),
+        "seed": str(draw(st.integers(1, 1000))),
+        "duration_s": "1",
+        "flows.start_s": ",".join(f"{t / 100}" for t in starts),
+        "flows.ue": ",".join(map(str, ues)),
+    }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_runs())
+def test_valid_small_runs_finish_within_capacity_and_replay(run_settings):
+    sim = Simulation(build_config(None, run_settings))
+    res = sim.run()
+    assert sim.link.conservation_ok()
+    capacity = sim.schedule.capacity_bits(0, res.duration_us + 1)
+    assert sum(f.unique_bytes for f in res.flows) * 8 <= capacity
+    again = run_simulation(build_config(None, run_settings))
+    assert again.summary_row() == res.summary_row()
+    assert again.feedback_log == res.feedback_log
+    assert [f.deliveries for f in again.flows] == [f.deliveries for f in res.flows]
 
 
 def test_link_is_the_one_writer_of_the_event_log():
