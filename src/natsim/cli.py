@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .cc import SCHEMES
 from .config import ConfigError, SimConfig, build_config
+from .emulink import EVENT_KINDS
 from .engine import SUMMARY_COLUMNS, run_simulation
 from .trace import TraceError
 
@@ -155,12 +156,14 @@ def cmd_run(args) -> int:
     write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [summary])
     if args.events_csv:
         # the rows csv.writer would write (no cell needs quoting), one
-        # line at a time: the log is the largest output a run makes
+        # line at a time, five values of the packed log a row: the log is
+        # the largest output a run makes
+        it = iter(result.events)
         with open(outdir / args.events_csv, "w", newline="") as fh:
             fh.write("time_us,kind,flow,seq,qdelay_us\r\n")
             fh.writelines(
-                f"{t},{kind},{flow},{seq},{qdelay if qdelay >= 0 else ''}\r\n"
-                for t, kind, flow, seq, qdelay in result.event_log)
+                f"{t},{EVENT_KINDS[k]},{flow},{seq},{qdelay if qdelay >= 0 else ''}\r\n"
+                for t, k, flow, seq, qdelay in zip(it, it, it, it, it))
     if args.feedback_csv:
         with open(outdir / args.feedback_csv, "w", newline="") as fh:
             writer = csv.writer(fh)

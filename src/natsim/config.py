@@ -39,8 +39,10 @@ _POSITIVE = ("duration_s", "mtu", "assist.period_us", "assist.probe_interval_us"
 _NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us",
                  "path.uplink_rate_bps", "path.probe_jitter_us",
                  "assist.feedback_size_bytes", "assist.part2_ceiling_us")
-# a window of a million bandwidth-delay products; far above, it overflows a float
-_AT_MOST = {"cc.alpha": 1_000_000}
+# cc.alpha: a window of a million bandwidth-delay products; far above, it
+# overflows a float.  assist.feedback_size_bytes: a megabyte digest, far above
+# any real one; far above, its serialization delay overflows a float
+_AT_MOST = {"cc.alpha": 1_000_000, "assist.feedback_size_bytes": 1_000_000}
 
 
 class ConfigError(ValueError):
@@ -74,7 +76,7 @@ class SimConfig:
     tg_horizon_us: int = _key("cc.tg_horizon_us", 10_000_000)
     flow_starts_s: tuple[float, ...] = _key("flows.start_s", (0.0,))
     flow_ues: tuple[int, ...] = _key("flows.ue", (0,))
-    # record the per-packet event log (RunResult.event_log); off, it stays empty
+    # record the per-packet event log (RunResult.events); off, it stays empty
     log_events: bool = _key("log.events", False)
     path: PathConfig = field(default_factory=PathConfig)
     assist: NetAssistConfig = field(default_factory=NetAssistConfig)

@@ -24,6 +24,10 @@ The link sees every packet, so it writes every per-packet event-log row
 through its one sink (``None`` when no log is kept): ``snd`` on send,
 ``enq`` or ``drop`` at the UE queue, ``deq`` at service, ``airdrop`` or
 ``dlv`` just before the receiver's ``deliver(pkt, now)``, and ``ack``.
+A row is packed as it happens into 40 bytes, five int64s: the time, the
+kind's index in ``EVENT_KINDS``, the flow, the seq (the cumulative ack on
+an ``ack`` row) and the queuing delay, ``-1`` on every row but ``deq``.
+The sink takes the packed bytes, so a row costs no Python frame.
 
 ``BtsLink`` reads its ``PathConfig`` once: the downlink delay, loss
 probability and probe jitter at construction, and the uplink delay of each
@@ -38,6 +42,7 @@ from __future__ import annotations
 import bisect
 import enum
 import random
+import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -65,6 +70,12 @@ ACK = PacketKind.ACK
 
 
 UNSET = -1
+
+# event-log row kinds; a row stores the kind's index
+EVENT_KINDS = ("snd", "enq", "drop", "deq", "airdrop", "dlv", "ack")
+_SND, _ENQ, _DROP, _DEQ, _AIRDROP, _DLV, _ACK = range(len(EVENT_KINDS))
+# one row, (t_us, kind, flow, seq, qdelay_us), as five int64s
+_ROW = struct.Struct("5q").pack
 
 
 @dataclass(slots=True)
@@ -167,7 +178,7 @@ class BtsLink:
         path: PathConfig,
         rng: random.Random,
         loop: EventLoop,
-        log: Callable | None = None,
+        log: Callable[[bytes], None] | None = None,
     ) -> None:
         self.schedule = schedule
         self.path = path
@@ -182,7 +193,7 @@ class BtsLink:
         # the first of which is on the event heap
         self._down: deque = deque()
         self._up: deque = deque()
-        self._log = log   # event-log sink; None when the run records no log
+        self._log = log   # takes one packed row; None when the run records no log
         self.queues: dict[int, UeQueue] = {}
         self._backlog: list[UeQueue] = []   # queues holding a packet, by rank
         self._rr_next = 0          # lowest rank the next service may pick
@@ -219,7 +230,7 @@ class BtsLink:
         if pkt.kind is not DATA:
             raise LinkError("send_downlink carries data packets only")
         if self._log is not None:
-            self._log(now, "snd", pkt.flow_id, pkt.seq)
+            self._log(_ROW(now, _SND, pkt.flow_id, pkt.seq, -1))
         self._launch(self._down, (now + self._down_owd_us, self._reserve(),
                                   self._arrive, (pkt, q)))
 
@@ -241,7 +252,7 @@ class BtsLink:
             self._push(down[0])
         if q.offer(pkt, now):
             if self._log is not None:
-                self._log(now, "enq", pkt.flow_id, pkt.seq)
+                self._log(_ROW(now, _ENQ, pkt.flow_id, pkt.seq, -1))
             if len(q.fifo) == 1:
                 bisect.insort(self._backlog, q, key=_RANK)
                 if len(self._backlog) == 1:
@@ -249,7 +260,7 @@ class BtsLink:
         else:
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             if self._log is not None:
-                self._log(now, "drop", pkt.flow_id, pkt.seq)
+                self._log(_ROW(now, _DROP, pkt.flow_id, pkt.seq, -1))
 
     def _start_drain(self, now: int) -> None:
         """Schedule the first unserved opportunity at or after ``now``."""
@@ -273,7 +284,8 @@ class BtsLink:
         if not q.fifo:
             del backlog[i]
         if self._log is not None:
-            self._log(now, "deq", pkt.flow_id, pkt.seq, now - pkt.t_enqueued)
+            self._log(_ROW(now, _DEQ, pkt.flow_id, pkt.seq,
+                           now - pkt.t_enqueued))
         if q.staged is not None:
             pkt.feedback = q.staged
             q.staged = None
@@ -281,10 +293,10 @@ class BtsLink:
             self.air_drops += 1
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             if self._log is not None:
-                self._log(now, "airdrop", pkt.flow_id, pkt.seq)
+                self._log(_ROW(now, _AIRDROP, pkt.flow_id, pkt.seq, -1))
         else:  # zero residual radio-leg delay
             if self._log is not None:
-                self._log(now, "dlv", pkt.flow_id, pkt.seq)
+                self._log(_ROW(now, _DLV, pkt.flow_id, pkt.seq, -1))
             q.deliver(pkt, now)
         if backlog:
             self._start_drain(now)
@@ -319,7 +331,7 @@ class BtsLink:
         if up:
             self._push(up[0])
         if self._log is not None:
-            self._log(now, "ack", pkt.flow_id, pkt.cum_ack)
+            self._log(_ROW(now, _ACK, pkt.flow_id, pkt.cum_ack, -1))
         arrive(now, pkt)
 
     # -- probes -----------------------------------------------------------

@@ -14,7 +14,9 @@ feedback digests and runs the watchdogs.  Packets move between senders,
 link and receivers, which call each other directly: ``transmit`` is
 ``send_downlink`` bound to the UE's queue, and a data packet becomes its
 own ack.  The link writes every per-packet event-log row through its one
-sink, the bound ``_log`` when ``log.events`` is on, else ``None``.
+sink, ``events.frombytes`` when ``log.events`` is on, else ``None``: each
+row lands in the ``array('q')`` ``events`` as five int64s, 40 bytes, with
+no Python frame (see ``emulink``).
 ``_collect`` derives each flow's byte counts from its receiver's
 deliveries, and raises ``LinkError`` naming the UE whose queue's byte
 identity broke.
@@ -75,13 +77,14 @@ from typing import Callable, Sequence
 
 from .cc import make_controller
 from .config import SimConfig, resolve_schedule
-from .emulink import BtsLink, LinkError, Packet
+from .emulink import EVENT_KINDS, BtsLink, LinkError, Packet
 from .netassist import FeedbackMsg, NetAssist
 from .transport import Sender, UeReceiver
 
 WATCHDOG_PERIODS = 3   # feedback silence tolerated before reverting
 OOB_STREAM = "oob"     # key of the out-of-band watchdog stream; in band, the flow id
 EMIT_TICK = -1         # tie-break of every feedback emit: first at its instant
+_DEQ = EVENT_KINDS.index("deq")
 
 
 class EventLoop:
@@ -139,7 +142,9 @@ class RunResult:
     mtu: int
     flows: list[FlowStats]
     qdelay_samples_us: array
-    event_log: list[tuple]
+    # the event log, five int64s a row: t_us, kind (an index into
+    # EVENT_KINDS), flow, seq and qdelay_us (-1 on every row but deq)
+    events: array
     feedback_log: list[tuple]
     overhead_kbps: float
     queue_drops: int
@@ -194,17 +199,27 @@ class RunResult:
         n = sum(1 for t in self.flows[flow_id].deliveries if t0_us <= t <= t1_us)
         return n * self.mtu * 8 / (t1_us - t0_us)
 
+    @property
+    def event_log(self) -> list[tuple]:
+        """The event log as ``(t_us, kind, flow, seq, qdelay_us)`` tuples,
+        ``kind`` a name from ``EVENT_KINDS``; decoded anew on every read."""
+        kinds = EVENT_KINDS
+        it = iter(self.events)
+        return [(t, kinds[k], fl, seq, q)
+                for t, k, fl, seq, q in zip(it, it, it, it, it)]
+
     def departures(self) -> list[tuple]:
         """Bottleneck departure log: (t_us, flow, seq, qdelay_us) rows.
 
         Every run sends at least one packet, so an empty event log means the
         run did not record it (``log.events`` off).
         """
-        if not self.event_log:
+        if not self.events:
             raise ValueError("the run did not record its event log; "
                              "set log.events to read departures")
-        return [(t, fl, seq, q) for (t, kind, fl, seq, q) in self.event_log
-                if kind == "deq"]
+        it = iter(self.events)
+        return [(t, fl, seq, q) for t, k, fl, seq, q in zip(it, it, it, it, it)
+                if k == _DEQ]
 
     def summary_row(self) -> dict:
         # each statistic once: the two powers reuse the throughput and delays
@@ -263,12 +278,12 @@ class Simulation:
         self.schedule = resolve_schedule(cfg)
         self.loop = EventLoop()
         self.rng = random.Random(cfg.seed)
-        self.event_log: list[tuple] = []
+        self.events = array("q")
         self.feedback_log: list[tuple] = []
 
-        # the link writes every event-log row, through _log when it is on
+        # the link packs every event-log row straight into events when it is on
         self.link = BtsLink(self.schedule, cfg.path, self.rng, self.loop,
-                            self._log if cfg.log_events else None)
+                            self.events.frombytes if cfg.log_events else None)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
         # (UE rank, flow, sender) of every started flow, in fan-out order
@@ -294,8 +309,10 @@ class Simulation:
 
     # -- logging --------------------------------------------------------------
 
-    def _log(self, t_us: int, kind: str, flow, seq: int, qdelay_us: int = -1) -> None:
-        self.event_log.append((t_us, kind, flow, seq, qdelay_us))
+    def _log(self, row: bytes) -> None:
+        """Append one packed row.  The link's sink is ``events.frombytes``
+        itself, so no row passes here; ``perfbench/spans.py`` names it."""
+        self.events.frombytes(row)
 
     # -- wiring callbacks -------------------------------------------------------
 
@@ -442,7 +459,7 @@ class Simulation:
             mtu=self.cfg.mtu,
             flows=flows,
             qdelay_samples_us=qdelay,
-            event_log=self.event_log,
+            events=self.events,
             feedback_log=self.feedback_log,
             overhead_kbps=self.assist.overhead_kbps(self.cfg.duration_us),
             queue_drops=queue_drops,

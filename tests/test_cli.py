@@ -2,6 +2,7 @@
 
 import csv
 import math
+from array import array
 
 import pytest
 
@@ -15,6 +16,7 @@ from natsim.cli import (
     parse_set_pairs,
 )
 from natsim.config import ConfigError, SimConfig, build_config, parse_config_text
+from natsim.emulink import EVENT_KINDS
 
 
 def read_csv(path):
@@ -145,6 +147,9 @@ def test_sub_microsecond_spacing_exits_at_set_up(tmp_path, capsys, args):
 @pytest.mark.parametrize("setting,key", [
     ("cc.alpha=1e300", "cc.alpha"),               # the feedback window overflowed
     ("path.uplink_rate_bps=1e-299", "path.uplink_rate_bps"),  # the serialization delay did
+    # the feedback's serialization delay did too
+    pytest.param("assist.feedback_size_bytes=" + "9" * 320,
+                 "assist.feedback_size_bytes", id="assist.feedback_size_bytes=320 nines"),
 ])
 def test_overflowing_value_exits_at_validation(tmp_path, capsys, setting, key):
     rc = main(["run", "--duration", "1", "--set", setting, "-o", str(tmp_path)])
@@ -265,7 +270,9 @@ def test_events_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
 
     def logged(cfg):
         result = real(cfg)
-        result.event_log = log
+        result.events = array("q", [
+            v for t, kind, flow, seq, qdelay in log
+            for v in (t, EVENT_KINDS.index(kind), flow, seq, qdelay)])
         return result
 
     monkeypatch.setattr(cli, "run_simulation", logged)

@@ -131,6 +131,8 @@ def test_readme_documents_every_key_and_its_default():
     ("assist.part2_ceiling_us", "-5000"),
     ("cc.tg_horizon_us", "0"),
     ("cc.alpha", "1e300"),
+    pytest.param("assist.feedback_size_bytes", "9" * 320,
+                 id="assist.feedback_size_bytes-320 nines"),
     ("path.uplink_rate_bps", "1e-299"),
     ("path.uplink_rate_bps", "0.5"),
 ])
@@ -162,7 +164,8 @@ def test_validation_accepts_zero_delays():
 
 def test_validation_accepts_the_edges_of_the_upper_bounds():
     cfg = apply_settings(SimConfig(), {
-        "cc.alpha": repr(config._AT_MOST["cc.alpha"]), "path.uplink_rate_bps": "1"})
+        **{key: repr(high) for key, high in config._AT_MOST.items()},
+        "path.uplink_rate_bps": "1"})
     assert cfg.validate() == []
 
 

@@ -2,6 +2,7 @@
 
 import os
 import random
+import struct
 import subprocess
 import sys
 from collections import deque
@@ -13,13 +14,21 @@ from hypothesis import strategies as st
 
 import natsim
 from natsim.config import build_config
-from natsim.emulink import BtsLink, LinkError, Packet, PacketKind, PathConfig, UeQueue
+from natsim.emulink import (
+    EVENT_KINDS, BtsLink, LinkError, Packet, PacketKind, PathConfig, UeQueue,
+)
 from natsim.engine import EventLoop, Simulation
 from natsim.trace import synth_constant
 
 
 def data(flow=0, seq=0, size=1500):
     return Packet(flow_id=flow, seq=seq, size=size, kind=PacketKind.DATA)
+
+
+def unpack_row(row: bytes) -> tuple:
+    """One packed event-log row as (t_us, kind, flow, seq, qdelay_us)."""
+    t, kind, flow, seq, qdelay = struct.unpack("5q", row)
+    return t, EVENT_KINDS[kind], flow, seq, qdelay
 
 
 def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
@@ -32,7 +41,7 @@ def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
         path,
         random.Random(seed),
         loop,
-        lambda *row: log.append(row),
+        lambda row: log.append(unpack_row(row)),
     )
     delivered = {ue: [] for ue in ues}
     for ue in ues:

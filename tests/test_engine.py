@@ -178,16 +178,17 @@ def test_link_is_the_one_writer_of_the_event_log():
                          assist=NetAssistConfig(mode="ib"),
                          flow_starts_s=(0.0, 0.0), flow_ues=(0, 1)))
     sink = sim.link._log
+    assert sink == sim.events.frombytes
     passed = []
 
-    def wrapped(*row):
-        sink(*row)
-        passed.append(sim.event_log[-1])
+    def wrapped(row):
+        sink(row)
+        passed.append(row)
 
     sim.link._log = wrapped
     res = sim.run()
-    assert res.event_log == passed
-    assert {row[1] for row in passed} == {
+    assert res.events.tobytes() == b"".join(passed)
+    assert {row[1] for row in res.event_log} == {
         "snd", "enq", "drop", "deq", "airdrop", "dlv", "ack"}
 
 
@@ -212,6 +213,22 @@ def test_departures_need_a_recorded_log():
     logged = run_simulation(cfg(duration_s=1.0, log_events=True))
     departures = logged.departures()
     assert [q for *_, q in departures] == list(logged.qdelay_samples_us)
+
+
+def test_event_log_row_is_five_int64s():
+    # every row kind but drop, with air loss; 40 bytes a row, not a tuple
+    res = run_simulation(cfg(duration_s=1.0, log_events=True,
+                             path_kw={"loss_prob": 0.02}))
+    log = res.event_log
+    assert res.events.typecode == "q" and res.events.itemsize == 8
+    assert len(res.events) == 5 * len(log)
+    assert {row[1] for row in log} >= {"snd", "enq", "deq", "airdrop", "dlv", "ack"}
+    assert res.departures() == [(t, fl, seq, q) for t, kind, fl, seq, q in log
+                                if kind == "deq"]
+    # decoded anew on every read
+    assert res.event_log == log and res.event_log is not log
+    unlogged = run_simulation(cfg(duration_s=1.0))
+    assert unlogged.events.typecode == "q" and len(unlogged.events) == 0
 
 
 def test_feedback_log_and_fb_count():
