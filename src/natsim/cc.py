@@ -24,17 +24,17 @@ class-level choices, both off for natcp:
            min-RTT is the minimum of the sender's own ack RTT samples over
            ``horizon_us``; no beta term, no watchdog, no mode log.
 
-Every controller exposes ``cwnd`` (bytes) and ``pacing_bps`` (None = unpaced);
-the transport applies them after each callback.
+The controller is the one home of the decision: ``cwnd`` (bytes),
+``pacing_bps`` (None = unpaced) and ``gap_us``, the pacing gap of one MTU
+packet, which setting ``pacing_bps`` computes.  The sender keeps no copy;
+it reads ``cwnd`` and ``gap_us`` each time it tests whether it may send.
 
-``on_feedback`` counts every digest and returns whether the decision may
-have moved, so the caller adopts ``cwnd`` and ``pacing_bps`` only then.
-natcp and nacubic recompute only when a digest can move the decision:
-while assisted, a digest whose ``bl_bw`` and ``min_rtt`` equal the applied
-ones is skipped and returns False, since every ack, loss and revert that
-changes another input already ends in ``_apply``.  Cubic returns False.
-tg recomputes on every digest and returns True, because its ``_apply``
-ages the RTT samples by ``now``.
+``on_feedback`` counts every digest.  natcp and nacubic recompute only
+when a digest can move the decision: while assisted, a digest whose
+``bl_bw`` and ``min_rtt`` equal the applied ones is skipped, since every
+ack, loss and revert that changes another input already ends in
+``_apply``.  Cubic only counts them.  tg recomputes on every digest,
+because its ``_apply`` ages the RTT samples by ``now``.
 
 The assisted core caches the feedback window and sets the pacing rate
 with it; both depend only on beta, min-RTT and ``bl_bw``.  A change of
@@ -46,6 +46,7 @@ set costs nacubic ``min(cubic.cwnd, window)``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -106,23 +107,29 @@ class Controller:
         self._cwnd_floor = cwnd_floor_bytes(mtu)
         self._pacing_floor = pacing_floor_bps(mtu)
         self.cwnd = INITIAL_WINDOW_SEGMENTS * mtu
-        self.pacing_bps: float | None = None
-        self.beta = 1
+        self.pacing_bps = None
         self.fb_count = 0
         self.mode_log: list[tuple[int, str]] = []
 
+    @property
+    def pacing_bps(self) -> float | None:
+        return self._pacing_bps
+
+    @pacing_bps.setter
+    def pacing_bps(self, bps: float | None) -> None:
+        self._pacing_bps = bps
+        # microseconds between MTU packets; None = unpaced
+        self.gap_us = None if bps is None else max(1, math.ceil(self.mtu * 8 * 1e6 / bps))
+
     # callbacks ------------------------------------------------------------
     def on_ack(self, now: int, acked_bytes: int, rtt_us: int | None, beta: int) -> None:
-        self.beta = max(1, beta)
+        pass
 
     def on_loss(self, now: int, kind: str) -> None:
         pass
 
-    def on_feedback(self, now: int, msg: FeedbackMsg) -> bool:
-        """Count one digest; return whether ``cwnd`` or ``pacing_bps`` may
-        have moved (False: the caller may skip adopting them)."""
+    def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
         self.fb_count += 1
-        return False
 
     def revert(self, now: int) -> None:
         pass
@@ -161,7 +168,6 @@ class CubicController(Controller):
         return ctl
 
     def on_ack(self, now: int, acked_bytes: int, rtt_us: int | None, beta: int) -> None:
-        super().on_ack(now, acked_bytes, rtt_us, beta)
         st = self.state
         if st.in_slow_start:
             self.cwnd += acked_bytes
@@ -215,6 +221,7 @@ class NatcpController(Controller):
         self.alpha = alpha
         self.divide_pacing_by_beta = divide_pacing_by_beta
         self.horizon_us = horizon_us
+        self.beta = 1
         self.assisted = False
         self.bl_bw = 0.0
         self.min_rtt_us = 0
@@ -247,11 +254,11 @@ class NatcpController(Controller):
             self.pacing_bps = self._clamp_pacing(rate)
         self.cwnd = min(self.cubic.cwnd, window) if self.cap else window
 
-    def on_feedback(self, now: int, msg: FeedbackMsg) -> bool:
+    def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
         self.fb_count += 1
         if (self.assisted and not self.own_rtt and msg.bl_bw == self.bl_bw
                 and msg.min_rtt == self.min_rtt_us):
-            return False  # an unchanged digest: the decision already reflects it
+            return  # an unchanged digest: the decision already reflects it
         self.bl_bw = msg.bl_bw
         self.min_rtt_us = msg.min_rtt  # own_rtt replaces it in _apply
         self._window = None
@@ -260,7 +267,6 @@ class NatcpController(Controller):
             if self.uses_watchdog:
                 self.mode_log.append((now, "assisted"))
         self._apply(now)
-        return True
 
     def on_ack(self, now: int, acked_bytes: int, rtt_us: int | None, beta: int) -> None:
         if self.own_rtt:  # beta stays 1, so it divides neither window nor pacing

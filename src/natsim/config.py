@@ -41,8 +41,11 @@ _NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us",
                  "assist.feedback_size_bytes", "assist.part2_ceiling_us")
 # cc.alpha: a window of a million bandwidth-delay products; far above, it
 # overflows a float.  assist.feedback_size_bytes: a megabyte digest, far above
-# any real one; far above, its serialization delay overflows a float
-_AT_MOST = {"cc.alpha": 1_000_000, "assist.feedback_size_bytes": 1_000_000}
+# any real one; far above, its serialization delay overflows a float.
+# duration_s: ~32 years keeps every recorded microsecond far below the
+# int64 range of the event log and the deliveries
+_AT_MOST = {"cc.alpha": 1_000_000, "assist.feedback_size_bytes": 1_000_000,
+            "duration_s": 1_000_000_000}
 
 
 class ConfigError(ValueError):

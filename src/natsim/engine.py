@@ -48,12 +48,13 @@ Out of band, the stream is the list of the started senders in UE rank,
 then flow id order; ``_start_flow`` inserts each sender as it starts, so
 the list costs no set-up work and an arrival touches no flow that has not
 started.  In band, it is the one flow whose ack carried the digest.  Each
-flow counts the digest and logs it, but adopts the controller's window
-and pacing only when ``on_feedback`` says the decision may have moved;
-with one digest per period for the whole cell, most applications move
-nothing.  ``try_send`` still runs for every flow whose window is open,
-even one whose decision did not move: a flow whose pacer releases at the
-arrival instant sends from the fan-out, ahead of its own pacer event, and
+flow counts and logs the digest, and its controller recomputes the
+decision only when the digest can move it; with one digest per period for
+the whole cell, most applications move nothing.  The sender reads the
+decision from its controller, so there is nothing to hand over.
+``try_send`` still runs for every flow whose window is open, even one
+whose decision did not move: a flow whose pacer releases at the arrival
+instant sends from the fan-out, ahead of its own pacer event, and
 skipping the call would reorder those sends.  Only a closed window, the
 test ``try_send`` makes first, lets the fan-out skip the call.
 
@@ -365,14 +366,12 @@ class Simulation:
         seq, t_emitted, bl_bw, min_rtt = msg.seq, msg.t_emitted, msg.bl_bw, msg.min_rtt
         for _, fid, sender in flows:
             ctl = sender.controller
-            moved = ctl.on_feedback(now, msg)
+            ctl.on_feedback(now, msg)
             log((fid, seq, t_emitted, now, bl_bw, min_rtt))
-            if moved:
-                sender.apply_decision()
             if ctl.uses_watchdog:
                 keys.append((reserve(), fid))
             # try_send's own window test: a closed window sends nothing
-            if sender.next_seq - sender.cum_acked + sender.mtu <= sender.cwnd:
+            if sender.next_seq - sender.cum_acked + sender.mtu <= ctl.cwnd:
                 sender.try_send(now)
         if not keys:
             return
@@ -391,7 +390,6 @@ class Simulation:
             return
         sender = self.senders[keys[i][1]]
         sender.controller.revert(now)
-        sender.apply_decision()
         sender.try_send(now)
         i += 1
         if i < len(keys):  # the next flow reverts at its own reserved tick

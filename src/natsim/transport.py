@@ -24,12 +24,13 @@ payload and ``~t`` (that is, -t-1, always negative) for a duplicate.
 Every segment is one MTU, so no size is stored.  A segment that
 arrives in order while nothing is buffered advances the cumulative point
 directly, without passing through the reassembly map.  The sender
-computes its pacing gap when the pacing rate changes, not per segment.
+keeps no copy of the congestion decision: each send reads the window and
+the pacing gap from its controller, which computes the gap when the
+pacing rate changes, not per segment.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import defaultdict
 from functools import partial
@@ -71,10 +72,6 @@ class Sender:
         # seq -> send time; None once resent (its RTT would be ambiguous)
         self.segments: dict[int, int | None] = {}
 
-        self.cwnd = controller.cwnd
-        self.pacing_bps: float | None = None
-        self._gap_us: int | None = None     # pacing gap per MTU; None = unpaced
-        self._set_pacing(controller.pacing_bps)
         self._next_allowed_us = 0           # pacing release time
         self._pacer_scheduled = False
 
@@ -98,23 +95,16 @@ class Sender:
         return self.next_seq - self.cum_acked
 
     def apply_decision(self) -> None:
-        """Adopt the controller's current window and pacing rate."""
-        self.cwnd = self.controller.cwnd
-        bps = self.controller.pacing_bps
-        if bps != self.pacing_bps:
-            self._set_pacing(bps)
-
-    def _set_pacing(self, bps: float | None) -> None:
-        self.pacing_bps = bps
-        self._gap_us = (None if bps is None
-                        else max(1, math.ceil(self.mtu * 8 * 1e6 / bps)))
+        """Nothing to adopt: ``try_send`` reads the decision from the
+        controller.  Kept because ``perfbench/spans.py`` names it."""
 
     # sending -----------------------------------------------------------
     def try_send(self, now: int) -> None:
         """Send new segments while the window and pacer allow."""
         mtu = self.mtu
-        while self.next_seq - self.cum_acked + mtu <= self.cwnd:
-            gap = self._gap_us
+        ctl = self.controller
+        while self.next_seq - self.cum_acked + mtu <= ctl.cwnd:
+            gap = ctl.gap_us
             if gap is not None:
                 if now < self._next_allowed_us:
                     if not self._pacer_scheduled:
@@ -178,7 +168,6 @@ class Sender:
             self._rto_deadline = None
 
         self.controller.on_ack(now, newly_acked, rtt_sample, max(1, pkt.beta))
-        self.apply_decision()
 
     def _on_dupack(self, now: int) -> None:
         if self.in_flight <= 0:
@@ -188,7 +177,6 @@ class Sender:
             self.in_recovery = True
             self.recover_seq = self.next_seq
             self.controller.on_loss(now, LOSS_DUPACK)
-            self.apply_decision()
             self._retransmit(self.cum_acked, now)
 
     def _take_rtt_sample(self, ack: int, now: int) -> int | None:
@@ -241,7 +229,6 @@ class Sender:
         self.dup_acks = 0
         self.in_recovery = False
         self.controller.on_loss(now, LOSS_TIMEOUT)
-        self.apply_decision()
         self.rto_us = min(RTO_MAX_US, self.rto_us * 2)
         self._retransmit(self.cum_acked, now)
         self._arm_rto(now + self.rto_us)

@@ -229,7 +229,6 @@ def closed_form(cls):
                 if self.uses_watchdog:
                     self.mode_log.append((now, "assisted"))
             self._apply(now)
-            return True
 
         def _apply(self, now):
             if not self.assisted:
@@ -270,34 +269,36 @@ def test_unchanged_digest_early_out_matches_a_full_recompute(cls, calls, divide)
         if method == "on_feedback":
             args = [fb(*args, seq=i)]
         now = (i + 1) * 10_000
-        before = (ctl.cwnd, ctl.pacing_bps)
-        moved = getattr(ctl, method)(now, *args)
+        getattr(ctl, method)(now, *args)
         getattr(ref, method)(now, *args)
         assert (ctl.cwnd, ctl.pacing_bps, ctl.fb_count) == \
             (ref.cwnd, ref.pacing_bps, ref.fb_count)
         assert ctl.mode_log == ref.mode_log
-        if method == "on_feedback" and moved is False:
-            assert (ctl.cwnd, ctl.pacing_bps) == before
+        # the gap the sender reads follows every rate the controller sets
+        assert ctl.gap_us == (None if ctl.pacing_bps is None
+                              else max(1, math.ceil(MTU * 8e6 / ctl.pacing_bps)))
 
 
 @pytest.mark.parametrize("cls", [NatcpController, NaCubicController])
 def test_the_same_digest_after_a_revert_restores_the_pacing(cls):
     ctl = cls(MTU)
-    assert ctl.on_feedback(52_000, fb(12e6, 6_043))
-    assisted = (ctl.cwnd, ctl.pacing_bps)
-    assert not ctl.on_feedback(72_000, fb(12e6, 6_043, seq=2))
+    ctl.on_feedback(52_000, fb(12e6, 6_043))
+    assisted = (ctl.cwnd, ctl.pacing_bps, ctl.gap_us)
+    ctl.on_feedback(72_000, fb(12e6, 6_043, seq=2))
+    assert (ctl.cwnd, ctl.pacing_bps, ctl.gap_us) == assisted
     ctl.revert(200_000)
-    assert ctl.pacing_bps is None
+    assert (ctl.pacing_bps, ctl.gap_us) == (None, None)
     # the digest equals the one the cached window was computed from
-    assert ctl.on_feedback(220_000, fb(12e6, 6_043, seq=3))
-    assert (ctl.cwnd, ctl.pacing_bps) == assisted
-    assert ctl.pacing_bps == 12e6
+    ctl.on_feedback(220_000, fb(12e6, 6_043, seq=3))
+    assert (ctl.cwnd, ctl.pacing_bps, ctl.gap_us) == assisted
+    assert (ctl.pacing_bps, ctl.gap_us) == (12e6, 1_000)
 
 
 def test_cubic_feedback_never_moves_the_decision():
     ctl = CubicController(MTU)
-    assert ctl.on_feedback(52_000, fb(12e6, 6_043)) is False
-    assert (ctl.cwnd, ctl.pacing_bps, ctl.fb_count) == (10 * MTU, None, 1)
+    ctl.on_feedback(52_000, fb(12e6, 6_043))
+    assert (ctl.cwnd, ctl.pacing_bps, ctl.gap_us, ctl.fb_count) == \
+        (10 * MTU, None, None, 1)
 
 
 def test_tg_recomputes_on_a_repeated_digest():

@@ -144,15 +144,22 @@ def test_sub_microsecond_spacing_exits_at_set_up(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("setting,key", [
+@pytest.mark.parametrize("settings,key", [
     ("cc.alpha=1e300", "cc.alpha"),               # the feedback window overflowed
     ("path.uplink_rate_bps=1e-299", "path.uplink_rate_bps"),  # the serialization delay did
     # the feedback's serialization delay did too
     pytest.param("assist.feedback_size_bytes=" + "9" * 320,
                  "assist.feedback_size_bytes", id="assist.feedback_size_bytes=320 nines"),
+    # a time past the int64 range did when it was recorded; the late start and
+    # the periods beyond the run keep an unbounded run short
+    pytest.param("duration_s=9300000000000.5 flows.start_s=9300000000000 "
+                 f"assist.period_us={'9' * 20} assist.probe_interval_us={'9' * 20}",
+                 "duration_s", id="duration_s=9.3e12"),
 ])
-def test_overflowing_value_exits_at_validation(tmp_path, capsys, setting, key):
-    rc = main(["run", "--duration", "1", "--set", setting, "-o", str(tmp_path)])
+def test_overflowing_value_exits_at_validation(tmp_path, capsys, settings, key):
+    # space-separated --set pairs; each case may override duration_s
+    pairs = ["duration_s=1", *settings.split()]
+    rc = main(["run", *(arg for pair in pairs for arg in ("--set", pair)), "-o", str(tmp_path)])
     assert rc == EXIT_USAGE
     assert key in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

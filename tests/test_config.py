@@ -118,6 +118,7 @@ def test_readme_documents_every_key_and_its_default():
     ("cc.alpha", "inf"),
     ("duration_s", "inf"),
     ("duration_s", "nan"),
+    ("duration_s", "9300000000000.5"),
     ("path.uplink_rate_bps", "nan"),
     ("path.uplink_rate_bps", "-inf"),
     ("path.loss_prob", "nan"),

@@ -453,19 +453,20 @@ def test_an_unmoved_flow_due_at_the_arrival_sends_from_the_fan_out():
     sim = Simulation(build_config(None, crowd_settings(1, 1)))
     unmoved = []
     for fid, snd in sim.senders.items():
-        def on_feedback(now, msg, fid=fid, on_feedback=snd.controller.on_feedback):
-            moved = on_feedback(now, msg)
-            if not moved:
+        def on_feedback(now, msg, fid=fid, ctl=snd.controller,
+                        on_feedback=snd.controller.on_feedback):
+            decision = (ctl.cwnd, ctl.pacing_bps)
+            on_feedback(now, msg)
+            if (ctl.cwnd, ctl.pacing_bps) == decision:
                 unmoved.append(fid)
-            return moved
         snd.controller.on_feedback = on_feedback
     oob_arrive = sim._oob_arrive
     due = []
 
     def tracked(now, msg):
-        before = {fid: (snd.sent_segments, snd._gap_us is not None
+        before = {fid: (snd.sent_segments, snd.controller.gap_us is not None
                         and snd._next_allowed_us <= now
-                        and snd.in_flight + snd.mtu <= snd.cwnd)
+                        and snd.in_flight + snd.mtu <= snd.controller.cwnd)
                   for fid, snd in sim.senders.items()}
         unmoved.clear()
         oob_arrive(now, msg)

@@ -36,7 +36,6 @@ def make_sender(cwnd=15_000, pacing=None):
     sent = []
     ctl = CountingController(cwnd, pacing)
     snd = Sender(0, MTU, ctl, lambda pkt, now: sent.append((now, pkt)), loop.schedule)
-    snd.apply_decision()
     return snd, ctl, loop, sent
 
 
@@ -81,7 +80,6 @@ def test_pacing_gap_follows_every_rate_change():
     snd.try_send(0)
     loop.run_until(2_500)                 # paced at 12 Mb/s: 1 ms apart
     ctl.pacing_bps = None                 # unpaced: the rest of the window at once
-    snd.apply_decision()
     snd.try_send(2_500)
     loop.run_until(5_000)                 # the pending pacer finds the window full
     ctl.pacing_bps = 6e6                  # paced again at half the rate: 2 ms apart
@@ -175,7 +173,6 @@ def test_ack_passes_beta_to_controller():
     snd.try_send(0)
     snd.process_ack(ack(1_500, beta=3), now=9_000)
     assert ctl.acks[0][3] == 3
-    assert ctl.beta == 3
 
 
 # -- timeout ----------------------------------------------------------------------
@@ -252,7 +249,6 @@ def test_no_timeout_when_everything_acked():
     snd.try_send(1_000)
     snd.process_ack(ack(snd.next_seq), now=2_000)
     ctl.cwnd = 0                                      # block all further sends
-    snd.apply_decision()
     loop.run_until(10 * RTO_MIN_US)
     assert ctl.losses == []
 
