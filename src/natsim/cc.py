@@ -175,12 +175,7 @@ class CubicController(Controller):
                 st.in_slow_start = False
                 st.epoch_start_us = now
             return
-        if st.epoch_start_us is None:
-            # Entering congestion avoidance with no loss history: grow
-            # convex from the current window.
-            st.epoch_start_us = now
-            st.w_max = self.cwnd / self.mtu
-            st.k = 0.0
+        # every way out of slow start sets epoch_start_us
         t_s = (now - st.epoch_start_us) / 1e6
         target = cubic_window(t_s, st) * self.mtu
         if target > self.cwnd:

@@ -43,9 +43,12 @@ _NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us",
 # overflows a float.  assist.feedback_size_bytes: a megabyte digest, far above
 # any real one; far above, its serialization delay overflows a float.
 # duration_s: ~32 years keeps every recorded microsecond far below the
-# int64 range of the event log and the deliveries
+# int64 range of the event log and the deliveries.  assist.part2_ceiling_us:
+# the same ~32 years; a digest's min-RTT is at most the run, this ceiling and
+# 8e12 us of serialization, so it too stays within the packed feedback row
 _AT_MOST = {"cc.alpha": 1_000_000, "assist.feedback_size_bytes": 1_000_000,
-            "duration_s": 1_000_000_000}
+            "duration_s": 1_000_000_000,
+            "assist.part2_ceiling_us": 1_000_000_000_000_000}
 
 
 class ConfigError(ValueError):
@@ -114,11 +117,13 @@ class SimConfig:
         errs: list[str] = []
         if self.scheme not in SCHEMES:
             errs.append(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
-        for key, (owner, attr, _) in _SETTINGS.items():
+        for key, (owner, attr, cast) in _SETTINGS.items():
             value = getattr(getattr(self, owner) if owner else self, attr)
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in values if isinstance(v, float)):
                 errs.append(f"{key} must be finite")
+            elif cast is int and not isinstance(value, int):  # packed as int64
+                errs.append(f"{key} must be an integer")
             elif key in _POSITIVE and value <= 0:
                 errs.append(f"{key} must be positive")
             elif key in _NON_NEGATIVE and value < 0:

@@ -42,15 +42,21 @@ that arrival's first key; one that finds its own arrival still the latest
 reverts one flow and moves to the next flow's key.  Every revert therefore
 runs exactly where it would if each feedback had pushed one check per flow.
 
-One path applies a digest: ``_handle_feedback`` walks the flows of one
-stream in the order they receive it, then arms the stream's watchdog.
-Out of band, the stream is the list of the started senders in UE rank,
-then flow id order; ``_start_flow`` inserts each sender as it starts, so
-the list costs no set-up work and an arrival touches no flow that has not
-started.  In band, it is the one flow whose ack carried the digest.  Each
-flow counts and logs the digest, and its controller recomputes the
-decision only when the digest can move it; with one digest per period for
-the whole cell, most applications move nothing.  The sender reads the
+One path applies a digest: ``_handle_feedback`` logs the arrival, walks
+the flows of one stream in the order they receive it, then arms the
+stream's watchdog.  Out of band, the stream is the list of the started
+senders in UE rank, then flow id order; ``_start_flow`` inserts each sender
+as it starts, so the list costs no set-up work and an arrival touches no
+flow that has not started.  In band, it is the one flow whose ack carried
+the digest, a stream built once at wiring.  The feedback log keeps one
+row per arrival, not one per flow: ``FEEDBACK_ROW`` packs it into the
+``array('q')`` ``feedback`` in 40 bytes, and ``feedback_fids`` keeps a
+reference to the stream's flow ids, a tuple shared by every arrival until
+a start changes the stream (out of band) or for the whole run (in band).
+``RunResult.feedback_log`` decodes the two into one tuple per flow.  Each
+flow counts the digest, and its controller recomputes the decision only
+when the digest can move it; with one digest per period for the whole
+cell, most applications move nothing.  The sender reads the
 decision from its controller, so there is nothing to hand over.
 ``try_send`` still runs for every flow whose window is open, even one
 whose decision did not move: a flow whose pacer releases at the arrival
@@ -69,6 +75,7 @@ import itertools
 import math
 import random
 import statistics
+import struct
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
@@ -86,6 +93,9 @@ WATCHDOG_PERIODS = 3   # feedback silence tolerated before reverting
 OOB_STREAM = "oob"     # key of the out-of-band watchdog stream; in band, the flow id
 EMIT_TICK = -1         # tie-break of every feedback emit: first at its instant
 _DEQ = EVENT_KINDS.index("deq")
+# one feedback arrival: t_arrived, seq, t_emitted and min_rtt as int64, then
+# bl_bw as a double, so the float reads back exactly; 40 bytes
+FEEDBACK_ROW = struct.Struct("4qd")
 
 
 class EventLoop:
@@ -146,7 +156,10 @@ class RunResult:
     # the event log, five int64s a row: t_us, kind (an index into
     # EVENT_KINDS), flow, seq and qdelay_us (-1 on every row but deq)
     events: array
-    feedback_log: list[tuple]
+    # the feedback log, one FEEDBACK_ROW per digest arrival, and for each
+    # arrival the ids of the flows that received it, in order (a shared tuple)
+    feedback: array
+    feedback_fids: list[tuple]
     overhead_kbps: float
     queue_drops: int
 
@@ -208,6 +221,16 @@ class RunResult:
         it = iter(self.events)
         return [(t, kinds[k], fl, seq, q)
                 for t, k, fl, seq, q in zip(it, it, it, it, it)]
+
+    @property
+    def feedback_log(self) -> list[tuple]:
+        """One ``(flow, seq, t_emitted, t_arrived, bl_bw, min_rtt)`` tuple per
+        flow per applied digest, in the order applied; decoded anew on every
+        read."""
+        return [(fid, seq, t_emit, t_arr, bl_bw, min_rtt)
+                for (t_arr, seq, t_emit, min_rtt, bl_bw), fids
+                in zip(FEEDBACK_ROW.iter_unpack(self.feedback), self.feedback_fids)
+                for fid in fids]
 
     def departures(self) -> list[tuple]:
         """Bottleneck departure log: (t_us, flow, seq, qdelay_us) rows.
@@ -280,15 +303,20 @@ class Simulation:
         self.loop = EventLoop()
         self.rng = random.Random(cfg.seed)
         self.events = array("q")
-        self.feedback_log: list[tuple] = []
+        self.feedback = array("q")
+        self.feedback_fids: list[tuple] = []
 
         # the link packs every event-log row straight into events when it is on
         self.link = BtsLink(self.schedule, cfg.path, self.rng, self.loop,
                             self.events.frombytes if cfg.log_events else None)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
-        # (UE rank, flow, sender) of every started flow, in fan-out order
+        # (UE rank, flow, sender) of every started flow, in fan-out order, and
+        # their flow ids; None after a start until the next arrival rebuilds it
         self._started: list[tuple[int, int, Sender]] = []
+        self._started_fids: tuple[int, ...] | None = ()
+        # in band, flow -> its stream, ((0, flow, sender),), and its ids, (flow,)
+        self._solo: dict[int, tuple[tuple, tuple[int]]] = {}
         # stream -> (deadline, [(tick, flow), ...]) of its latest arrival;
         # present while a check for the stream is on the heap
         self._watchdog: dict[object, tuple[int, list[tuple[int, int]]]] = {}
@@ -307,6 +335,8 @@ class Simulation:
             snd = Sender(spec.flow_id, cfg.mtu, ctl,
                          self._make_transmit(spec.ue_id), self.loop.schedule)
             self.senders[spec.flow_id] = snd
+            if cfg.assist.mode == "ib":
+                self._solo[spec.flow_id] = (((0, spec.flow_id, snd),), (spec.flow_id,))
 
     # -- logging --------------------------------------------------------------
 
@@ -334,8 +364,8 @@ class Simulation:
         if pkt.feedback is None:
             sender.try_send(now)
         else:  # an in-band digest is a stream of one flow; no rank is read
-            self._handle_feedback(now, pkt.feedback, pkt.flow_id,
-                                  ((0, pkt.flow_id, sender),))
+            flows, fids = self._solo[pkt.flow_id]
+            self._handle_feedback(now, pkt.feedback, pkt.flow_id, flows, fids)
 
     def _emit_feedback(self, now: int) -> None:
         nxt = now + self.cfg.assist.period_us
@@ -352,22 +382,28 @@ class Simulation:
                 self.link.attach_ib(ue, msg)
 
     def _oob_arrive(self, now: int, msg: FeedbackMsg) -> None:
-        self._handle_feedback(now, msg, OOB_STREAM, self._started)
+        fids = self._started_fids
+        if fids is None:  # a flow started since the last arrival
+            fids = self._started_fids = tuple([fid for _, fid, _ in self._started])
+        self._handle_feedback(now, msg, OOB_STREAM, self._started, fids)
 
     def _handle_feedback(self, now: int, msg: FeedbackMsg, stream,
-                         flows: Sequence[tuple[int, int, Sender]]) -> None:
+                         flows: Sequence[tuple[int, int, Sender]],
+                         fids: tuple[int, ...]) -> None:
         """Apply one digest to ``flows``, ``(rank, flow, sender)`` entries in
-        the order they receive it, then make this arrival the stream's latest:
-        push a check unless one is already on the heap (it moves itself when
-        it fires)."""
+        the order they receive it, whose flow ids are ``fids``; log it as one
+        row; then make this arrival the stream's latest: push a check unless
+        one is already on the heap (it moves itself when it fires)."""
+        if not fids:  # no flow has started: nothing receives the digest
+            return
+        self.feedback.frombytes(FEEDBACK_ROW.pack(
+            now, msg.seq, msg.t_emitted, msg.min_rtt, msg.bl_bw))
+        self.feedback_fids.append(fids)
         keys: list[tuple[int, int]] = []
         reserve = self.loop.reserve
-        log = self.feedback_log.append
-        seq, t_emitted, bl_bw, min_rtt = msg.seq, msg.t_emitted, msg.bl_bw, msg.min_rtt
         for _, fid, sender in flows:
             ctl = sender.controller
             ctl.on_feedback(now, msg)
-            log((fid, seq, t_emitted, now, bl_bw, min_rtt))
             if ctl.uses_watchdog:
                 keys.append((reserve(), fid))
             # try_send's own window test: a closed window sends nothing
@@ -401,6 +437,7 @@ class Simulation:
     def _start_flow(self, now: int, flow_id: int, ue_id: int) -> None:
         sender = self.senders[flow_id]
         insort(self._started, (self.link.queues[ue_id].rank, flow_id, sender))
+        self._started_fids = None
         sender.try_send(now)
 
     # -- run --------------------------------------------------------------------
@@ -458,7 +495,8 @@ class Simulation:
             flows=flows,
             qdelay_samples_us=qdelay,
             events=self.events,
-            feedback_log=self.feedback_log,
+            feedback=self.feedback,
+            feedback_fids=self.feedback_fids,
             overhead_kbps=self.assist.overhead_kbps(self.cfg.duration_us),
             queue_drops=queue_drops,
         )

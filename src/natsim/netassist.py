@@ -20,8 +20,7 @@ The min-RTT estimate is the sum of
   part 3: feedback serialization: one feedback-sized packet at the uplink
           depletion rate.
 natcp's window is alpha * min-RTT * capacity / beta, so a small part 1
-starves it: with ``path.down_owd_us=0`` natcp gets 3.52 of 12 Mbit/s on
-``const:12mbps`` while tg, which times its own acks, gets 12.00.
+starves it.
 """
 
 from __future__ import annotations
@@ -85,9 +84,16 @@ class NetAssist:
         Probes launch at multiples of the probe interval starting at t=0 and
         complete one network round trip later.  Raises MeasureError when no
         probe has completed yet.
+
+        A round trip lasts from ``lo = max(0, 2 * down_owd_us - j)`` to
+        ``2 * down_owd_us + j``, ``j`` the probe jitter.  So the scan starts
+        at the last probe fired by ``now - lo``, the latest that can have
+        completed, and ends by the first one fired ``2j`` before that, which
+        surely has: at most ``2j // iv + 2`` samples, however long the run.
         """
         iv = self.cfg.probe_interval_us
-        k = now // iv
+        lo = max(0, 2 * self.path.down_owd_us - self.path.probe_jitter_us)
+        k = (now - lo) // iv  # negative when now < lo: nothing can complete
         while k >= 0:
             fire = k * iv
             sample = self._probe_rtt(fire)

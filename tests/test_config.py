@@ -170,6 +170,18 @@ def test_validation_accepts_the_edges_of_the_upper_bounds():
     assert cfg.validate() == []
 
 
+def test_validation_rejects_a_float_in_an_integer_key():
+    # a library caller can set one; a run packs these values as int64s
+    cfg = SimConfig(trace="step:0mbps@500ms,12mbps@500ms", duration_s=1.0)
+    cfg.assist.part2_ceiling_us = 1e6
+    cfg.path.down_owd_us = 2500.0
+    errs = cfg.validate()
+    assert "assist.part2_ceiling_us must be an integer" in errs
+    assert "path.down_owd_us must be an integer" in errs
+    with pytest.raises(ConfigError, match="must be an integer"):
+        cfg.require_valid()
+
+
 def test_validation_accepts_zero_sizes_rates_and_terms():
     # a zero uplink rate means ideal serialization, not an error
     cfg = apply_settings(SimConfig(), {

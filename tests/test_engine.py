@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from natsim import engine
 from natsim.cc import SCHEMES
-from natsim.config import SimConfig, build_config
+from natsim.config import ConfigError, SimConfig, build_config
 from natsim.engine import (
     WATCHDOG_PERIODS,
     EventLoop,
@@ -434,6 +434,73 @@ def test_one_out_of_band_arrival_per_period_reaches_every_started_flow():
         assert {row[3] for row in rows} == {t_arr}
         assert [row[0] for row in rows] == [
             f.flow_id for f in in_ue_order if f.start_us < t_arr]
+
+
+def test_feedback_log_is_one_packed_row_per_arrival_decoded_on_every_read():
+    res = run_simulation(cfg(duration_s=1.0, flow_starts_s=(0.0, 0.0),
+                             flow_ues=(0, 1)))
+    log = res.feedback_log
+    assert isinstance(log, list) and log
+    assert res.feedback_log == log and res.feedback_log is not log
+    # one 40-byte row per arrival, decoded into one tuple per flow
+    assert res.feedback.typecode == "q"
+    assert len(res.feedback) == 5 * len(res.feedback_fids)
+    assert res.feedback_fids == [(0, 1)] * len(res.feedback_fids)
+    assert len(log) == 2 * len(res.feedback_fids)
+
+
+def test_a_flow_starting_at_an_arrival_instant_receives_that_digest():
+    # emitted at 150 ms, the digest arrives at 152 ms, when flow 0 starts;
+    # the start was scheduled before the run, so its tick runs first
+    res = run_simulation(cfg(duration_s=0.5, flow_starts_s=(0.152, 0.0),
+                             flow_ues=(0, 1)))
+    arrivals = [t_arr for t_arr, *_ in engine.FEEDBACK_ROW.iter_unpack(res.feedback)]
+    assert 152_000 in arrivals
+    at = arrivals.index(152_000)
+    assert res.feedback_fids[at - 1] == (1,)
+    # UE rank order: flow 0's UE 0 ranks first
+    assert res.feedback_fids[at] == (0, 1)
+    # rebuilt once after the start, then shared by every later arrival
+    assert all(fids is res.feedback_fids[at] for fids in res.feedback_fids[at:])
+    assert res.flows[0].fb_count == len(arrivals) - at
+    assert [row[0] for row in res.feedback_log if row[3] == 152_000] == [0, 1]
+
+
+@pytest.mark.parametrize("mode", ["oob", "ib"])
+def test_feedback_log_rows_equal_the_digests_each_flow_applied(mode):
+    # the unpacked form: one (flow, seq, t_emitted, t_arrived, bl_bw, min_rtt)
+    # per digest a controller receives, in the order received
+    sim = Simulation(cfg(duration_s=2.0, assist=NetAssistConfig(mode=mode),
+                         flow_starts_s=(0.0, 0.3, 0.7), flow_ues=(2, 0, 2)))
+    applied = []
+    for fid, snd in sim.senders.items():
+        def on_feedback(now, msg, fid=fid, apply=snd.controller.on_feedback):
+            applied.append((fid, msg.seq, msg.t_emitted, now, msg.bl_bw, msg.min_rtt))
+            apply(now, msg)
+        snd.controller.on_feedback = on_feedback
+    res = sim.run()
+    assert res.feedback_log == applied
+    # the capacity reads back as the very float the digest carried
+    assert all(type(row[4]) is float for row in res.feedback_log)
+    assert len(res.feedback) == 5 * len(res.feedback_fids)
+    if mode == "ib":  # one (fid,) per flow, built at wiring
+        assert len({id(fids) for fids in res.feedback_fids}) == 3
+
+
+def test_the_largest_valid_hol_ceiling_packs_into_a_feedback_row():
+    # an outage keeps the capacity at 0, so the min-RTT takes the whole ceiling
+    settings = {"trace": "step:0mbps@500ms,12mbps@400ms,0mbps@100ms",
+                "duration_s": "2"}
+    with pytest.raises(ConfigError, match=r"assist\.part2_ceiling_us"):
+        run_simulation(build_config(
+            None, {**settings, "assist.part2_ceiling_us": str(2**63)}))
+    c = build_config(None, {**settings,
+                            "assist.part2_ceiling_us": "1000000000000000"})
+    res = run_simulation(c)
+    outage = [row for row in res.feedback_log if row[4] == 0.0]
+    assert outage
+    assert {row[5] for row in outage} == {
+        10**15 + 2 * c.path.down_owd_us + c.path.serialization_us(c.assist.feedback_size)}
 
 
 def crowd_settings(seed, duration_s):

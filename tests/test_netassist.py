@@ -5,7 +5,8 @@ import random
 import pytest
 
 from natsim.emulink import BtsLink, PathConfig
-from natsim.engine import EventLoop
+from natsim.config import build_config
+from natsim.engine import EventLoop, Simulation
 from natsim.netassist import FeedbackMsg, MeasureError, NetAssist, NetAssistConfig
 from natsim.trace import synth_constant, synth_step
 
@@ -46,6 +47,63 @@ def test_latest_probe_skips_incomplete_round_trips():
     # the one from 50 ms has.
     assert assist.latest_probe_us(110_000) == 5_000
     assert calls[0] == 100_000
+
+
+def test_latest_probe_matches_the_scan_from_now():
+    # the plain scan: every probe fired by now, newest first
+    def scan(assist, now):
+        iv = assist.cfg.probe_interval_us
+        for k in range(now // iv, -1, -1):
+            sample = assist._probe_rtt(k * iv)
+            if k * iv + sample <= now:
+                return sample
+        return None
+
+    rng = random.Random(7)
+    schedule = synth_constant(12e6, 1_000)
+    for _ in range(150):
+        path = PathConfig(down_owd_us=rng.choice([0, 1, 2_500, 6_000]),
+                          probe_jitter_us=rng.choice([0, 1, 700, 3_000]))
+        link = BtsLink(schedule, path, random.Random(0), EventLoop())
+        iv = rng.choice([1, 7, 1_000, 50_000])
+        assist = NetAssist(NetAssistConfig(probe_interval_us=iv), schedule,
+                           path, [0], link.probe_rtt)
+        now = rng.randint(0, 30_000)
+        want = scan(assist, now)
+        if want is None:
+            with pytest.raises(MeasureError):
+                assist.latest_probe_us(now)
+        else:
+            assert assist.latest_probe_us(now) == want
+
+
+@pytest.mark.parametrize("settings", [
+    # no probe completes in the run: the scan from now read all of them
+    {"path.down_owd_us": "1000000000"},
+    {"path.probe_jitter_us": "3000"},
+])
+def test_probe_lookup_reads_a_bounded_number_of_samples_per_emit(settings):
+    sim = Simulation(build_config(None, {
+        "duration_s": "0.25", "assist.probe_interval_us": "1", **settings}))
+    assist = sim.assist
+    calls = emits = 0
+    probe_rtt, lookup = assist._probe_rtt, assist.latest_probe_us
+
+    def counted_probe(fire):
+        nonlocal calls
+        calls += 1
+        return probe_rtt(fire)
+
+    def counted_lookup(now):
+        nonlocal emits
+        emits += 1
+        return lookup(now)
+
+    assist._probe_rtt, assist.latest_probe_us = counted_probe, counted_lookup
+    sim.run()
+    j, iv = sim.cfg.path.probe_jitter_us, sim.cfg.assist.probe_interval_us
+    assert emits == 5
+    assert calls <= emits * (2 * j // iv + 2)
 
 
 # -- capacity ---------------------------------------------------------------------
