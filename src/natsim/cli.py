@@ -126,23 +126,54 @@ def config_from_args(args, extra: dict[str, str] | None = None) -> SimConfig:
     return cfg
 
 
-def run_job(cfg: SimConfig) -> dict:
-    """Worker for process-pool fan-out: one run, small summary dict back."""
-    result = run_simulation(cfg)
+def summary_rows(cfg: SimConfig, result) -> tuple[list[dict]]:
+    """A run's summary row, with the grid axes that a CSV may name."""
     row = result.summary_row()
-    row["seed"] = cfg.seed
-    row["mode"] = cfg.assist.mode
-    row["period_us"] = cfg.assist.period_us
-    return row
+    row.update(seed=cfg.seed, mode=cfg.assist.mode, period_us=cfg.assist.period_us)
+    return ([row],)
 
 
-def run_many(configs: list[SimConfig], workers: int) -> list[dict]:
-    """Run configs, in parallel when asked; results keep submission order."""
-    workers = min(workers, len(configs))   # a pool may start them all at once
-    if workers <= 1:
-        return [run_job(cfg) for cfg in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_job, configs))
+def fairness_rows(cfg: SimConfig, result) -> tuple[list[dict], list[dict]]:
+    """The summary row, and each flow's goodput over the run and over the
+    time from the second flow's start, when both flows are running."""
+    t0 = result.flows[1].start_us
+    return summary_rows(cfg, result) + ([{
+        "scheme": cfg.scheme, "flow": fs.flow_id, "ue": fs.ue_id,
+        "start_s": fs.start_us / 1e6,
+        "goodput_mbps": fs.unique_bytes * 8 / cfg.duration_us,
+        "overlap_goodput_mbps": result.flow_goodput_mbps(fs.flow_id, t0, cfg.duration_us),
+        "retrans": fs.retransmits, "drops": fs.drops,
+    } for fs in result.flows],)
+
+
+def run_point(job: tuple) -> tuple[list[dict], ...]:
+    """One grid run, ``rows_of(cfg, result)``: a pool worker sends back rows,
+    not the run's result."""
+    rows_of, cfg = job
+    return rows_of(cfg, run_simulation(cfg))
+
+
+def run_grid(args, configs: list[SimConfig], rows_of, line, outputs) -> int:
+    """Run one simulation per config.  ``rows_of(cfg, result)`` gives one
+    list of rows per (file name, columns) entry of ``outputs``; each CSV gets
+    its rows in grid order, and stdout gets ``line(row)`` of each run's first
+    row.  A pool runs the grid only for a subcommand with --workers and more
+    than one run; in-process, each line prints as its run ends."""
+    jobs = [(rows_of, cfg) for cfg in configs]
+    workers = min(getattr(args, "workers", 1), len(jobs))   # a pool may start them all at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(run_point, jobs))
+    else:
+        runs = map(run_point, jobs)
+    tables = [[] for _ in outputs]
+    for run in runs:
+        print(line(run[0][0]))
+        for table, rows in zip(tables, run):
+            table += rows
+    for (name, columns), rows in zip(outputs, tables):
+        write_csv(output_dir(args) / name, columns, rows)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -179,101 +210,57 @@ def cmd_run(args) -> int:
 
 def cmd_single_flow(args) -> int:
     configs = [config_from_args(args, {"scheme": s}) for s in args.schemes]
-    rows = []
-    for cfg in configs:
-        row = run_simulation(cfg).summary_row()
-        rows.append(row)
-        print(describe(row))
-    write_csv(output_dir(args) / "summary.csv", SUMMARY_COLUMNS, rows)
-    return EXIT_OK
+    return run_grid(args, configs, summary_rows, describe,
+                    [("summary.csv", SUMMARY_COLUMNS)])
 
 
 def cmd_fairness(args) -> int:
     configs = []
     for scheme in args.schemes:
-        cfg = config_from_args(args, {"scheme": scheme})
-        second = args.second_start if args.second_start is not None \
-            else cfg.duration_s / 4
-        cfg.flow_starts_s = (0.0, second)
-        cfg.flow_ues = (0, 0)
-        cfg.require_valid()
-        configs.append(cfg)
-    summary_rows = []
-    flow_rows = []
-    for cfg in configs:
-        result = run_simulation(cfg)
-        row = result.summary_row()
-        summary_rows.append(row)
-        t0 = result.flows[1].start_us
-        for fs in result.flows:
-            flow_rows.append({
-                "scheme": cfg.scheme,
-                "flow": fs.flow_id,
-                "ue": fs.ue_id,
-                "start_s": fs.start_us / 1e6,
-                "goodput_mbps": fs.unique_bytes * 8 / cfg.duration_us,
-                "overlap_goodput_mbps": result.flow_goodput_mbps(
-                    fs.flow_id, t0, cfg.duration_us),
-                "retrans": fs.retransmits,
-                "drops": fs.drops,
-            })
-        print(describe(row))
-    outdir = output_dir(args)
-    write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, summary_rows)
-    write_csv(
-        outdir / "fairness.csv",
-        ("scheme", "flow", "ue", "start_s", "goodput_mbps",
-         "overlap_goodput_mbps", "retrans", "drops"),
-        flow_rows,
-    )
-    return EXIT_OK
+        second = args.second_start
+        if second is None:   # a quarter of the run, wherever its length is set
+            second = config_from_args(args, {"scheme": scheme}).duration_s / 4
+        configs.append(config_from_args(args, {
+            "scheme": scheme, "flows.start_s": f"0,{second!r}", "flows.ue": "0,0"}))
+    return run_grid(args, configs, fairness_rows, describe, [
+        ("summary.csv", SUMMARY_COLUMNS),
+        ("fairness.csv", ("scheme", "flow", "ue", "start_s", "goodput_mbps",
+                          "overlap_goodput_mbps", "retrans", "drops"))])
 
 
 def cmd_feedback_modes(args) -> int:
-    configs = []
-    for scheme in args.schemes:
-        for mode in args.modes:
-            for seed in args.seeds:
-                cfg = config_from_args(args, {
-                    "scheme": scheme,
-                    "assist.mode": mode,
-                    "assist.period_us": str(args.period_us),
-                    "seed": str(seed),
-                })
-                configs.append(cfg)
-    rows = run_many(configs, args.workers)
-    rows.sort(key=lambda r: (r["scheme"], r["mode"], r["seed"]))
+    # sorted axes give rows sorted by scheme, mode and seed
+    configs = [
+        config_from_args(args, {"scheme": scheme, "assist.mode": mode, "seed": str(seed),
+                                "assist.period_us": str(args.period_us)})
+        for scheme in sorted(args.schemes) for mode in sorted(args.modes)
+        for seed in sorted(args.seeds)]
     columns = ("scheme", "mode", "seed", "throughput_mbps", "goodput_mbps",
                "avg_qdelay_ms", "p95_qdelay_ms", "power", "power95",
                "retrans", "drops")
-    write_csv(output_dir(args) / "modes.csv", columns, rows)
-    for row in rows:
-        print(f"{row['scheme']:<8} {row['mode']:<4} seed={row['seed']} "
-              f"power95={format_cell(row['power95'])}")
-    return EXIT_OK
+    return run_grid(args, configs, summary_rows, lambda row: (
+        f"{row['scheme']:<8} {row['mode']:<4} seed={row['seed']} "
+        f"power95={format_cell(row['power95'])}"), [("modes.csv", columns)])
 
 
 def cmd_period_sweep(args) -> int:
-    configs = []
-    for period in args.periods_us:
-        cfg = config_from_args(args, {"assist.period_us": str(period)})
-        configs.append(cfg)
-    rows = run_many(configs, args.workers)
-    rows.sort(key=lambda r: r["period_us"])
-    columns = ("period_us",) + SUMMARY_COLUMNS
-    write_csv(output_dir(args) / "sweep.csv", columns, rows)
-    for row in rows:
-        print(f"period={row['period_us']}us "
-              f"thr={format_cell(row['throughput_mbps'])}Mbps "
-              f"p95={format_cell(row['p95_qdelay_ms'])}ms "
-              f"power95={format_cell(row['power95'])}")
-    return EXIT_OK
+    configs = [config_from_args(args, {"assist.period_us": str(period)})
+               for period in sorted(args.periods_us)]
+    return run_grid(args, configs, summary_rows, lambda row: (
+        f"period={row['period_us']}us "
+        f"thr={format_cell(row['throughput_mbps'])}Mbps "
+        f"p95={format_cell(row['p95_qdelay_ms'])}ms "
+        f"power95={format_cell(row['power95'])}"),
+        [("sweep.csv", ("period_us",) + SUMMARY_COLUMNS)])
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(parser: argparse.ArgumentParser, default_duration=None) -> None:
+def _subcommand(sub, name: str, fn, about: str, default_duration=None,
+                schemes: str | None = None) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=about)
+    parser.set_defaults(fn=fn)
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
@@ -284,6 +271,10 @@ def _add_common(parser: argparse.ArgumentParser, default_duration=None) -> None:
     parser.add_argument("-o", "--output-dir",
                         help="directory for CSV outputs (default: "
                              "$NATSIM_OUTPUT_DIR or '.')")
+    if schemes:
+        parser.add_argument("--schemes", type=comma_list(str), default=schemes,
+                            help="comma-separated scheme list")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,51 +284,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one simulation")
-    _add_common(p_run)
+    p_run = _subcommand(sub, "run", cmd_run, "run one simulation")
     p_run.add_argument("--scheme", choices=SCHEMES)
     p_run.add_argument("--events-csv", metavar="NAME",
                        help="also write per-packet event log CSV")
     p_run.add_argument("--feedback-csv", metavar="NAME",
                        help="also write feedback message log CSV")
-    p_run.set_defaults(fn=cmd_run)
 
-    p_single = sub.add_parser("single-flow", help="one flow, several schemes")
-    _add_common(p_single)
-    p_single.add_argument("--schemes", type=comma_list(str),
-                          default=",".join(SCHEMES),
-                          help="comma-separated scheme list")
-    p_single.set_defaults(fn=cmd_single_flow)
+    _subcommand(sub, "single-flow", cmd_single_flow, "one flow, several schemes",
+                schemes=",".join(SCHEMES))
 
-    p_fair = sub.add_parser("fairness", help="two staggered flows per scheme")
-    _add_common(p_fair)
-    p_fair.add_argument("--schemes", type=comma_list(str),
-                        default="natcp,nacubic,cubic",
-                        help="comma-separated scheme list")
+    p_fair = _subcommand(sub, "fairness", cmd_fairness, "two staggered flows per scheme",
+                         schemes="natcp,nacubic,cubic")
     p_fair.add_argument("--second-start", type=float, metavar="SECONDS",
                         help="start time of the second flow "
                              "(default: duration/4)")
-    p_fair.set_defaults(fn=cmd_fairness)
 
-    p_modes = sub.add_parser("feedback-modes",
-                             help="out-of-band vs in-band feedback comparison")
-    _add_common(p_modes, default_duration=30.0)
-    p_modes.add_argument("--schemes", type=comma_list(str), default="natcp,tg")
+    p_modes = _subcommand(sub, "feedback-modes", cmd_feedback_modes,
+                          "out-of-band vs in-band feedback comparison",
+                          default_duration=30.0, schemes="natcp,tg")
     p_modes.add_argument("--modes", type=comma_list(str), default="oob,ib")
     p_modes.add_argument("--seeds", type=comma_list(int),
                          default=",".join(str(s) for s in DEFAULT_MODE_SEEDS))
     p_modes.add_argument("--period-us", type=int, default=10_000)
-    p_modes.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
-    p_modes.set_defaults(fn=cmd_feedback_modes)
 
-    p_sweep = sub.add_parser("period-sweep", help="feedback period sweep")
-    _add_common(p_sweep)
+    p_sweep = _subcommand(sub, "period-sweep", cmd_period_sweep, "feedback period sweep")
     p_sweep.add_argument("--scheme", choices=SCHEMES, default="natcp")
     p_sweep.add_argument("--periods-us", type=comma_list(int),
                          default=",".join(str(p) for p in DEFAULT_SWEEP_PERIODS_US))
-    p_sweep.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
-    p_sweep.set_defaults(fn=cmd_period_sweep)
 
+    for grid in (p_modes, p_sweep):   # the subcommands that run on a pool
+        grid.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
     return parser
 
 

@@ -119,8 +119,8 @@ class SimConfig:
             errs.append(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
         for key, (owner, attr, cast) in _SETTINGS.items():
             value = getattr(getattr(self, owner) if owner else self, attr)
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            if isinstance(value, float) and not math.isfinite(value) or isinstance(value, tuple) \
+                    and not all(math.isfinite(v) for v in value if isinstance(v, float)):
                 errs.append(f"{key} must be finite")
             elif cast is int and not isinstance(value, int):  # packed as int64
                 errs.append(f"{key} must be an integer")

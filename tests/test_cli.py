@@ -1,6 +1,7 @@
 """Config file handling, CLI subcommands, exit codes, CSV outputs."""
 
 import csv
+import hashlib
 import math
 from array import array
 
@@ -407,3 +408,51 @@ def test_seeded_rerun_is_byte_identical(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+# digests of the stdout and of every file -o receives, recorded before the
+# four experiment subcommands shared one grid runner; the list flags are
+# given out of order where the output sorts them
+EXPERIMENT_DIGESTS = {
+    "single-flow": (
+        ["single-flow", "--duration", "0.5"],
+        "e626110080cc40639a930f178921041aed949e52a19a06532b805243b08f17a1"),
+    "single-flow-reordered-loss": (
+        ["single-flow", "--schemes", "cubic,tg,natcp", "--duration", "0.5",
+         "--set", "path.loss_prob=0.02", "--seed", "3"],
+        "f2daa8ecd85217fa478d483393ebb9e92715aeee8e0468f976629d528ae44fe6"),
+    "fairness": (
+        ["fairness", "--duration", "1"],
+        "99f69be419ce1888e6b9288b7cfddb8fd3b238164d4be573d2c21742ba6271c2"),
+    "fairness-second-start-walk": (
+        ["fairness", "--schemes", "nacubic,natcp", "--duration", "1",
+         "--second-start", "0.3", "--trace", "walk:1mbps-24mbps@100ms"],
+        "ce6cd978e18104fe290fda9a53d4ea0301a2eae350c582c1b7907fd964a8e850"),
+    "feedback-modes-unsorted": (
+        ["feedback-modes", "--seeds", "2,1", "--schemes", "tg,natcp",
+         "--duration", "0.3", "--workers", "1",
+         "--trace", "walk:1mbps-24mbps@100ms"],     # a walk per seed
+        "d075ada99dbf72ead9e002f2b3be74756c475d89d5222a4ea19957cd0fdf93e3"),
+    "feedback-modes-pooled": (
+        ["feedback-modes", "--modes", "ib,oob", "--seeds", "1",
+         "--duration", "0.3", "--workers", "2"],
+        "12febdbefa37b4c620e15de760493ac00c94be17eaa5be09f879b0aeb8bebdf9"),
+    "period-sweep-unsorted": (
+        ["period-sweep", "--periods-us", "50000,5000,20000", "--duration", "0.3",
+         "--workers", "1"],
+        "7757f1918a15e43048d35a74ea6833af22a8546138c5276b5d43ceb0b961eda1"),
+    "period-sweep-pooled": (
+        ["period-sweep", "--scheme", "tg", "--periods-us", "25000,10000",
+         "--duration", "0.3", "--workers", "2"],
+        "a925969066826f661db6682147b07a90df2dcf32d19545ca4dc129f89a606086"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXPERIMENT_DIGESTS))
+def test_experiment_outputs_are_byte_identical(tmp_path, capsys, case):
+    argv, expected = EXPERIMENT_DIGESTS[case]
+    assert main([*argv, "-o", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode())
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == expected

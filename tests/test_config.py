@@ -1,8 +1,12 @@
 """Config keys: every key parses to the right field with the right type,
 the README's key table documents exactly these keys and their defaults, and
 validation rejects non-finite values, negative delays and every key's
-lower bound."""
+lower bound.  A sweep of boundary values checks that a config either fails
+before its run or runs to the end."""
 
+import itertools
+import math
+import random
 import re
 from functools import reduce
 from pathlib import Path
@@ -11,6 +15,8 @@ import pytest
 
 from natsim import config
 from natsim.config import ConfigError, SimConfig, apply_settings
+from natsim.engine import Simulation
+from natsim.trace import TraceError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -175,9 +181,11 @@ def test_validation_rejects_a_float_in_an_integer_key():
     cfg = SimConfig(trace="step:0mbps@500ms,12mbps@500ms", duration_s=1.0)
     cfg.assist.part2_ceiling_us = 1e6
     cfg.path.down_owd_us = 2500.0
+    cfg.mtu = math.inf
     errs = cfg.validate()
     assert "assist.part2_ceiling_us must be an integer" in errs
     assert "path.down_owd_us must be an integer" in errs
+    assert "mtu must be finite" in errs
     with pytest.raises(ConfigError, match="must be an integer"):
         cfg.require_valid()
 
@@ -188,3 +196,52 @@ def test_validation_accepts_zero_sizes_rates_and_terms():
         "path.uplink_rate_bps": "0", "path.probe_jitter_us": "0",
         "assist.feedback_size_bytes": "0", "assist.part2_ceiling_us": "0"})
     assert cfg.validate() == []
+
+
+# -- boundary sweep -------------------------------------------------------------
+
+BOUNDARY_VALUES = tuple(dict.fromkeys((
+    0, 1, *itertools.chain.from_iterable((high, high + 1) for high in config._AT_MOST.values()),
+    2**62, 1e300, 1e-300)))
+NUMERIC_KEYS = [key for key, (_, _, cast) in config._SETTINGS.items()
+                if cast not in (str, config._parse_bool)]
+# a few round trips and digests; short enough that assist.period_us=1, a
+# digest every microsecond, stays cheap
+SWEEP_RUN_S = 0.02
+SWEEP_PERIOD_US = 5_000
+
+
+def fails_before_or_runs_to_the_end(settings: list[tuple[str, object]]) -> None:
+    """Set each key to its value, as the nearest integer where the key takes
+    only integers; the config must fail validation, fail at set-up, or run."""
+    cfg = SimConfig(duration_s=SWEEP_RUN_S)
+    cfg.assist.period_us = SWEEP_PERIOD_US
+    for key, value in settings:
+        try:
+            apply_settings(cfg, {key: repr(value)})
+        except ConfigError:
+            apply_settings(cfg, {key: str(int(value))})
+    if cfg.validate():
+        return
+    try:
+        sim = Simulation(cfg)
+    except (ConfigError, TraceError):   # the CLI exits 2 before any run
+        return
+    if all(key != "duration_s" for key, _ in settings):   # it may set a run of years
+        try:
+            sim.run().summary_row()
+        except Exception as exc:
+            raise AssertionError(f"{settings} passed validation, then crashed") from exc
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_boundary_values_fail_before_the_run_or_run_to_the_end(key):
+    for value in BOUNDARY_VALUES:
+        fails_before_or_runs_to_the_end([(key, value)])
+
+
+def test_boundary_value_pairs_fail_before_the_run_or_run_to_the_end():
+    rng = random.Random(22)
+    for _ in range(600):
+        keys = rng.sample(NUMERIC_KEYS, 2)
+        fails_before_or_runs_to_the_end([(key, rng.choice(BOUNDARY_VALUES)) for key in keys])
