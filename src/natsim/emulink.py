@@ -11,14 +11,27 @@ probes bypass the UE queues entirely and observe only fixed network delay.
 
 Both legs in flight, server to BTS and UE to server, are a FIFO each,
 like htsim's pipes: a packet sent onto a leg takes its heap key
-``(arrival, tick)`` at send time, and only the leg's first entry is on the
-event heap.  Its handler (``_arrive`` on the downlink, ``_ack_arrive`` on the
-uplink) pushes the next one before it handles its packet, so the heap pops
-every arrival exactly where it would with one entry per packet in flight.
-That is exact because each leg delivers in send order: the downlink delay
-is constant, and every ack has the same size and so the same uplink delay.
-A send that would overtake the one before it breaks that premise and raises
-``LinkError``.
+``(arrival, tick)`` at send time.  That is exact because each leg delivers
+in send order: the downlink delay is constant, and every ack has the same
+size and so the same uplink delay.  A send that would overtake the one
+before it breaks that premise and raises ``LinkError``.
+
+Only the uplink's first entry is on the event heap; ``_ack_arrive`` pushes
+the next one before it hands its ack over, so the heap pops every ack
+exactly where it would with one entry per ack in flight.  The downlink's
+first entry is on the heap only while the backlog is empty or the event
+log is on; ``_arrive`` then admits it to its UE queue (the drop test and
+the enqueue) and pushes the next one under the same rule.  While the
+backlog is non-empty and no log is kept, an arrival can only enqueue or
+drop, and nothing reads a queue before the next service.  So no downlink
+entry goes on the heap: each ``_on_opportunity`` first admits, in order,
+every entry keyed below its own ``(time, tick)``, with no frame a packet,
+and a service that empties the backlog pushes the leg's first entry.  No
+dequeue happens between two services, so every drop decision and every
+enqueue time is the one the heap would have given.  The entries that
+arrive at or before the end of the run but after its last service are
+admitted by ``admit_until``.  With the log on, every arrival goes through
+the heap, so each ``enq`` or ``drop`` row is written at its own time.
 
 The link sees every packet, so it writes every per-packet event-log row
 through its one sink (``None`` when no log is kept): ``snd`` on send,
@@ -44,7 +57,7 @@ import enum
 import random
 import struct
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -169,6 +182,11 @@ class UeQueue:
 _RANK = attrgetter("rank")
 
 
+def _overtaking(entry: tuple, leg: deque) -> LinkError:
+    return LinkError(f"arrival at {entry[0]} us would overtake the "
+                     f"one at {leg[-1][0]} us on its leg")
+
+
 class BtsLink:
     """Bottleneck link: trace-driven drain over per-UE droptail queues."""
 
@@ -189,8 +207,9 @@ class BtsLink:
         self.rng = rng
         self._reserve = loop.reserve
         self._push = loop.push
-        # each leg in flight: a FIFO of (arrival_us, tick, fn, args) entries,
-        # the first of which is on the event heap
+        # each leg in flight: a FIFO of (arrival_us, tick, fn, args) entries;
+        # the uplink's first is on the event heap, the downlink's only while
+        # the backlog is empty or the log is on (else services admit them)
         self._down: deque = deque()
         self._up: deque = deque()
         self._log = log   # takes one packed row; None when the run records no log
@@ -231,36 +250,43 @@ class BtsLink:
             raise LinkError("send_downlink carries data packets only")
         if self._log is not None:
             self._log(_ROW(now, _SND, pkt.flow_id, pkt.seq, -1))
-        self._launch(self._down, (now + self._down_owd_us, self._reserve(),
-                                  self._arrive, (pkt, q)))
-
-    def _launch(self, leg: deque, entry: tuple) -> None:
-        """Queue a heap entry on a leg in flight; it is pushed when it is
-        the leg's first, by ``_launch`` or by the handler of the one before."""
-        if leg:
-            if entry[0] < leg[-1][0]:
-                raise LinkError(f"arrival at {entry[0]} us would overtake the "
-                                f"one at {leg[-1][0]} us on its leg")
-        else:
+        entry = (now + self._down_owd_us, self._reserve(), self._arrive, (pkt, q))
+        down = self._down
+        if down:
+            if entry[0] < down[-1][0]:
+                raise _overtaking(entry, down)
+        elif self._log is not None or not self._backlog:
             self._push(entry)
-        leg.append(entry)
+        down.append(entry)
 
     def _arrive(self, now: int, pkt: Packet, q: UeQueue) -> None:
+        """Admit the downlink's first entry to its UE queue, then push the
+        next one onto the heap while the backlog is empty or the log is on."""
         down = self._down
         down.popleft()
-        if down:
-            self._push(down[0])
+        backlog = self._backlog
         if q.offer(pkt, now):
             if self._log is not None:
                 self._log(_ROW(now, _ENQ, pkt.flow_id, pkt.seq, -1))
             if len(q.fifo) == 1:
-                bisect.insort(self._backlog, q, key=_RANK)
-                if len(self._backlog) == 1:
+                bisect.insort(backlog, q, key=_RANK)
+                if len(backlog) == 1:
                     self._start_drain(now)
         else:
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             if self._log is not None:
                 self._log(_ROW(now, _DROP, pkt.flow_id, pkt.seq, -1))
+        if down and (self._log is not None or not backlog):
+            self._push(down[0])
+
+    def admit_until(self, t_end_us: int) -> None:
+        """Admit the downlink entries that arrive at or before ``t_end_us``
+        and are still on the leg: with no log, those that land after the
+        run's last service.  The run calls it once, after its last event."""
+        down = self._down
+        while down and down[0][0] <= t_end_us:
+            t_us, _, _, (pkt, q) = down[0]
+            self._arrive(t_us, pkt, q)
 
     def _start_drain(self, now: int) -> None:
         """Schedule the first unserved opportunity at or after ``now``."""
@@ -269,11 +295,33 @@ class BtsLink:
         if t_us < now:  # the link idled past it: search from now
             idx = self.schedule.index_at_or_after(now)
             t_us = self.schedule.instant(idx)
-        self._push((t_us, self._reserve(), self._on_opportunity, (idx,)))
+        tick = self._reserve()
+        self._push((t_us, tick, self._on_opportunity, (idx, tick)))
 
-    def _on_opportunity(self, now: int, idx: int) -> None:
-        """Serve one packet from the next backlogged UE (round-robin)."""
+    def _on_opportunity(self, now: int, idx: int, tick: int) -> None:
+        """Serve one packet from the next backlogged UE (round-robin), after
+        admitting, with no log, the downlink entries keyed below this one."""
         backlog = self._backlog
+        down = self._down
+        log = self._log
+        if log is None and down:
+            # _arrive's admission inline: no frame a packet, and no service
+            # in between, so the drop test sees the occupancy _arrive would
+            key = (now, tick)
+            while down and down[0] < key:
+                t_us, _, _, (pkt, q) = down.popleft()
+                size = pkt.size
+                if q.occupancy + size > q.capacity_bytes:
+                    q.drop_count += 1
+                    self.drops_by_flow[pkt.flow_id] = (
+                        self.drops_by_flow.get(pkt.flow_id, 0) + 1)
+                else:
+                    pkt.t_enqueued = t_us
+                    q.fifo.append(pkt)
+                    q.occupancy += size
+                    q.enqueued_bytes += size
+                    if len(q.fifo) == 1:
+                        bisect.insort(backlog, q, key=_RANK)
         # the first at or after the round-robin position, else the lowest
         i = bisect.bisect_left(backlog, self._rr_next, key=_RANK) % len(backlog)
         q = backlog[i]
@@ -283,23 +331,27 @@ class BtsLink:
         pkt = q.pop(now)
         if not q.fifo:
             del backlog[i]
-        if self._log is not None:
-            self._log(_ROW(now, _DEQ, pkt.flow_id, pkt.seq,
-                           now - pkt.t_enqueued))
+            if not backlog and down and log is None:
+                self._push(down[0])
+        if log is not None:
+            log(_ROW(now, _DEQ, pkt.flow_id, pkt.seq, now - pkt.t_enqueued))
         if q.staged is not None:
             pkt.feedback = q.staged
             q.staged = None
         if self._loss_prob > 0 and self.rng.random() < self._loss_prob:
             self.air_drops += 1
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
-            if self._log is not None:
-                self._log(_ROW(now, _AIRDROP, pkt.flow_id, pkt.seq, -1))
+            if log is not None:
+                log(_ROW(now, _AIRDROP, pkt.flow_id, pkt.seq, -1))
         else:  # zero residual radio-leg delay
-            if self._log is not None:
-                self._log(_ROW(now, _DLV, pkt.flow_id, pkt.seq, -1))
+            if log is not None:
+                log(_ROW(now, _DLV, pkt.flow_id, pkt.seq, -1))
             q.deliver(pkt, now)
-        if backlog:
-            self._start_drain(now)
+        if backlog:  # the next opportunity, never before now
+            idx += 1
+            tick = self._reserve()
+            self._push((self.schedule.instant(idx), tick, self._on_opportunity,
+                        (idx, tick)))
 
     # -- in-band feedback -------------------------------------------------
 
@@ -321,8 +373,14 @@ class BtsLink:
         if delay is None:
             delay = self._up_delay_us[pkt.size] = (
                 self.path.up_owd_us + self.path.serialization_us(pkt.size))
-        self._launch(self._up, (now + delay, self._reserve(), self._ack_arrive,
-                                (arrive, pkt)))
+        entry = (now + delay, self._reserve(), self._ack_arrive, (arrive, pkt))
+        up = self._up
+        if up:
+            if entry[0] < up[-1][0]:
+                raise _overtaking(entry, up)
+        else:
+            self._push(entry)
+        up.append(entry)
 
     def _ack_arrive(self, now: int, arrive: Callable[[int, Packet], None],
                     pkt: Packet) -> None:
@@ -354,6 +412,19 @@ class BtsLink:
     def idle_opportunities(self, horizon_us: int) -> int:
         elapsed = self.schedule.index_at_or_after(horizon_us + 1)
         return max(0, elapsed - self.served_opportunities)
+
+    def held_by_flow(self, t_end_us: int) -> Counter:
+        """Data packets the link still holds at ``t_end_us``, the end of the
+        run, per flow: queued at a UE or on the downlink leg.  Each one left
+        on the leg must arrive after ``t_end_us``; ``LinkError`` names the
+        flow of one that was never admitted."""
+        held = Counter([p.flow_id for q in self.queues.values() for p in q.fifo])
+        for t_us, _, _, (pkt, _) in self._down:
+            if t_us <= t_end_us:
+                raise LinkError(f"flow {pkt.flow_id}: a packet that arrived at "
+                                f"{t_us} us was never admitted")
+            held[pkt.flow_id] += 1
+        return held
 
     def conservation_ok(self) -> bool:
         """Every queue's byte identity holds (``UeQueue.conserved``)."""

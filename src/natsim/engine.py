@@ -19,13 +19,19 @@ row lands in the ``array('q')`` ``events`` as five int64s, 40 bytes, with
 no Python frame (see ``emulink``).
 ``_collect`` derives each flow's byte counts from its receiver's
 deliveries, and raises ``LinkError`` naming the UE whose queue's byte
-identity broke.
+identity broke, or the flow whose packets do not add up: each flow's sent
+and retransmitted packets are delivered, dropped (at the queue or in the
+air), queued, or still on the downlink leg, arriving after the run.  The
+run first has the link admit the arrivals due by its end that no service
+admitted (``BtsLink.admit_until``).
 
 The heap holds only work that is next in line: the next period's feedback
-emit, the first packet on each link leg, the link's one drain event,
-per-flow timers, one watchdog check per feedback stream, out-of-band
-arrivals and flow starts.  Its depth follows the flows, not the periods of
-the run or the packets in flight.  Reserved ticks keep every
+emit, the first ack on the uplink leg, the first packet on the downlink
+leg while the link's backlog is empty or the event log is on (otherwise
+each service admits the packets due before it), the link's one drain
+event, per-flow timers, one watchdog check per feedback stream,
+out-of-band arrivals and flow starts.  Its depth follows the flows, not
+the periods of the run or the packets in flight.  Reserved ticks keep every
 ``(time, tick)`` key what it would be with one entry per pending event: a
 packet takes its tick when it is sent onto a link leg (see ``emulink``); a
 watchdog check takes its tick when the feedback that arms it is applied.
@@ -451,6 +457,7 @@ class Simulation:
             self.loop.schedule(spec.start_us, self._start_flow,
                                (spec.flow_id, spec.ue_id))
         self.loop.run_until(duration)
+        self.link.admit_until(duration)
         return self._collect()
 
     def _collect(self) -> RunResult:
@@ -458,11 +465,16 @@ class Simulation:
             if not q.conserved():
                 raise LinkError(f"queue byte identity broken at UE {q.ue_id}")
         mtu = self.cfg.mtu
+        held = self.link.held_by_flow(self.cfg.duration_us)
         flows = []
         for spec in self.cfg.flows():
             snd = self.senders[spec.flow_id]
             ctl = snd.controller
             deliveries = self.receivers[spec.ue_id].deliveries[spec.flow_id]
+            drops = self.link.drops_by_flow.get(spec.flow_id, 0)
+            if (snd.sent_segments + snd.retransmits
+                    != len(deliveries) + drops + held[spec.flow_id]):
+                raise LinkError(f"packet count broken for flow {spec.flow_id}")
             flows.append(FlowStats(
                 flow_id=spec.flow_id,
                 ue_id=spec.ue_id,
@@ -474,7 +486,7 @@ class Simulation:
                 delivered_bytes=len(deliveries) * mtu,
                 # a list, not a generator: one call, however many entries
                 unique_bytes=sum([t >= 0 for t in deliveries]) * mtu,
-                drops=self.link.drops_by_flow.get(spec.flow_id, 0),
+                drops=drops,
                 fb_count=ctl.fb_count,
                 mode_log=list(ctl.mode_log),
                 deliveries=deliveries,

@@ -32,7 +32,7 @@ def unpack_row(row: bytes) -> tuple:
 
 
 def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
-              ues=(0,), loss=0.0, seed=1):
+              ues=(0,), loss=0.0, seed=1, logged=True):
     loop = EventLoop()
     log = []
     path = path or PathConfig(loss_prob=loss)
@@ -41,7 +41,7 @@ def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
         path,
         random.Random(seed),
         loop,
-        lambda row: log.append(unpack_row(row)),
+        (lambda row: log.append(unpack_row(row))) if logged else None,
     )
     delivered = {ue: [] for ue in ues}
     for ue in ues:
@@ -69,6 +69,9 @@ def small_sim():
 
 
 TWO_UES = {"duration_s": "0.5", "flows.start_s": "0, 0", "flows.ue": "3, 7"}
+# the same on a walk trace: with no log, arrivals wait on the downlink leg
+# after the last service
+WALK_TWO_UES = {**TWO_UES, "trace": "walk:1mbps-24mbps@100ms"}
 
 
 def test_queue_audit_raises_when_byte_identity_breaks():
@@ -97,6 +100,45 @@ def test_queue_audit_survives_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "raised False queue byte identity broken at UE 7"
+
+
+def test_packet_audit_raises_when_a_flow_count_breaks():
+    # per flow: sent + retransmitted = delivered + dropped + held by the link
+    sim = Simulation(build_config(None, TWO_UES))
+    sim.link.drops_by_flow[1] = 1   # a drop that never happened
+    with pytest.raises(LinkError, match="^packet count broken for flow 1$"):
+        sim.run()
+
+
+def test_packet_audit_catches_an_arrival_never_admitted():
+    # with no log, the arrivals after the last service wait on the downlink
+    # leg; one left there that is due by the end of the run breaks the audit
+    sim = Simulation(build_config(None, WALK_TWO_UES))
+    sim.link.admit_until = lambda t_end_us: None
+    with pytest.raises(LinkError, match=r"^flow \d: a packet that arrived at "
+                                        r"\d+ us was never admitted$"):
+        sim.run()
+
+
+def test_packet_audit_survives_optimized_python():
+    code = (
+        "from natsim.config import build_config\n"
+        "from natsim.emulink import LinkError\n"
+        "from natsim.engine import Simulation\n"
+        "for attr, broken in (('drops_by_flow', {1: 1}),\n"
+        "                     ('admit_until', lambda t_end_us: None)):\n"
+        f"    sim = Simulation(build_config(None, {WALK_TWO_UES!r}))\n"
+        "    setattr(sim.link, attr, broken)\n"
+        "    try:\n"
+        "        sim.run()\n"
+        "    except LinkError as exc:\n"
+        "        print('raised', __debug__, str(exc).split(':')[0])\n"
+    )
+    src = str(Path(natsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["raised False packet count broken for flow 1",
+                                       "raised False flow 0"]
 
 
 def test_conservation_checks_occupancy_bounds_and_held_bytes():
@@ -243,6 +285,106 @@ def test_unused_opportunities_are_not_banked():
     loop.run_until(100_000)
     times = [t for (t, _) in delivered[0]]
     assert times == [13_000, 14_000]
+
+
+# -- lazy admission: no log, so services admit the arrivals ----------------------
+
+def replay(sends, logged, t_end_us, capacity=150_000, ues=(0,)):
+    """Send ``(t_us, ue, seq)`` data packets from loop events, run to
+    ``t_end_us`` and admit what is due; return the link, its loop, each
+    ``_arrive`` call as ``(now, seq)`` and what the link observably did."""
+    link, loop, _, delivered = make_link(capacity=capacity, ues=ues, logged=logged)
+    arrivals = []
+    arrive = link._arrive
+
+    def counted(now, pkt, q):
+        arrivals.append((now, pkt.seq))
+        arrive(now, pkt, q)
+
+    link._arrive = counted   # entries take the handler at send time
+    for t_us, ue, seq in sends:
+        loop.schedule(t_us, lambda now, ue=ue, seq=seq: link.send_downlink(
+            link.queue_for(ue), data(flow=ue, seq=seq), now))
+    loop.run_until(t_end_us)
+    link.admit_until(t_end_us)
+    seen = {
+        "delivered": {ue: [(t, p.seq) for t, p in d] for ue, d in delivered.items()},
+        "queues": [(q.enqueued_bytes, q.dequeued_bytes, q.occupancy, q.drop_count,
+                    list(q.qdelay_samples_us), [(p.seq, p.t_enqueued) for p in q.fifo])
+                   for q in link.queues.values()],
+        "drops": link.drops_by_flow,
+        "served": link.served_opportunities,
+        "held": link.held_by_flow(t_end_us),
+    }
+    return link, loop, arrivals, seen
+
+
+def test_drop_burst_between_two_services_matches_the_logged_run():
+    # two packets land at 2.5 ms and are served at 3 and 4 ms; a burst of
+    # five lands at 3.2 ms into a 2-packet queue holding one: one fits
+    sends = [(0, 0, 0), (0, 0, 1500)] + [(700, 0, 3000 + 1500 * i) for i in range(5)]
+    lazy_link, lazy_loop, lazy_arrivals, lazy = replay(sends, False, 50_000, 3_000)
+    _, logged_loop, _, logged = replay(sends, True, 50_000, 3_000)
+    assert lazy == logged
+    assert lazy["drops"] == {0: 4}
+    assert lazy["queues"][0][4] == [500, 1_500, 1_800]
+    assert lazy_arrivals == [(2_500, 0)]   # the rest were admitted by services
+    assert lazy_loop.processed == logged_loop.processed - 6
+
+
+def test_arrivals_after_the_last_service_are_admitted_by_the_end():
+    # served at 3 and 4 ms; the next service is at 5 ms, after the end at
+    # 4.6 ms, so the arrivals at 4.3 and 4.6 ms wait on the leg until
+    # admit_until; the one at 4.601 ms stays there
+    sends = [(0, 0, 0), (0, 0, 1500), (1_000, 0, 3000), (1_800, 0, 4500),
+             (2_100, 0, 6000), (2_101, 0, 7500)]
+    link, loop, _, _ = make_link(logged=False)
+    for t_us, _, seq in sends:
+        loop.schedule(t_us, lambda now, seq=seq: link.send_downlink(
+            link.queue_for(0), data(seq=seq), now))
+    loop.run_until(4_600)
+    with pytest.raises(LinkError, match="^flow 0: a packet that arrived at "
+                                        "4300 us was never admitted$"):
+        link.held_by_flow(4_600)
+    _, _, _, lazy = replay(sends, False, 4_600)
+    _, _, _, logged = replay(sends, True, 4_600)
+    assert lazy == logged
+    assert lazy["queues"][0][5] == [(3000, 3_500), (4500, 4_300), (6000, 4_600)]
+    assert lazy["held"] == {0: 4}   # three queued, one still on the leg
+
+
+def test_a_leg_head_pushed_while_the_backlog_was_empty_is_handled_once():
+    # A is served at 3 ms and empties the backlog, so the service pushes B,
+    # which lands at 3.1 ms through _arrive; C lands at 3.2 ms behind B's
+    # backlog and is admitted by the service at 4 ms
+    sends = [(0, 0, 0), (600, 0, 1500), (700, 0, 3000)]
+    _, lazy_loop, lazy_arrivals, lazy = replay(sends, False, 50_000)
+    _, _, logged_arrivals, logged = replay(sends, True, 50_000)
+    assert lazy == logged
+    assert lazy["delivered"] == {0: [(3_000, 0), (4_000, 1500), (5_000, 3000)]}
+    assert lazy_arrivals == [(2_500, 0), (3_100, 1500)]
+    assert logged_arrivals == [(2_500, 0), (3_100, 1500), (3_200, 3000)]
+    assert not lazy_loop._heap
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ues=st.integers(1, 4),
+       sends=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)),
+                      min_size=1, max_size=40),
+       capacity=st.sampled_from([1_500, 3_000, 15_000]),
+       t_end_ms=st.integers(1, 25))
+def test_lazy_admission_matches_the_logged_link(ues, sends, capacity, t_end_ms):
+    # bursts at random half-milliseconds let the backlog empty and refill;
+    # every packet due by the end is admitted exactly once on both paths
+    timed = [(t * 500, k % ues, 1500 * i) for i, (t, k) in enumerate(sorted(sends))]
+    t_end_us = t_end_ms * 1_000
+    link, _, arrivals, lazy = replay(timed, False, t_end_us, capacity, tuple(range(ues)))
+    _, _, _, logged = replay(timed, True, t_end_us, capacity, tuple(range(ues)))
+    assert lazy == logged
+    due = sum(t + 2_500 <= t_end_us for t, _, _ in timed)
+    admitted = sum(q.enqueued_bytes // 1500 + q.drop_count for q in link.queues.values())
+    assert admitted == due
+    assert len(set(arrivals)) == len(arrivals)
 
 
 # -- air loss -------------------------------------------------------------------

@@ -170,6 +170,65 @@ def test_valid_small_runs_finish_within_capacity_and_replay(run_settings):
     assert [f.deliveries for f in again.flows] == [f.deliveries for f in res.flows]
 
 
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    """A 700 ms trace file: bursts of opportunities between outages."""
+    rng = random.Random(23)
+    stamps = sorted(rng.choice((0, 100, 400)) + rng.randrange(300) for _ in range(900))
+    path = tmp_path_factory.mktemp("trace") / "bursty.trace"
+    path.write_text("".join(f"{t}\n" for t in stamps))
+    return str(path)
+
+
+@st.composite
+def crowded_runs(draw, trace_file):
+    """Up to 16 flows over up to 8 UEs on every trace kind, queues of 1 to
+    100 packets, loss and both feedback modes."""
+    n = draw(st.integers(1, 16))
+    ues = draw(st.integers(1, 8))
+    return {
+        "scheme": draw(st.sampled_from(SCHEMES)),
+        "assist.mode": draw(st.sampled_from(("oob", "ib"))),
+        "trace": draw(st.sampled_from(("walk:1mbps-24mbps@20ms", "const:48mbps",
+                                       "step:24mbps@50ms,2mbps@30ms",
+                                       trace_file, "const:12mbps"))),
+        "path.loss_prob": draw(st.sampled_from(("0", "0.01", "0.05"))),
+        "queue.capacity_bytes": draw(st.sampled_from(("150000", "15000", "3000",
+                                                      "1500"))),
+        "seed": str(draw(st.integers(1, 1000))),
+        # the shorter run ends between two opportunities of every trace
+        "duration_s": draw(st.sampled_from(("1", "0.9337"))),
+        "assist.period_us": "20000",
+        "flows.start_s": ",".join(f"{t / 100}" for t in draw(
+            st.lists(st.integers(0, 50), min_size=n, max_size=n))),
+        "flows.ue": ",".join(map(str, draw(
+            st.lists(st.integers(0, ues - 1), min_size=n, max_size=n)))),
+    }
+
+
+def test_the_lazy_and_the_logged_path_give_the_same_run(trace_file):
+    # with the log on, every arrival at the BTS goes through the heap; with
+    # it off, services admit most of them.  Summary rows alone would miss an
+    # arrival never admitted at the end: it moves mostly queue state
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(crowded_runs(trace_file))
+    def check(run_settings):
+        seen = []
+        for events in ("on", "off"):
+            sim = Simulation(build_config(None, {**run_settings, "log.events": events}))
+            res = sim.run()
+            link = sim.link
+            seen.append((
+                res.summary_row(), [vars(f) for f in res.flows],
+                res.qdelay_samples_us, res.feedback_log, link.drops_by_flow,
+                [(q.enqueued_bytes, q.occupancy, q.drop_count)
+                 for q in link.queues.values()],
+            ))
+        assert seen[0] == seen[1]
+
+    check()
+
+
 def test_link_is_the_one_writer_of_the_event_log():
     # every row kind, in-band digests riding data to two UEs, air loss
     sim = Simulation(cfg(duration_s=2.0, log_events=True,
