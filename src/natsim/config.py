@@ -234,6 +234,22 @@ def apply_settings(cfg: SimConfig, settings: dict[str, str]) -> SimConfig:
     return cfg
 
 
+def read_utf8(path: str, error: type[ValueError]) -> str:
+    """A text file read as UTF-8 whatever the locale, with universal newlines.
+
+    A byte that does not decode raises ``error`` naming its line, counted
+    as ``str.splitlines`` counts lines.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file in one call: offsets are the file's
+        data, at = exc.object, exc.start
+        line = len((data[:at].decode("utf-8") + "x").splitlines())
+        raise error(f"{path}: line {line}: byte 0x{data[at]:02x} is not "
+                    f"UTF-8 ({exc.reason})") from None
+
+
 def build_config(
     file_path: str | None = None,
     overrides: dict[str, str] | None = None,
@@ -241,7 +257,7 @@ def build_config(
     """Defaults, then the config file, then explicit overrides."""
     cfg = SimConfig()
     if file_path is not None:
-        text = Path(file_path).read_text()
+        text = read_utf8(file_path, ConfigError)
         apply_settings(cfg, parse_config_text(text))
     if overrides:
         apply_settings(cfg, overrides)
@@ -262,7 +278,7 @@ def resolve_schedule(cfg: SimConfig) -> TraceSchedule:
     if is_trace_expression(cfg.trace):
         schedule = schedule_from_spec(cfg.trace, duration_ms, cfg.mtu, cfg.seed)
     else:
-        schedule = parse_trace(Path(cfg.trace).read_text(), mtu=cfg.mtu)
+        schedule = parse_trace(read_utf8(cfg.trace, TraceError), mtu=cfg.mtu)
     if not schedule.usable:
         raise TraceError(f"trace {cfg.trace!r} has no delivery opportunity "
                          "and cannot be replayed")

@@ -13,6 +13,13 @@ the next cycle's t = 0, so a trace listing both ``0`` and the cycle length
 yields back-to-back opportunities at the wrap point (kept as-is, not
 deduplicated).  A trace file's cycle is its last timestamp.
 
+A well-formed trace file is parsed in bulk: one ``int`` pass over its
+lines, one multiply pass to microseconds, and one pairwise compare in
+``TraceSchedule`` that checks the order.  A per-line loop runs only for
+a file that pass cannot take, one with a comment, a blank line or a
+malformed, negative or decreasing stamp; it skips the first two and names
+the line of the first error.
+
 Synthetic rates are spaced at least 1 us apart: a rate above mtu*8e6 bit/s
 would put more than one packet in a microsecond and raises TraceError.  A
 constant-rate schedule repeats exactly every P = mtu*8e6 / gcd(mtu*8e6, rate)
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -62,20 +70,22 @@ class TraceSchedule:
             raise TraceError("mtu must be positive")
         if self.cycle_us < 0:
             raise TraceError("cycle_length must be non-negative")
-        prev = -1
-        for t in self.opportunities_us:
-            if t < 0:
-                raise TraceError("opportunity instants must be non-negative")
-            if t < prev:
-                raise TraceError("opportunity instants must be non-decreasing")
-            if t > self.cycle_us:
-                raise TraceError("opportunity instant exceeds cycle_length")
-            prev = t
-        if self.cycle_us == 0 and self.opportunities_us:
+        opps = tuple(self.opportunities_us)
+        if opps and not (opps[0] >= 0 and opps[-1] <= self.cycle_us
+                         and all(map(operator.le, opps, opps[1:]))):
+            prev = -1   # find the first bad instant, to name what is wrong
+            for t in opps:
+                if t < 0:
+                    raise TraceError("opportunity instants must be non-negative")
+                if t < prev:
+                    raise TraceError("opportunity instants must be non-decreasing")
+                if t > self.cycle_us:
+                    raise TraceError("opportunity instant exceeds cycle_length")
+                prev = t
+        if self.cycle_us == 0 and opps:
             raise TraceError("zero-length cycle with opportunities")
         if self.phase < 0:
             raise TraceError("phase must be non-negative")
-        opps = tuple(self.opportunities_us)
         n = bisect.bisect_left(opps, self.cycle_us)
         object.__setattr__(self, "opportunities_us", (0,) * (len(opps) - n) + opps[:n])
 
@@ -143,7 +153,23 @@ def parse_trace(text: str, mtu: int = DEFAULT_MTU) -> TraceSchedule:
     One non-negative integer millisecond timestamp per line, non-decreasing.
     Blank lines and lines starting with ``#`` are ignored.  The cycle length
     is the last timestamp, which must be positive.
+
+    A file the bulk pass cannot take goes to ``_parse_lines``, which names
+    the error.  Both call ``int`` on the same ``splitlines`` pieces (``int``
+    strips the whitespace ``str.strip`` does), so they accept the same files.
     """
+    try:
+        stamps_ms = list(map(int, text.splitlines()))
+        return TraceSchedule(tuple(map(US_PER_MS.__mul__, stamps_ms)),
+                             stamps_ms[-1] * US_PER_MS, mtu)
+    except (ValueError, IndexError):    # TraceError is a ValueError
+        pass
+    return _parse_lines(text, mtu)
+
+
+def _parse_lines(text: str, mtu: int) -> TraceSchedule:
+    """``parse_trace`` one line at a time: skips comments and blank lines,
+    and names the line of the first malformed, negative or decreasing stamp."""
     stamps_ms: list[int] = []
     prev = 0
     for lineno, raw in enumerate(text.splitlines(), 1):

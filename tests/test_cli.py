@@ -126,6 +126,20 @@ def test_malformed_trace_file_exit_code(tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("kind,body,line", [
+    ("--trace", b"10\n20\n\xff30\n", 3),
+    ("--config", b"scheme = natcp\n# \xff\n", 2),
+])
+def test_undecodable_byte_names_its_line_and_exits_2(tmp_path, capsys, kind, body, line):
+    # the file is read as UTF-8 whatever the locale; 0xff is never UTF-8
+    path = tmp_path / "bad"
+    path.write_bytes(body)
+    rc = main(["run", kind, str(path), "--duration", "1", "-o", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert f"line {line}: byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("trace", ["step:12mbps@5.5ms", "step:12mbps@xms"])
 def test_malformed_step_hold_exit_code(tmp_path, trace):
     rc = main(["run", "--trace", trace, "--duration", "1", "-o", str(tmp_path)])

@@ -99,6 +99,16 @@ def test_unknown_key_rejected():
         apply_settings(SimConfig(), {"cc.beta": "2"})
 
 
+def test_read_utf8_decodes_whatever_the_locale_and_names_a_bad_line(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes("# café\r\n1\r2\n".encode())
+    assert config.read_utf8(str(path), TraceError) == "# café\n1\n2\n"
+    # the bad byte sits far past the first read buffer; \r alone ends a line
+    path.write_bytes(b"1\r\n" * 20_000 + b"2\r3 \xe9\n")
+    with pytest.raises(TraceError, match=r"line 20002: byte 0xe9 is not UTF-8"):
+        config.read_utf8(str(path), TraceError)
+
+
 def readme_key_table() -> dict[str, str]:
     text = README.read_text()
     section = text.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from heapq import heappop
 
 import pytest
@@ -679,3 +680,34 @@ def test_lossy_deliveries_keep_eight_bytes_per_arriving_packet():
         assert len(fs.deliveries) == fs.delivered_bytes // res.mtu
         assert (res.flow_goodput_mbps(fs.flow_id, 0, res.duration_us)
                 == fs.unique_bytes * 8 / res.duration_us)
+
+
+@pytest.mark.parametrize("settings,d", [
+    # no probe completes, so a scan back from now would read every probe
+    # fired since t = 0; d holds five digests at the default 50 ms period
+    ({"path.down_owd_us": "1000000000", "assist.probe_interval_us": "1"}, 0.25),
+    # a digest every microsecond; the first ~5 ms, before any feedback
+    # reaches a sender, are cheaper, so a shorter d reads above 2.2
+    ({"assist.period_us": "1"}, 0.02),
+    ({"flows.start_s": ",".join(["0"] * 256)}, 0.5),
+], ids=["probe-pair", "period-1us", "256-flows"])
+def test_python_calls_grow_no_faster_than_the_run(settings, d):
+    def calls(duration_s):
+        sim = Simulation(build_config(None, {**settings, "duration_s": str(duration_s)}))
+        n = 0
+
+        def count(frame, event, arg):
+            nonlocal n
+            n += 1      # returns None: no local tracer, so no other events
+
+        # a global trace function sees the "call" events sys.setprofile
+        # does, and nothing else, so it counts them at a third of the cost
+        sys.settrace(count)
+        try:
+            sim.run()
+        finally:
+            sys.settrace(None)
+        return n
+
+    short, long = calls(d), calls(2 * d)
+    assert long <= 2.2 * short, (short, long)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from natsim.config import SimConfig, resolve_schedule
 from natsim.trace import (
+    US_PER_MS,
     TraceError,
     TraceSchedule,
     _spaced,
@@ -65,6 +67,108 @@ def test_parse_zero_cycle_needs_explicit_length():
     # the cycle is the last timestamp, and no option sets another
     with pytest.raises(TraceError, match="zero-length cycle: the last timestamp"):
         parse_trace("0\n0\n")
+
+
+def reference_parse_trace(text, mtu=1500):
+    """``parse_trace`` as one loop over the lines: the reference that the
+    bulk parse must match, result for result and message for message."""
+    stamps_ms = []
+    prev = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise TraceError(f"line {lineno}: {line!r} is not an integer timestamp") from None
+        if value < 0:
+            raise TraceError(f"line {lineno}: negative timestamp {value}")
+        if value < prev:
+            raise TraceError(f"line {lineno}: timestamp {value} decreases (previous {prev})")
+        stamps_ms.append(value)
+        prev = value
+    if not stamps_ms:
+        raise TraceError("empty trace: no timestamps found")
+    if prev == 0:
+        raise TraceError("zero-length cycle: the last timestamp, the cycle length, is 0")
+    return TraceSchedule(
+        opportunities_us=tuple(t * US_PER_MS for t in stamps_ms),
+        cycle_us=prev * US_PER_MS,
+        mtu=mtu,
+    )
+
+
+def outcome(parse, text, mtu):
+    try:
+        sched = parse(text, mtu)
+    except TraceError as exc:
+        return "error", str(exc)
+    return "schedule", (sched.opportunities_us, sched.cycle_us, sched.mtu, sched.phase)
+
+
+# pieces int() and str.splitlines() each treat in their own way: signs,
+# digit separators, whitespace, "\x1c" (a line break to splitlines and
+# whitespace to int) and letters
+TRACE_PIECES = [*"0123456789", "#", " ", "\t", "\n", "\r\n", "\x1c", "-", "+", "_",
+                *"aeEx"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Noise from TRACE_PIECES, or (two times in three) non-decreasing stamps
+    in the forms int() takes or not, between comments, blank lines and any
+    line break."""
+    if draw(st.integers(0, 2)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(TRACE_PIECES), max_size=40)))
+    stamps = sorted(draw(st.lists(st.integers(0, 200), max_size=12)))
+    forms = st.sampled_from(["{}", "+{}", "0{}", " {}\t", "\x1c{}", "{}_0", "-{}", "{0} {0}"])
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x1c"])
+    lines = [draw(forms).format(t) for t in stamps]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", "  "])))
+    ends = [draw(breaks) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""       # no line break after the last line
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(trace_texts(), st.sampled_from([1500, 0]))
+@example("+5\n", 1500)
+@example("1_000\n", 1500)
+@example("007\n", 1500)
+@example("1 2\n5\n", 1500)
+@example("3\n5", 1500)                  # no newline after the last line
+@example("1\n4\n2\n9\n", 1500)          # a decrease mid-file
+@example("1\n4\n0", 1500)               # a final 0
+@example("0\n0\n", 1500)
+@example("1\n" + "9" * 4301 + "\n", 1500)  # past int()'s digit limit
+@example("", 1500)
+@example("5\n\n6\n", 1500)
+def test_parse_trace_matches_the_line_loop(text, mtu):
+    assert outcome(parse_trace, text, mtu) == outcome(reference_parse_trace, text, mtu)
+
+
+def test_parse_trace_runs_no_python_line_per_timestamp():
+    # 40,000 stamps, as a 60 s cellular trace holds; a loop over the lines
+    # runs over half a million Python lines, the bulk parse a few dozen
+    text = "".join(f"{i // 2 + 1}\n" for i in range(40_000))
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        sched = parse_trace(text)
+    finally:
+        sys.settrace(None)
+    assert sched.cycle_us == 20_000_000
+    assert lines <= 1_000, lines
 
 
 # -- replay arithmetic -------------------------------------------------------
