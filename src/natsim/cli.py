@@ -109,7 +109,7 @@ def parse_set_pairs(pairs: list[str]) -> dict[str, str]:
 
 def config_from_args(args, extra: dict[str, str] | None = None) -> SimConfig:
     overrides = parse_set_pairs(getattr(args, "set", None))
-    if getattr(args, "trace", None):
+    if getattr(args, "trace", None) is not None:
         overrides["trace"] = args.trace
     if getattr(args, "duration", None) is not None:
         overrides["duration_s"] = str(args.duration)

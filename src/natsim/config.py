@@ -117,6 +117,8 @@ class SimConfig:
         errs: list[str] = []
         if self.scheme not in SCHEMES:
             errs.append(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
+        if not self.trace.strip():
+            errs.append("trace must not be empty")
         for key, (owner, attr, cast) in _SETTINGS.items():
             value = getattr(getattr(self, owner) if owner else self, attr)
             if isinstance(value, float) and not math.isfinite(value) or isinstance(value, tuple) \
@@ -238,10 +240,14 @@ def read_utf8(path: str, error: type[ValueError]) -> str:
     """A text file read as UTF-8 whatever the locale, with universal newlines.
 
     A byte that does not decode raises ``error`` naming its line, counted
-    as ``str.splitlines`` counts lines.
+    as ``str.splitlines`` counts lines.  A directory or a file that cannot
+    be read raises ``error`` naming the path; a missing file raises
+    ``FileNotFoundError``.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
+    except (IsADirectoryError, PermissionError) as exc:
+        raise error(f"{path}: cannot be read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         # read_text decodes the whole file in one call: offsets are the file's
         data, at = exc.object, exc.start

@@ -11,10 +11,9 @@ probes bypass the UE queues entirely and observe only fixed network delay.
 
 Both legs in flight, server to BTS and UE to server, are a FIFO each,
 like htsim's pipes: a packet sent onto a leg takes its heap key
-``(arrival, tick)`` at send time.  That is exact because each leg delivers
-in send order: the downlink delay is constant, and every ack has the same
-size and so the same uplink delay.  A send that would overtake the one
-before it breaks that premise and raises ``LinkError``.
+``(arrival, tick)`` at send time.  FIFO order is exact because each leg's
+delay is a constant of the link and loop time never decreases, so each
+leg delivers in send order by construction.
 
 Only the uplink's first entry is on the event heap; ``_ack_arrive`` pushes
 the next one before it hands its ack over, so the heap pops every ack
@@ -42,10 +41,11 @@ kind's index in ``EVENT_KINDS``, the flow, the seq (the cumulative ack on
 an ``ack`` row) and the queuing delay, ``-1`` on every row but ``deq``.
 The sink takes the packed bytes, so a row costs no Python frame.
 
-``BtsLink`` reads its ``PathConfig`` once: the downlink delay, loss
-probability and probe jitter at construction, and the uplink delay of each
-ack size the first time an ack of that size is sent.  Every data packet and
-every ack crosses the link, so neither recomputes a delay per packet.
+``BtsLink`` reads its ``PathConfig`` once, at construction: the downlink
+delay, the loss probability, the probe jitter and the ack delay, the uplink
+one-way delay plus the serialization of one ``ACK_SIZE`` ack.  Every data
+packet and every ack crosses the link, so neither computes a delay per
+packet.
 
 All times are integer microseconds.
 """
@@ -83,6 +83,7 @@ ACK = PacketKind.ACK
 
 
 UNSET = -1
+ACK_SIZE = 64   # bytes the uplink serializes for every ack
 
 # event-log row kinds; a row stores the kind's index
 EVENT_KINDS = ("snd", "enq", "drop", "deq", "airdrop", "dlv", "ack")
@@ -93,7 +94,11 @@ _ROW = struct.Struct("5q").pack
 
 @dataclass(slots=True)
 class Packet:
-    """A simulated packet; ``t_enqueued`` is stamped by the UE queue."""
+    """A simulated packet; ``t_enqueued`` is stamped by the UE queue.
+
+    ``size`` is the data payload.  An ack is its data packet turned around,
+    so it keeps that size; the uplink charges every ack ``ACK_SIZE``.
+    """
 
     flow_id: int
     seq: int
@@ -182,11 +187,6 @@ class UeQueue:
 _RANK = attrgetter("rank")
 
 
-def _overtaking(entry: tuple, leg: deque) -> LinkError:
-    return LinkError(f"arrival at {entry[0]} us would overtake the "
-                     f"one at {leg[-1][0]} us on its leg")
-
-
 class BtsLink:
     """Bottleneck link: trace-driven drain over per-UE droptail queues."""
 
@@ -199,11 +199,10 @@ class BtsLink:
         log: Callable[[bytes], None] | None = None,
     ) -> None:
         self.schedule = schedule
-        self.path = path
         self._down_owd_us = path.down_owd_us
+        self._ack_delay_us = path.up_owd_us + path.serialization_us(ACK_SIZE)
         self._loss_prob = path.loss_prob
         self._probe_jitter_us = path.probe_jitter_us
-        self._up_delay_us: dict[int, int] = {}   # ack size -> uplink delay
         self.rng = rng
         self._reserve = loop.reserve
         self._push = loop.push
@@ -252,10 +251,7 @@ class BtsLink:
             self._log(_ROW(now, _SND, pkt.flow_id, pkt.seq, -1))
         entry = (now + self._down_owd_us, self._reserve(), self._arrive, (pkt, q))
         down = self._down
-        if down:
-            if entry[0] < down[-1][0]:
-                raise _overtaking(entry, down)
-        elif self._log is not None or not self._backlog:
+        if not down and (self._log is not None or not self._backlog):
             self._push(entry)
         down.append(entry)
 
@@ -369,16 +365,9 @@ class BtsLink:
         """Carry an ack (possibly with piggybacked feedback) to the server."""
         if pkt.kind is not ACK:
             raise LinkError("send_uplink carries acks only")
-        delay = self._up_delay_us.get(pkt.size)
-        if delay is None:
-            delay = self._up_delay_us[pkt.size] = (
-                self.path.up_owd_us + self.path.serialization_us(pkt.size))
-        entry = (now + delay, self._reserve(), self._ack_arrive, (arrive, pkt))
+        entry = (now + self._ack_delay_us, self._reserve(), self._ack_arrive, (arrive, pkt))
         up = self._up
-        if up:
-            if entry[0] < up[-1][0]:
-                raise _overtaking(entry, up)
-        else:
+        if not up:
             self._push(entry)
         up.append(entry)
 

@@ -27,6 +27,10 @@ directly, without passing through the reassembly map.  The sender
 keeps no copy of the congestion decision: each send reads the window and
 the pacing gap from its controller, which computes the gap when the
 pacing rate changes, not per segment.
+
+An ack is its data packet turned around: the receiver sets its kind,
+cumulative ack and beta and leaves ``size`` at the payload, which nothing
+reads, since the uplink charges every ack ``emulink.ACK_SIZE``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from typing import Callable
 from .cc import LOSS_DUPACK, LOSS_TIMEOUT, Controller
 from .emulink import ACK, DATA, Packet
 
-ACK_SIZE = 64
 DUPACK_THRESHOLD = 3
 RTO_MIN_US = 200_000
 RTO_MAX_US = 60_000_000
@@ -283,7 +286,6 @@ class UeReceiver:
         self.cum[fid] = cum
         self.deliveries[fid].append(now if first else ~now)
 
-        pkt.size = ACK_SIZE
         pkt.kind = ACK
         pkt.cum_ack = cum
         # this flow was just stamped active, so the count is at least 1

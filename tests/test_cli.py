@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,55 @@ def test_missing_trace_file_exit_code(tmp_path):
     rc = main(["run", "--trace", str(tmp_path / "absent.trace"),
                "--duration", "1", "-o", str(tmp_path)])
     assert rc == EXIT_MISSING_INPUT
+
+
+def test_missing_config_file_exit_code(tmp_path):
+    rc = main(["run", "--config", str(tmp_path / "absent.conf"),
+               "--duration", "1", "-o", str(tmp_path)])
+    assert rc == EXIT_MISSING_INPUT
+
+
+@pytest.mark.parametrize("args", [
+    ["--trace", ""],
+    ["--trace", "  "],
+    ["--set", "trace="],
+    ["--config", "{conf}"],
+], ids=["flag", "flag-spaces", "set", "config"])
+def test_empty_trace_exits_2(tmp_path, capsys, args):
+    # an empty trace names neither an expression nor a file: it must not
+    # fall back to the default trace, nor be read as the current directory
+    conf = tmp_path / "run.conf"
+    conf.write_text("trace =\n")
+    argv = [arg.format(conf=conf) for arg in args]
+    rc = main(["run", *argv, "--duration", "1", "-o", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert "trace must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["--trace", "--config"])
+def test_a_directory_as_input_exits_2(tmp_path, capsys, kind):
+    rc = main(["run", kind, str(tmp_path), "--duration", "1", "-o", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert f"natsim: {tmp_path}: cannot be read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["--trace", "--config"])
+def test_an_unreadable_file_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # a process running as root reads a file whatever its mode, so the
+    # read itself is refused
+    path = tmp_path / "locked"
+    path.write_text("10\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    rc = main(["run", kind, str(path), "--duration", "1", "-o", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert f"natsim: {path}: cannot be read: Permission denied" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_scheme_exit_code(tmp_path):

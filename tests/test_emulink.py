@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import natsim
 from natsim.config import build_config
 from natsim.emulink import (
-    EVENT_KINDS, BtsLink, LinkError, Packet, PacketKind, PathConfig, UeQueue,
+    ACK_SIZE, EVENT_KINDS, BtsLink, LinkError, Packet, PacketKind, PathConfig, UeQueue,
 )
 from natsim.engine import EventLoop, Simulation
 from natsim.trace import synth_constant
@@ -429,7 +429,8 @@ def test_attach_ib_latest_wins_and_single_use():
 def test_uplink_delay_includes_serialization():
     link, loop, _, _ = make_link()
     arrivals = []
-    ack = Packet(flow_id=0, seq=0, size=64, kind=PacketKind.ACK, cum_ack=1500)
+    # an ack keeps its data packet's size; the uplink charges it ACK_SIZE
+    ack = Packet(flow_id=0, seq=0, size=1500, kind=PacketKind.ACK, cum_ack=1500)
     link.send_uplink(ack, now=1_000, arrive=lambda now, pkt: arrivals.append(now))
     loop.run_until(50_000)
     # 6457 us propagation + round(64*8e6/12e6) = 43 us serialization
@@ -438,18 +439,79 @@ def test_uplink_delay_includes_serialization():
         link.send_uplink(data(), 0, lambda now, pkt: None)
 
 
-def test_uplink_ack_that_would_overtake_raises():
-    link, loop, _, _ = make_link()
-    arrivals = []
-    arrive = lambda now, pkt: arrivals.append((now, pkt.size))
-    big = Packet(flow_id=0, seq=0, size=1500, kind=PacketKind.ACK, cum_ack=1500)
-    small = Packet(flow_id=0, seq=0, size=64, kind=PacketKind.ACK, cum_ack=1500)
-    link.send_uplink(big, now=0, arrive=arrive)
-    # 1000 us of serialization for 1500 bytes against 43 us for 64
-    with pytest.raises(LinkError, match="arrival at 6500 us would overtake the one at 7457 us"):
-        link.send_uplink(small, now=0, arrive=arrive)
-    loop.run_until(50_000)
-    assert arrivals == [(6_457 + 1_000, 1500)]   # the leg is left as it was
+class Leg(deque):
+    """A link leg that records, in ``left``, each entry as it leaves."""
+
+    def __init__(self, name, left):
+        super().__init__()
+        self.name, self.left = name, left
+
+    def popleft(self):
+        entry = super().popleft()
+        self.left.append((self.name, entry))
+        return entry
+
+
+def send_on_both_legs(sends, path, logged):
+    """Send data packets and acks from loop events at the drawn gaps, run
+    until every one has left its leg, and return what each leg did: the
+    sends as ``(leg, t_us, tick, pkt)``, the entries in the order they left
+    and each ack's arrival."""
+    link, loop, _, _ = make_link(path=path, ues=(0, 1), logged=logged)
+    left = []
+    link._down, link._up = Leg("data", left), Leg("ack", left)
+    reserve, ticks = link._reserve, []
+    link._reserve = lambda: ticks.append(reserve()) or ticks[-1]
+    sent, acked = [], []
+
+    def send(now, i, leg, arg):
+        n = len(ticks)
+        if leg == "data":
+            pkt = data(flow=arg, seq=1500 * i)
+            link.send_downlink(link.queue_for(arg), pkt, now)
+        else:
+            pkt = Packet(flow_id=0, seq=0, size=arg, kind=PacketKind.ACK, cum_ack=i)
+            link.send_uplink(pkt, now, lambda now, pkt: acked.append((now, pkt)))
+        (tick,) = ticks[n:]   # a send takes one tick
+        sent.append((leg, now, tick, pkt))
+
+    t_us = 0
+    for i, (gap_us, (leg, arg)) in enumerate(sends):
+        t_us += gap_us
+        loop.schedule(t_us, send, (i, leg, arg))
+    loop.run_until(1_000_000)
+    link.admit_until(1_000_000)
+    assert not link._down and not link._up
+    return sent, left, acked
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(sends=st.lists(st.tuples(st.one_of(st.just(0), st.integers(0, 2_000)),
+                                st.sampled_from([("data", 0), ("data", 1), ("ack", ACK_SIZE),
+                                                 ("ack", 1500), ("ack", 9000)])),
+                      min_size=1, max_size=40),
+       path=st.sampled_from([PathConfig(), PathConfig(down_owd_us=0, uplink_rate_bps=1e6),
+                             PathConfig(uplink_rate_bps=0)]))
+def test_each_leg_delivers_in_send_order_after_its_constant_delay(sends, path):
+    # whatever an ack's size field says, each leg's delay is one constant,
+    # so every packet leaves its leg in send order, keyed (send time +
+    # delay, the tick it took at send)
+    delay = {"data": path.down_owd_us,
+             "ack": path.up_owd_us + path.serialization_us(ACK_SIZE)}
+    for logged in (True, False):
+        sent, left, acked = send_on_both_legs(sends, path, logged)
+        for leg in ("data", "ack"):
+            due = [(t + delay[leg], tick, id(pkt)) for name, t, tick, pkt in sent if name == leg]
+            gone = [(e[0], e[1], id(e[3][0] if leg == "data" else e[3][1]))
+                    for name, e in left if name == leg]
+            assert gone == due
+        due = [(t + delay["ack"], id(pkt)) for name, t, _, pkt in sent if name == "ack"]
+        assert [(now, id(pkt)) for now, pkt in acked] == due
+        assert all(pkt.t_enqueued == t + delay["data"]
+                   for name, t, _, pkt in sent if name == "data")
+        if logged:   # every entry leaves through the heap, in key order
+            keys = [e[:2] for _, e in left]
+            assert keys == sorted(keys)
 
 
 def test_probe_rtt_fixed_and_jittered():

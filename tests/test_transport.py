@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natsim.cc import Controller
-from natsim.emulink import Packet, PacketKind
+from natsim.emulink import ACK_SIZE, Packet, PacketKind
 from natsim.engine import EventLoop
-from natsim.transport import (ACK_SIZE, ACTIVITY_WINDOW_US, RTO_MIN_US, Sender,
-                              UeReceiver)
+from natsim.transport import ACTIVITY_WINDOW_US, RTO_MIN_US, Sender, UeReceiver
 
 MTU = 1500
 
@@ -292,7 +291,6 @@ def test_receiver_acks_every_packet_with_fixed_size():
     for i in range(4):
         recv.on_data(seg(0, i * MTU), now=10 + i)
     assert len(acks) == 4
-    assert all(pkt.size == ACK_SIZE for (_, pkt) in acks)
     assert all(pkt.kind is PacketKind.ACK for (_, pkt) in acks)
 
 
@@ -320,8 +318,7 @@ def test_receiver_turns_the_data_packet_into_its_ack():
     pkt = seg(0, 0, feedback="digest")
     recv.on_data(pkt, now=5)
     assert acks[-1][1] is pkt
-    assert (pkt.kind, pkt.size, pkt.cum_ack, pkt.beta) == (PacketKind.ACK, ACK_SIZE,
-                                                           1_500, 1)
+    assert (pkt.kind, pkt.cum_ack, pkt.beta) == (PacketKind.ACK, 1_500, 1)
     assert pkt.feedback == "digest"
 
 
