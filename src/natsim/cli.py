@@ -16,6 +16,7 @@ NATSIM_OUTPUT_DIR environment variable, else the current directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -36,6 +37,7 @@ EXIT_MISSING_INPUT = 3
 
 DEFAULT_SWEEP_PERIODS_US = (5_000, 10_000, 25_000, 50_000, 100_000)
 DEFAULT_MODE_SEEDS = (1, 2, 3, 4, 5)
+EVENT_ROW = "%d,%s,%d,%d,%s\r\n"   # time_us, kind, flow, seq, qdelay_us
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +183,31 @@ def run_grid(args, configs: list[SimConfig], rows_of, line, outputs) -> int:
 
 def cmd_run(args) -> int:
     cfg = config_from_args(args)
-    result = run_simulation(cfg)
-    outdir = output_dir(args)
-    summary = result.summary_row()
-    write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [summary])
-    if args.events_csv:
-        # the rows csv.writer would write (no cell needs quoting), one
-        # line at a time, five values of the packed log a row: the log is
-        # the largest output a run makes
-        it = iter(result.events)
-        with open(outdir / args.events_csv, "w", newline="") as fh:
-            fh.write("time_us,kind,flow,seq,qdelay_us\r\n")
-            fh.writelines(
-                f"{t},{EVENT_KINDS[k]},{flow},{seq},{qdelay if qdelay >= 0 else ''}\r\n"
-                for t, k, flow, seq, qdelay in zip(it, it, it, it, it))
-    if args.feedback_csv:
-        with open(outdir / args.feedback_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("flow", "seq", "t_emitted_us", "t_arrived_us",
-                             "bl_bw_bps", "min_rtt_us"))
-            for row in result.feedback_log:
-                flow, seq, t_emit, t_arr, bl_bw, min_rtt = row
-                writer.writerow((flow, seq, t_emit, t_arr,
-                                 format_cell(float(bl_bw)), min_rtt))
+    with contextlib.closing(run_simulation(cfg)) as result:
+        outdir = output_dir(args)
+        summary = result.summary_row()
+        write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [summary])
+        if args.events_csv:
+            # the rows csv.writer would write (no cell needs quoting), one
+            # template formatted a chunk of the spooled log: the log is the
+            # largest output a run makes.  A qdelay of -1 is an empty cell
+            with open(outdir / args.events_csv, "w", newline="") as fh:
+                fh.write("time_us,kind,flow,seq,qdelay_us\r\n")
+                for chunk in result.event_chunks():
+                    cells = chunk.tolist()
+                    cells[1::5] = map(EVENT_KINDS.__getitem__, cells[1::5])
+                    qdelay = cells[4::5]
+                    cells[4::5] = map({-1: ""}.get, qdelay, qdelay)
+                    fh.write(EVENT_ROW * (len(cells) // 5) % tuple(cells))
+        if args.feedback_csv:
+            with open(outdir / args.feedback_csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("flow", "seq", "t_emitted_us", "t_arrived_us",
+                                 "bl_bw_bps", "min_rtt_us"))
+                for row in result.feedback_log:
+                    flow, seq, t_emit, t_arr, bl_bw, min_rtt = row
+                    writer.writerow((flow, seq, t_emit, t_arr,
+                                     format_cell(float(bl_bw)), min_rtt))
     print(describe(summary))
     return EXIT_OK
 

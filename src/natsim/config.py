@@ -82,7 +82,8 @@ class SimConfig:
     tg_horizon_us: int = _key("cc.tg_horizon_us", 10_000_000)
     flow_starts_s: tuple[float, ...] = _key("flows.start_s", (0.0,))
     flow_ues: tuple[int, ...] = _key("flows.ue", (0,))
-    # record the per-packet event log (RunResult.events); off, it stays empty
+    # record the per-packet event log: the run spools its rows to a temporary
+    # file, RunResult.events, in the packed row format; off, it is None
     log_events: bool = _key("log.events", False)
     path: PathConfig = field(default_factory=PathConfig)
     assist: NetAssistConfig = field(default_factory=NetAssistConfig)
@@ -132,6 +133,8 @@ class SimConfig:
                 errs.append(f"{key} must not be negative")
             elif key in _AT_MOST and value > _AT_MOST[key]:
                 errs.append(f"{key} must be at most {_AT_MOST[key]:,}")
+        if 0 < self.duration_s < 1 and self.duration_us == 0:  # rounds to no microsecond
+            errs.append("duration_s must be at least 1 us")
         if 0 < self.path.uplink_rate_bps < 1:  # else a serialization delay overflows
             errs.append("path.uplink_rate_bps must be 0 (ideal) or at least 1 bit/s")
         if self.queue_capacity_bytes < self.mtu:

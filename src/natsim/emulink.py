@@ -39,7 +39,9 @@ through its one sink (``None`` when no log is kept): ``snd`` on send,
 A row is packed as it happens into 40 bytes, five int64s: the time, the
 kind's index in ``EVENT_KINDS``, the flow, the seq (the cumulative ack on
 an ``ack`` row) and the queuing delay, ``-1`` on every row but ``deq``.
-The sink takes the packed bytes, so a row costs no Python frame.
+The sink takes the packed bytes, so a row costs no Python frame.  It is
+the engine's row buffer, which the engine moves to a temporary file, the
+spool, between slices of the run; the spool keeps the rows in this format.
 
 ``BtsLink`` reads its ``PathConfig`` once, at construction: the downlink
 delay, the loss probability, the probe jitter and the ack delay, the uplink

@@ -15,8 +15,18 @@ link and receivers, which call each other directly: ``transmit`` is
 ``send_downlink`` bound to the UE's queue, and a data packet becomes its
 own ack.  The link writes every per-packet event-log row through its one
 sink, ``events.frombytes`` when ``log.events`` is on, else ``None``: each
-row lands in the ``array('q')`` ``events`` as five int64s, 40 bytes, with
-no Python frame (see ``emulink``).
+row lands in the ``array('q')`` buffer ``events`` as five int64s, 40 bytes,
+with no Python frame (see ``emulink``).  The log does not stay in memory:
+a logged run advances in slices of ``LOG_SLICE_US`` simulated microseconds,
+each ending one slice after the next pending event, and after each slice it
+writes the buffer to an anonymous temporary file, the spool, and clears it.
+So a logged run keeps at most one slice's rows in memory, however long it
+runs, and an idle stretch costs one slice.  Slicing moves no event: the loop
+pops the same heap in the same order, and stops only between two events.
+The spool holds the rows in the buffer's format, 40 bytes each;
+``RunResult.event_chunks`` reads it back as ``array('q')`` chunks.  An
+unlogged run makes one ``run_until`` call and opens no file.
+
 ``_collect`` derives each flow's byte counts from its receiver's
 deliveries, and raises ``LinkError`` naming the UE whose queue's byte
 identity broke, or the flow whose packets do not add up: each flow's sent
@@ -82,12 +92,14 @@ import math
 import random
 import statistics
 import struct
+import tempfile
+import weakref
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .cc import make_controller
 from .config import SimConfig, resolve_schedule
@@ -98,6 +110,8 @@ from .transport import Sender, UeReceiver
 WATCHDOG_PERIODS = 3   # feedback silence tolerated before reverting
 OOB_STREAM = "oob"     # key of the out-of-band watchdog stream; in band, the flow id
 EMIT_TICK = -1         # tie-break of every feedback emit: first at its instant
+LOG_SLICE_US = 1_000_000   # a logged run's slice: its next event to the slice's end, us
+EVENT_CHUNK_ROWS = 8192    # rows a spool reader decodes at a time
 _DEQ = EVENT_KINDS.index("deq")
 # one feedback arrival: t_arrived, seq, t_emitted and min_rtt as int64, then
 # bl_bw as a double, so the float reads back exactly; 40 bytes
@@ -159,9 +173,10 @@ class RunResult:
     mtu: int
     flows: list[FlowStats]
     qdelay_samples_us: array
-    # the event log, five int64s a row: t_us, kind (an index into
-    # EVENT_KINDS), flow, seq and qdelay_us (-1 on every row but deq)
-    events: array
+    # the event log's spool, an anonymous temporary file of five int64s a
+    # row: t_us, kind (an index into EVENT_KINDS), flow, seq and qdelay_us
+    # (-1 on every row but deq); None when the run kept no log
+    events: BinaryIO | None
     # the feedback log, one FEEDBACK_ROW per digest arrival, and for each
     # arrival the ids of the flows that received it, in order (a shared tuple)
     feedback: array
@@ -219,14 +234,39 @@ class RunResult:
         n = sum(1 for t in self.flows[flow_id].deliveries if t0_us <= t <= t1_us)
         return n * self.mtu * 8 / (t1_us - t0_us)
 
+    def event_chunks(self) -> Iterator[array]:
+        """The event log read back from its spool as ``array('q')`` chunks of
+        at most ``EVENT_CHUNK_ROWS`` rows, five int64s a row; nothing when
+        the run kept no log.  Each reader keeps its own offset, so two
+        readers may interleave."""
+        spool = self.events
+        if spool is None:
+            return
+        offset = 0
+        while True:
+            spool.seek(offset)
+            data = spool.read(40 * EVENT_CHUNK_ROWS)   # 40 bytes a row
+            if not data:
+                return
+            offset += len(data)
+            yield array("q", data)
+
+    def close(self) -> None:
+        """Close the event log's spool, which deletes it."""
+        if self.events is not None:
+            self.events.close()
+
+    def _event_rows(self) -> Iterator[tuple]:
+        for chunk in self.event_chunks():
+            it = iter(chunk)
+            yield from zip(it, it, it, it, it)
+
     @property
     def event_log(self) -> list[tuple]:
         """The event log as ``(t_us, kind, flow, seq, qdelay_us)`` tuples,
         ``kind`` a name from ``EVENT_KINDS``; decoded anew on every read."""
         kinds = EVENT_KINDS
-        it = iter(self.events)
-        return [(t, kinds[k], fl, seq, q)
-                for t, k, fl, seq, q in zip(it, it, it, it, it)]
+        return [(t, kinds[k], fl, seq, q) for t, k, fl, seq, q in self._event_rows()]
 
     @property
     def feedback_log(self) -> list[tuple]:
@@ -239,17 +279,11 @@ class RunResult:
                 for fid in fids]
 
     def departures(self) -> list[tuple]:
-        """Bottleneck departure log: (t_us, flow, seq, qdelay_us) rows.
-
-        Every run sends at least one packet, so an empty event log means the
-        run did not record it (``log.events`` off).
-        """
-        if not self.events:
+        """Bottleneck departure log: (t_us, flow, seq, qdelay_us) rows."""
+        if self.events is None:
             raise ValueError("the run did not record its event log; "
                              "set log.events to read departures")
-        it = iter(self.events)
-        return [(t, fl, seq, q) for t, k, fl, seq, q in zip(it, it, it, it, it)
-                if k == _DEQ]
+        return [(t, fl, seq, q) for t, k, fl, seq, q in self._event_rows() if k == _DEQ]
 
     def summary_row(self) -> dict:
         # each statistic once: the two powers reuse the throughput and delays
@@ -456,11 +490,32 @@ class Simulation:
         for spec in self.cfg.flows():
             self.loop.schedule(spec.start_us, self._start_flow,
                                (spec.flow_id, spec.ue_id))
-        self.loop.run_until(duration)
-        self.link.admit_until(duration)
-        return self._collect()
+        if not self.cfg.log_events:
+            self.loop.run_until(duration)
+            self.link.admit_until(duration)
+            return self._collect(None)
+        spool = tempfile.TemporaryFile()
+        try:
+            heap = self.loop._heap
+            # every slice runs at least the next pending event
+            while heap and heap[0][0] <= duration:
+                self.loop.run_until(min(duration, heap[0][0] + LOG_SLICE_US))
+                self._spool_rows(spool)
+            self.link.admit_until(duration)
+            self._spool_rows(spool)
+            result = self._collect(spool)
+        except BaseException:
+            spool.close()
+            raise
+        weakref.finalize(result, spool.close)   # a dropped result deletes its spool
+        return result
 
-    def _collect(self) -> RunResult:
+    def _spool_rows(self, spool: BinaryIO) -> None:
+        """Move the buffered event-log rows to the spool."""
+        spool.write(self.events)
+        del self.events[:]
+
+    def _collect(self, events: BinaryIO | None) -> RunResult:
         for q in self.link.queues.values():
             if not q.conserved():
                 raise LinkError(f"queue byte identity broken at UE {q.ue_id}")
@@ -506,7 +561,7 @@ class Simulation:
             mtu=self.cfg.mtu,
             flows=flows,
             qdelay_samples_us=qdelay,
-            events=self.events,
+            events=events,
             feedback=self.feedback,
             feedback_fids=self.feedback_fids,
             overhead_kbps=self.assist.overhead_kbps(self.cfg.duration_us),

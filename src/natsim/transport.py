@@ -134,8 +134,6 @@ class Sender:
 
     def _retransmit(self, seq: int, now: int) -> None:
         """Resend one segment; bypasses both the window and the pacer."""
-        if seq not in self.segments:
-            return
         self.segments[seq] = None
         self.retransmits += 1
         self.transmit(Packet(self.flow_id, seq, self.mtu, DATA), now)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import tempfile
 from array import array
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from natsim.cli import (
 )
 from natsim.config import ConfigError, SimConfig, build_config, parse_config_text
 from natsim.emulink import EVENT_KINDS
+from natsim.engine import EVENT_CHUNK_ROWS, Simulation
 
 
 def read_csv(path):
@@ -230,6 +232,24 @@ def test_overflowing_value_exits_at_validation(tmp_path, capsys, settings, key):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("trace", ["file", "step:12mbps@10ms,0mbps@10ms"])
+@pytest.mark.parametrize("duration", ["1e-7", "5e-7"])
+def test_sub_microsecond_duration_exits_at_validation(tmp_path, capsys, trace, duration):
+    # a duration_us of 0 divided by zero when the summary row was computed
+    if trace == "file":
+        trace = tmp_path / "three.trace"
+        trace.write_text("0\n1\n2\n")
+    rc = main(["run", "--duration", duration, "--trace", str(trace),
+               "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert "duration_s must be at least 1 us" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="duration_s"):
+        Simulation(SimConfig(duration_s=float(duration), trace=str(trace)))
+
+
 def test_config_file_section_exit_code(tmp_path):
     # a [section] line would otherwise drop every key after it
     path = tmp_path / "run.ini"
@@ -333,18 +353,28 @@ def test_event_log_recorded_exactly_when_written(tmp_path, recorded_runs):
 
 def test_events_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
     # every row kind, both qdelay forms (-1 writes an empty cell, 0 a zero)
-    # and flow ids of two digits
-    log = [(0, "snd", 12, 0, -1), (2_500, "enq", 12, 0, -1),
-           (2_500, "drop", 3, 1500, -1), (3_000, "deq", 12, 0, 0),
-           (4_000, "deq", 10, 3000, 1_000), (4_000, "airdrop", 10, 3000, -1),
-           (3_000, "dlv", 12, 0, -1), (9_500, "ack", 12, 1500, -1)]
+    # and flow ids of two digits, repeated past one reader chunk, so a full
+    # chunk and a partial one are both formatted
+    rows = [(0, "snd", 12, 0, -1), (2_500, "enq", 12, 0, -1),
+            (2_500, "drop", 3, 1500, -1), (3_000, "deq", 12, 0, 0),
+            (4_000, "deq", 10, 3000, 1_000), (4_000, "airdrop", 10, 3000, -1),
+            (3_000, "dlv", 12, 0, -1), (9_500, "ack", 12, 1500, -1)]
+    log = [(t + 10_000 * i, kind, flow, seq + i, qdelay)
+           for i in range(EVENT_CHUNK_ROWS // len(rows) + 3)
+           for t, kind, flow, seq, qdelay in rows]
+    assert EVENT_CHUNK_ROWS < len(log) < 2 * EVENT_CHUNK_ROWS
     real = cli.run_simulation
 
     def logged(cfg):
         result = real(cfg)
-        result.events = array("q", [
+        result.close()
+        spool = tempfile.TemporaryFile()
+        spool.write(array("q", [
             v for t, kind, flow, seq, qdelay in log
-            for v in (t, EVENT_KINDS.index(kind), flow, seq, qdelay)])
+            for v in (t, EVENT_KINDS.index(kind), flow, seq, qdelay)]))
+        result.events = spool
+        assert [len(chunk) for chunk in result.event_chunks()] == [
+            5 * EVENT_CHUNK_ROWS, 5 * (len(log) - EVENT_CHUNK_ROWS)]
         return result
 
     monkeypatch.setattr(cli, "run_simulation", logged)

@@ -1,8 +1,10 @@
 """Simulation wiring, metrics helpers, determinism, conservation."""
 
 import math
+import os
 import random
 import sys
+import tracemalloc
 from heapq import heappop
 
 import pytest
@@ -247,7 +249,7 @@ def test_link_is_the_one_writer_of_the_event_log():
 
     sim.link._log = wrapped
     res = sim.run()
-    assert res.events.tobytes() == b"".join(passed)
+    assert b"".join(chunk.tobytes() for chunk in res.event_chunks()) == b"".join(passed)
     assert {row[1] for row in res.event_log} == {
         "snd", "enq", "drop", "deq", "airdrop", "dlv", "ack"}
 
@@ -280,15 +282,79 @@ def test_event_log_row_is_five_int64s():
     res = run_simulation(cfg(duration_s=1.0, log_events=True,
                              path_kw={"loss_prob": 0.02}))
     log = res.event_log
-    assert res.events.typecode == "q" and res.events.itemsize == 8
-    assert len(res.events) == 5 * len(log)
+    chunks = list(res.event_chunks())
+    assert all(chunk.typecode == "q" and chunk.itemsize == 8 for chunk in chunks)
+    assert sum(map(len, chunks)) == 5 * len(log)
+    assert os.fstat(res.events.fileno()).st_size == 40 * len(log)
     assert {row[1] for row in log} >= {"snd", "enq", "deq", "airdrop", "dlv", "ack"}
     assert res.departures() == [(t, fl, seq, q) for t, kind, fl, seq, q in log
                                 if kind == "deq"]
     # decoded anew on every read
     assert res.event_log == log and res.event_log is not log
     unlogged = run_simulation(cfg(duration_s=1.0))
-    assert unlogged.events.typecode == "q" and len(unlogged.events) == 0
+    assert unlogged.events is None and list(unlogged.event_chunks()) == []
+
+
+def test_spool_readers_keep_their_own_offsets(monkeypatch):
+    monkeypatch.setattr(engine, "EVENT_CHUNK_ROWS", 100)
+    res = run_simulation(cfg(duration_s=1.0, log_events=True))
+    whole = b"".join(chunk.tobytes() for chunk in res.event_chunks())
+    a, b = res.event_chunks(), res.event_chunks()
+    interleaved = [next(a), next(b), next(b), next(a)]
+    assert [len(chunk) for chunk in interleaved] == [500] * 4
+    assert interleaved[0] == interleaved[1] and interleaved[2] == interleaved[3]
+    assert b"".join(chunk.tobytes() for chunk in (*interleaved[1:3], *b)) == whole
+    res.close()
+    assert res.events.closed
+
+
+def run_sliced(monkeypatch, slice_us, settings):
+    """One logged run with ``LOG_SLICE_US`` set to ``slice_us``: its result,
+    its events processed and the rows buffered at each drain to the spool."""
+    monkeypatch.setattr(engine, "LOG_SLICE_US", slice_us)
+    sim = Simulation(build_config(None, {**settings, "log.events": "on"}))
+    spool_rows = sim._spool_rows
+    drains = []
+
+    def counted(spool):
+        drains.append(len(sim.events))
+        spool_rows(spool)
+
+    sim._spool_rows = counted
+    res = sim.run()
+    return res, sim.loop.processed, drains
+
+
+def test_the_slice_length_changes_no_output(monkeypatch):
+    # lossy, two UEs, in band, a second flow that starts late; the slice
+    # bounds the rows held, never what the run does
+    settings = {"trace": "walk:1mbps-24mbps@100ms", "duration_s": "2.5",
+                "seed": "5", "path.loss_prob": "0.01", "assist.mode": "ib",
+                "flows.start_s": "0,1.2", "flows.ue": "0,1"}
+    runs = [run_sliced(monkeypatch, slice_us, settings) for slice_us in (1, 10 ** 12)]
+    (fine, processed, drains), (coarse, _, one_slice) = runs
+    assert fine.event_log and fine.event_log == coarse.event_log
+    assert fine.feedback_log == coarse.feedback_log
+    assert fine.summary_row() == coarse.summary_row()
+    assert [vars(f) for f in fine.flows] == [vars(f) for f in coarse.flows]
+    # each 1 us slice runs at least one event; the last drain follows the
+    # end-of-run admission
+    assert len(drains) <= processed + 1
+    assert max(drains) < sum(drains) and len(one_slice) == 2
+
+
+def test_a_logged_run_holds_one_slice_of_rows():
+    sim = Simulation(cfg(trace="const:24mbps", duration_s=10.0, log_events=True))
+    tracemalloc.start()
+    try:
+        res = sim.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    spooled = os.fstat(res.events.fileno()).st_size
+    assert spooled > 2_000_000   # 40 bytes a row, about five rows a packet
+    assert peak < spooled / 4
+    res.close()
 
 
 def test_feedback_log_and_fb_count():
