@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -46,9 +45,7 @@ EVENT_ROW = "%d,%s,%d,%d,%s\r\n"   # time_us, kind, flow, seq, qdelay_us
 def format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
+    if isinstance(value, float):  # writes inf, -inf and nan as such
         return f"{value:.6g}"
     return str(value)
 

@@ -208,7 +208,7 @@ class BtsLink:
         self.rng = rng
         self._reserve = loop.reserve
         self._push = loop.push
-        # each leg in flight: a FIFO of (arrival_us, tick, fn, args) entries;
+        # each leg in flight: a FIFO of (arrival_us, tick, fn, arg) entries;
         # the uplink's first is on the event heap, the downlink's only while
         # the backlog is empty or the log is on (else services admit them)
         self._down: deque = deque()
@@ -257,9 +257,11 @@ class BtsLink:
             self._push(entry)
         down.append(entry)
 
-    def _arrive(self, now: int, pkt: Packet, q: UeQueue) -> None:
-        """Admit the downlink's first entry to its UE queue, then push the
-        next one onto the heap while the backlog is empty or the log is on."""
+    def _arrive(self, now: int, arg: tuple[Packet, UeQueue]) -> None:
+        """Admit the downlink's first entry, ``arg = (pkt, q)``, to its UE
+        queue, then push the next one onto the heap while the backlog is
+        empty or the log is on."""
+        pkt, q = arg
         down = self._down
         down.popleft()
         backlog = self._backlog
@@ -283,8 +285,8 @@ class BtsLink:
         run's last service.  The run calls it once, after its last event."""
         down = self._down
         while down and down[0][0] <= t_end_us:
-            t_us, _, _, (pkt, q) = down[0]
-            self._arrive(t_us, pkt, q)
+            t_us, _, _, arg = down[0]
+            self._arrive(t_us, arg)
 
     def _start_drain(self, now: int) -> None:
         """Schedule the first unserved opportunity at or after ``now``."""
@@ -296,9 +298,11 @@ class BtsLink:
         tick = self._reserve()
         self._push((t_us, tick, self._on_opportunity, (idx, tick)))
 
-    def _on_opportunity(self, now: int, idx: int, tick: int) -> None:
+    def _on_opportunity(self, now: int, arg: tuple[int, int]) -> None:
         """Serve one packet from the next backlogged UE (round-robin), after
-        admitting, with no log, the downlink entries keyed below this one."""
+        admitting, with no log, the downlink entries keyed below this one;
+        ``arg = (idx, tick)``, the opportunity's index and this event's tick."""
+        idx, tick = arg
         backlog = self._backlog
         down = self._down
         log = self._log
@@ -373,8 +377,11 @@ class BtsLink:
             self._push(entry)
         up.append(entry)
 
-    def _ack_arrive(self, now: int, arrive: Callable[[int, Packet], None],
-                    pkt: Packet) -> None:
+    def _ack_arrive(self, now: int,
+                    arg: tuple[Callable[[int, Packet], None], Packet]) -> None:
+        """Hand the uplink's first entry, ``arg = (arrive, pkt)``, to
+        ``arrive(now, pkt)``, after pushing the next one onto the heap."""
+        arrive, pkt = arg
         up = self._up
         up.popleft()
         if up:

@@ -7,7 +7,9 @@ engine hands to every UE.  Everything advances on a single
 integer-microsecond event heap.  Ties break by the point at which the
 causing event was handled: each event carries a tick taken from one
 counter, either when it is scheduled or reserved for a push made later.
-Identical configurations therefore replay identically.
+Identical configurations therefore replay identically.  Every entry is
+``(t_us, tick, fn, arg)`` and runs as ``fn(t_us, arg)``, one plain call: a
+handler with several values takes them as one tuple, one with none ``None``.
 
 The engine is the control plane: it starts flows, emits and applies the
 feedback digests and runs the watchdogs.  Packets move between senders,
@@ -99,10 +101,10 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from .cc import make_controller
-from .config import SimConfig, resolve_schedule
+from .config import FlowSpec, SimConfig, resolve_schedule
 from .emulink import EVENT_KINDS, BtsLink, LinkError, Packet
 from .netassist import FeedbackMsg, NetAssist
 from .transport import Sender, UeReceiver
@@ -119,29 +121,37 @@ FEEDBACK_ROW = struct.Struct("4qd")
 
 
 class EventLoop:
-    """Minimal time-ordered callback heap (integer microseconds)."""
+    """Minimal time-ordered callback heap (integer microseconds).
+
+    An entry ``(t_us, tick, fn, arg)`` runs as ``fn(t_us, arg)``, a plain
+    call, which builds no argument tuple and does not re-enter the
+    interpreter as ``fn(t_us, *args)`` would.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callable, tuple]] = []
+        self._heap: list[tuple[int, int, Callable[[int, Any], None], Any]] = []
         self._tick = itertools.count()
         # reserve() takes the next tie-break tick for an event pushed later,
-        # push((t_us, tick, fn, args)) pushes it
+        # push((t_us, tick, fn, arg)) pushes it
         self.reserve: Callable[[], int] = self._tick.__next__
         self.push: Callable[[tuple], None] = partial(heappush, self._heap)
         self.processed = 0
 
-    def schedule(self, t_us: int, fn: Callable, args: tuple = ()) -> None:
-        """Push fn(t_us, *args) at the next tie-break tick."""
-        heappush(self._heap, (t_us, next(self._tick), fn, args))
+    def schedule(self, t_us: int, fn: Callable[[int, Any], None],
+                 arg: Any = None) -> None:
+        """Push fn(t_us, arg) at the next tie-break tick."""
+        heappush(self._heap, (t_us, next(self._tick), fn, arg))
 
     def run_until(self, t_end_us: int) -> None:
+        """Run, in ``(time, tick)`` order, every event due at or before
+        ``t_end_us``, each as ``fn(t, arg)``."""
         heap = self._heap
         n = 0
         try:
             while heap and heap[0][0] <= t_end_us:
-                t, _, fn, args = heappop(heap)
+                t, _, fn, arg = heappop(heap)
                 n += 1
-                fn(t, *args)
+                fn(t, arg)
         finally:
             self.processed += n
 
@@ -407,16 +417,16 @@ class Simulation:
             flows, fids = self._solo[pkt.flow_id]
             self._handle_feedback(now, pkt.feedback, pkt.flow_id, flows, fids)
 
-    def _emit_feedback(self, now: int) -> None:
+    def _emit_feedback(self, now: int, _: None = None) -> None:
         nxt = now + self.cfg.assist.period_us
         if nxt <= self.cfg.duration_us:  # chain the next period's emit
-            self.loop.push((nxt, EMIT_TICK, self._emit_feedback, ()))
+            self.loop.push((nxt, EMIT_TICK, self._emit_feedback, None))
         msg = self.assist.emit(now)
         if msg is None:
             return
         if self.cfg.assist.mode == "oob":
             self.loop.schedule(now + self.cfg.path.oob_delay_us,
-                               self._oob_arrive, (msg,))
+                               self._oob_arrive, msg)
         else:
             for ue in self.receivers:
                 self.link.attach_ib(ue, msg)
@@ -457,8 +467,11 @@ class Simulation:
                             (stream, keys, 0)))
         self._watchdog[stream] = (deadline, keys)
 
-    def _watchdog_check(self, now: int, stream, keys: list[tuple[int, int]],
-                        i: int) -> None:
+    def _watchdog_check(self, now: int,
+                        arg: tuple[object, list[tuple[int, int]], int]) -> None:
+        """``arg = (stream, keys, i)``: revert the flow of ``keys[i]``, unless
+        the stream had a fresher arrival than ``keys``."""
+        stream, keys, i = arg
         deadline, latest = self._watchdog[stream]
         if latest is not keys:  # fresher feedback arrived: wait for its deadline
             self.loop.push((deadline, latest[0][0], self._watchdog_check,
@@ -474,9 +487,9 @@ class Simulation:
         else:
             del self._watchdog[stream]
 
-    def _start_flow(self, now: int, flow_id: int, ue_id: int) -> None:
-        sender = self.senders[flow_id]
-        insort(self._started, (self.link.queues[ue_id].rank, flow_id, sender))
+    def _start_flow(self, now: int, spec: FlowSpec) -> None:
+        sender = self.senders[spec.flow_id]
+        insort(self._started, (self.link.queues[spec.ue_id].rank, spec.flow_id, sender))
         self._started_fids = None
         sender.try_send(now)
 
@@ -486,10 +499,9 @@ class Simulation:
         duration = self.cfg.duration_us
         period = self.cfg.assist.period_us
         if period <= duration:  # each emit pushes the next one
-            self.loop.push((period, EMIT_TICK, self._emit_feedback, ()))
+            self.loop.push((period, EMIT_TICK, self._emit_feedback, None))
         for spec in self.cfg.flows():
-            self.loop.schedule(spec.start_us, self._start_flow,
-                               (spec.flow_id, spec.ue_id))
+            self.loop.schedule(spec.start_us, self._start_flow, spec)
         if not self.cfg.log_events:
             self.loop.run_until(duration)
             self.link.admit_until(duration)

@@ -62,7 +62,8 @@ class Sender:
         mtu: int,
         controller: Controller,
         transmit: Callable[[Packet, int], None],
-        schedule_event: Callable[[int, Callable[[int], None]], None],
+        # EventLoop.schedule: schedule_event(t_us, fn) runs fn(t_us, None)
+        schedule_event: Callable[[int, Callable[[int, None], None]], None],
     ) -> None:
         self.flow_id = flow_id
         self.mtu = mtu
@@ -128,7 +129,7 @@ class Sender:
             self._arm_rto(now + self.rto_us)
         self.transmit(Packet(self.flow_id, seq, mtu, DATA), now)
 
-    def _on_pacer(self, now: int) -> None:
+    def _on_pacer(self, now: int, _: None = None) -> None:
         self._pacer_scheduled = False
         self.try_send(now)
 
@@ -215,7 +216,7 @@ class Sender:
             self._rto_event_at = deadline
             self.schedule_event(deadline, self._on_rto_event)
 
-    def _on_rto_event(self, now: int) -> None:
+    def _on_rto_event(self, now: int, _: None = None) -> None:
         if now != self._rto_event_at:
             return  # superseded by an earlier push that has already fired
         self._rto_event_at = None

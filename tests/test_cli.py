@@ -102,6 +102,7 @@ def test_parse_set_pairs():
 def test_format_cell():
     assert format_cell(None) == ""
     assert format_cell(math.inf) == "inf"
+    assert format_cell(-math.inf) == "-inf"
     assert format_cell(1.23456789) == "1.23457"
     assert format_cell(12) == "12"
     assert format_cell("natcp") == "natcp"

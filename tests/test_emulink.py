@@ -297,14 +297,17 @@ def replay(sends, logged, t_end_us, capacity=150_000, ues=(0,)):
     arrivals = []
     arrive = link._arrive
 
-    def counted(now, pkt, q):
-        arrivals.append((now, pkt.seq))
-        arrive(now, pkt, q)
+    def counted(now, arg):
+        arrivals.append((now, arg[0].seq))
+        arrive(now, arg)
+
+    def send(now, arg):
+        ue, seq = arg
+        link.send_downlink(link.queue_for(ue), data(flow=ue, seq=seq), now)
 
     link._arrive = counted   # entries take the handler at send time
     for t_us, ue, seq in sends:
-        loop.schedule(t_us, lambda now, ue=ue, seq=seq: link.send_downlink(
-            link.queue_for(ue), data(flow=ue, seq=seq), now))
+        loop.schedule(t_us, send, (ue, seq))
     loop.run_until(t_end_us)
     link.admit_until(t_end_us)
     seen = {
@@ -340,8 +343,8 @@ def test_arrivals_after_the_last_service_are_admitted_by_the_end():
              (2_100, 0, 6000), (2_101, 0, 7500)]
     link, loop, _, _ = make_link(logged=False)
     for t_us, _, seq in sends:
-        loop.schedule(t_us, lambda now, seq=seq: link.send_downlink(
-            link.queue_for(0), data(seq=seq), now))
+        loop.schedule(t_us, lambda now, seq: link.send_downlink(
+            link.queue_for(0), data(seq=seq), now), seq)
     loop.run_until(4_600)
     with pytest.raises(LinkError, match="^flow 0: a packet that arrived at "
                                         "4300 us was never admitted$"):
@@ -464,13 +467,14 @@ def send_on_both_legs(sends, path, logged):
     link._reserve = lambda: ticks.append(reserve()) or ticks[-1]
     sent, acked = [], []
 
-    def send(now, i, leg, arg):
+    def send(now, arg):
+        i, leg, value = arg
         n = len(ticks)
         if leg == "data":
-            pkt = data(flow=arg, seq=1500 * i)
-            link.send_downlink(link.queue_for(arg), pkt, now)
+            pkt = data(flow=value, seq=1500 * i)
+            link.send_downlink(link.queue_for(value), pkt, now)
         else:
-            pkt = Packet(flow_id=0, seq=0, size=arg, kind=PacketKind.ACK, cum_ack=i)
+            pkt = Packet(flow_id=0, seq=0, size=value, kind=PacketKind.ACK, cum_ack=i)
             link.send_uplink(pkt, now, lambda now, pkt: acked.append((now, pkt)))
         (tick,) = ticks[n:]   # a send takes one tick
         sent.append((leg, now, tick, pkt))

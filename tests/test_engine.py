@@ -1,5 +1,7 @@
 """Simulation wiring, metrics helpers, determinism, conservation."""
 
+import dis
+import inspect
 import math
 import os
 import random
@@ -77,9 +79,13 @@ def test_compute_power():
 def test_event_loop_fifo_among_ties():
     loop = EventLoop()
     seen = []
-    loop.schedule(10, lambda now: seen.append("first"))
-    loop.schedule(10, lambda now: seen.append("second"))
-    loop.schedule(5, lambda now: seen.append("early"))
+
+    def record(now, label):
+        seen.append(label)
+
+    loop.schedule(10, record, "first")
+    loop.schedule(10, record, "second")
+    loop.schedule(5, record, "early")
     loop.run_until(100)
     assert seen == ["early", "first", "second"]
 
@@ -88,8 +94,8 @@ def test_event_loop_reserved_tick_runs_before_later_schedules():
     loop = EventLoop()
     seen = []
     tick = loop.reserve()
-    loop.schedule(10, lambda now: seen.append("scheduled later"))
-    loop.push((10, tick, lambda now: seen.append("reserved earlier"), ()))
+    loop.schedule(10, lambda now, _: seen.append("scheduled later"))
+    loop.push((10, tick, lambda now, _: seen.append("reserved earlier"), None))
     loop.run_until(100)
     assert seen == ["reserved earlier", "scheduled later"]
 
@@ -97,10 +103,42 @@ def test_event_loop_reserved_tick_runs_before_later_schedules():
 def test_event_loop_ignores_events_past_horizon():
     loop = EventLoop()
     seen = []
-    loop.schedule(10, lambda now: seen.append(10))
-    loop.schedule(20, lambda now: seen.append(20))
+    loop.schedule(10, lambda now, _: seen.append(10))
+    loop.schedule(20, lambda now, _: seen.append(20))
     loop.run_until(15)
     assert seen == [10]
+
+
+def test_run_until_dispatches_each_event_with_a_plain_call():
+    # fn(t, *args) compiles to CALL_FUNCTION_EX, which builds an argument
+    # tuple and re-enters the interpreter; fn(t, arg) is a plain call
+    ops = {ins.opname for ins in dis.get_instructions(EventLoop.run_until)}
+    assert "CALL_FUNCTION_EX" not in ops
+
+
+@pytest.mark.parametrize("log_events", [False, True])
+@pytest.mark.parametrize("mode", ["oob", "ib"])
+def test_every_heap_entry_is_a_handler_and_its_one_arg(monkeypatch, mode, log_events):
+    # loop.push and loop.schedule both push through the engine's heappush;
+    # every entry must be (t_us, tick, fn, arg) with fn(t_us, arg) a valid call
+    handlers = set()
+    heappush = engine.heappush
+
+    def checked(heap, entry):
+        assert type(entry) is tuple and len(entry) == 4
+        t_us, _, fn, arg = entry
+        inspect.signature(fn).bind(t_us, arg)
+        handlers.add(fn.__name__)
+        heappush(heap, entry)
+
+    monkeypatch.setattr(engine, "heappush", checked)
+    sim = Simulation(cfg(duration_s=1.0, assist=NetAssistConfig(mode=mode),
+                         log_events=log_events, flow_starts_s=(0.0, 0.3),
+                         flow_ues=(0, 1)))
+    sim.run()
+    want = {"_emit_feedback", "_start_flow", "_watchdog_check", "_arrive",
+            "_on_opportunity", "_ack_arrive", "_on_pacer", "_on_rto_event"}
+    assert handlers == (want | {"_oob_arrive"} if mode == "oob" else want)
 
 
 # -- end-to-end wiring -------------------------------------------------------------
