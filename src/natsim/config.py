@@ -33,23 +33,6 @@ from .trace import (
     schedule_from_spec,
 )
 
-ASSIST_MODES = ("oob", "ib")
-_POSITIVE = ("duration_s", "mtu", "assist.period_us", "assist.probe_interval_us",
-             "cc.alpha", "cc.tg_horizon_us")
-_NON_NEGATIVE = ("path.down_owd_us", "path.up_owd_us", "path.oob_delay_us",
-                 "path.uplink_rate_bps", "path.probe_jitter_us",
-                 "assist.feedback_size_bytes", "assist.part2_ceiling_us")
-# cc.alpha: a window of a million bandwidth-delay products; far above, it
-# overflows a float.  assist.feedback_size_bytes: a megabyte digest, far above
-# any real one; far above, its serialization delay overflows a float.
-# duration_s: ~32 years keeps every recorded microsecond far below the
-# int64 range of the event log and the deliveries.  assist.part2_ceiling_us:
-# the same ~32 years; a digest's min-RTT is at most the run, this ceiling and
-# 8e12 us of serialization, so it too stays within the packed feedback row
-_AT_MOST = {"cc.alpha": 1_000_000, "assist.feedback_size_bytes": 1_000_000,
-            "duration_s": 1_000_000_000,
-            "assist.part2_ceiling_us": 1_000_000_000_000_000}
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -62,29 +45,38 @@ class FlowSpec:
     start_us: int
 
 
-def _key(key: str, default):
-    """A field whose config key is not its attribute name."""
-    return field(default=default, metadata={"key": key})
-
-
 @dataclass
 class SimConfig:
-    """Every leaf field is a config key; see ``_SETTINGS``."""
+    """Every leaf field is a config key; see ``_SETTINGS``.
 
-    scheme: str = "natcp"
+    A field's metadata names its key when that is not its attribute name
+    (``key``) and bounds it: ``sign`` is ``"positive"`` or
+    ``"non-negative"``, ``max`` an inclusive maximum and ``choices`` the
+    values allowed.  ``PathConfig`` and ``NetAssistConfig`` spell theirs the
+    same way, and ``validate`` reads every bound from there.
+    """
+
+    scheme: str = field(default="natcp", metadata={"choices": SCHEMES})
     trace: str = "const:12mbps"
-    duration_s: float = 60.0
+    # at most ~32 years, which keeps every recorded microsecond far below the
+    # int64 range of the event log and the deliveries
+    duration_s: float = field(default=60.0, metadata={"sign": "positive", "max": 1_000_000_000})
     seed: int = 1
-    mtu: int = 1500
-    queue_capacity_bytes: int = _key("queue.capacity_bytes", 150_000)
-    alpha: float = _key("cc.alpha", 2.0)
-    divide_pacing_by_beta: bool = _key("cc.divide_pacing_by_beta", False)
-    tg_horizon_us: int = _key("cc.tg_horizon_us", 10_000_000)
-    flow_starts_s: tuple[float, ...] = _key("flows.start_s", (0.0,))
-    flow_ues: tuple[int, ...] = _key("flows.ue", (0,))
+    mtu: int = field(default=1500, metadata={"sign": "positive"})
+    queue_capacity_bytes: int = field(default=150_000, metadata={"key": "queue.capacity_bytes"})
+    # at most a window of a million bandwidth-delay products; far above, it
+    # overflows a float
+    alpha: float = field(default=2.0, metadata={
+        "key": "cc.alpha", "sign": "positive", "max": 1_000_000})
+    divide_pacing_by_beta: bool = field(default=False, metadata={
+        "key": "cc.divide_pacing_by_beta"})
+    tg_horizon_us: int = field(default=10_000_000, metadata={
+        "key": "cc.tg_horizon_us", "sign": "positive"})
+    flow_starts_s: tuple[float, ...] = field(default=(0.0,), metadata={"key": "flows.start_s"})
+    flow_ues: tuple[int, ...] = field(default=(0,), metadata={"key": "flows.ue"})
     # record the per-packet event log: the run spools its rows to a temporary
     # file, RunResult.events, in the packed row format; off, it is None
-    log_events: bool = _key("log.events", False)
+    log_events: bool = field(default=False, metadata={"key": "log.events"})
     path: PathConfig = field(default_factory=PathConfig)
     assist: NetAssistConfig = field(default_factory=NetAssistConfig)
 
@@ -116,40 +108,43 @@ class SimConfig:
 
     def validate(self) -> list[str]:
         errs: list[str] = []
-        if self.scheme not in SCHEMES:
-            errs.append(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
-        if not self.trace.strip():
-            errs.append("trace must not be empty")
-        for key, (owner, attr, cast) in _SETTINGS.items():
+        for key, (owner, attr, _, types, items, kind, sign, high, choices) in _SETTINGS.items():
             value = getattr(getattr(self, owner) if owner else self, attr)
-            if isinstance(value, float) and not math.isfinite(value) or isinstance(value, tuple) \
-                    and not all(math.isfinite(v) for v in value if isinstance(v, float)):
+            if isinstance(value, float) and not math.isfinite(value):
                 errs.append(f"{key} must be finite")
-            elif cast is int and not isinstance(value, int):  # packed as int64
-                errs.append(f"{key} must be an integer")
-            elif key in _POSITIVE and value <= 0:
+            elif not isinstance(value, types) or items and not items.issuperset(map(type, value)):
+                errs.append(f"{key} must be {kind}")
+            elif items and float in items and not all(
+                    math.isfinite(v) for v in value if type(v) is float):
+                errs.append(f"{key} must be finite")
+            elif sign == "positive" and value <= 0:
                 errs.append(f"{key} must be positive")
-            elif key in _NON_NEGATIVE and value < 0:
+            elif sign == "non-negative" and value < 0:
                 errs.append(f"{key} must not be negative")
-            elif key in _AT_MOST and value > _AT_MOST[key]:
-                errs.append(f"{key} must be at most {_AT_MOST[key]:,}")
-        if 0 < self.duration_s < 1 and self.duration_us == 0:  # rounds to no microsecond
+            elif high is not None and value > high:
+                errs.append(f"{key} must be at most {high:,}")
+            elif choices and value not in choices:
+                errs.append(f"{key} must be one of {'/'.join(choices)}, got {value!r}")
+        # the checks below read keys that passed their own checks only
+        bad = {err.split(" ", 1)[0] for err in errs}
+        if "trace" not in bad and not self.trace.strip():
+            errs.append("trace must not be empty")
+        if "duration_s" not in bad and self.duration_us == 0:  # rounds to no microsecond
             errs.append("duration_s must be at least 1 us")
-        if 0 < self.path.uplink_rate_bps < 1:  # else a serialization delay overflows
+        if "path.uplink_rate_bps" not in bad and 0 < self.path.uplink_rate_bps < 1:
+            # else a serialization delay overflows
             errs.append("path.uplink_rate_bps must be 0 (ideal) or at least 1 bit/s")
-        if self.queue_capacity_bytes < self.mtu:
+        if not bad & {"queue.capacity_bytes", "mtu"} and self.queue_capacity_bytes < self.mtu:
             errs.append("queue.capacity_bytes must hold at least one MTU packet")
-        if not (0.0 <= self.path.loss_prob <= 1.0):
-            errs.append("path.loss_prob must be in [0, 1]")
-        if self.assist.mode not in ASSIST_MODES:
-            errs.append(f"assist.mode must be one of {'/'.join(ASSIST_MODES)}")
-        if not self.flow_starts_s:
+        if "flows.start_s" not in bad and not self.flow_starts_s:
             errs.append("at least one flow is required")
-        if len(self.flow_ues) not in (1, len(self.flow_starts_s)):
+        if not bad & {"flows.ue", "flows.start_s"} \
+                and len(self.flow_ues) not in (1, len(self.flow_starts_s)):
             errs.append("flows.ue must list one UE or one per flows.start_s entry")
-        for i, start in enumerate(self.flow_starts_s):
-            if not (0 <= start < self.duration_s):
-                errs.append(f"flow {i} start {start}s outside [0, duration)")
+        if not bad & {"duration_s", "flows.start_s"}:
+            for i, start in enumerate(self.flow_starts_s):
+                if not (0 <= start < self.duration_s):
+                    errs.append(f"flow {i} start {start}s outside [0, duration)")
         return errs
 
     def require_valid(self) -> "SimConfig":
@@ -179,21 +174,26 @@ def _parse_optional_int(text: str) -> int | None:
     return int(norm)
 
 
-_CASTERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": _parse_bool,
-    "int | None": _parse_optional_int,
-    "tuple[float, ...]": partial(_parse_list, float),
-    "tuple[int, ...]": partial(_parse_list, int),
+# field type -> (caster of a setting's text, the types a value may have, the
+# exact types a tuple's items may have, the type's name in messages); an int
+# is accepted where a float is declared
+_TYPES = {
+    "str": (str, str, None, "a string"),
+    "int": (int, int, None, "an integer"),  # a run packs these as int64s
+    "float": (float, (int, float), None, "a number"),
+    "bool": (_parse_bool, bool, None, "a boolean"),
+    "int | None": (_parse_optional_int, (int, type(None)), None, "an integer or none"),
+    "tuple[float, ...]": (partial(_parse_list, float), tuple, {int, float}, "a tuple of numbers"),
+    "tuple[int, ...]": (partial(_parse_list, int), tuple, {int}, "a tuple of integers"),
 }
 
 
 def _key_table(cls: type, owner: str | None = None) -> dict:
-    """key -> (owner attribute or None, field name, caster) for every leaf
-    field of a config dataclass, recursing into nested config dataclasses.
-    A key is the dotted attribute path unless the field's metadata names it.
+    """key -> (owner attribute or None, field name, *``_TYPES[field type]``,
+    sign, maximum, choices) for every leaf field of a config dataclass,
+    recursing into nested config dataclasses.  A key is the dotted attribute
+    path unless the field's metadata names it; a bound the metadata leaves
+    out is None.
     """
     prefix = f"{owner}." if owner else ""
     table = {}
@@ -202,7 +202,7 @@ def _key_table(cls: type, owner: str | None = None) -> dict:
             table.update(_key_table(f.default_factory, f.name))
         else:
             table[prefix + f.metadata.get("key", f.name)] = (
-                owner, f.name, _CASTERS[f.type])
+                owner, f.name, *_TYPES[f.type], *map(f.metadata.get, ("sign", "max", "choices")))
     return table
 
 
@@ -230,7 +230,7 @@ def apply_settings(cfg: SimConfig, settings: dict[str, str]) -> SimConfig:
         entry = _SETTINGS.get(key)
         if entry is None:
             raise ConfigError(f"unknown config key {key!r}")
-        owner, attr, caster = entry
+        owner, attr, caster = entry[:3]
         try:
             value = caster(raw)
         except (ValueError, TypeError) as exc:

@@ -120,14 +120,21 @@ class PathConfig:
     at the 12 Mbit/s reference rate: 2.5 ms downlink propagation + 1 ms MTU
     service at the head of an empty queue + 6.457 ms uplink propagation +
     ~43 us ack serialization.
+
+    Each field is a config key ``path.<name>``; its metadata bounds it as
+    ``SimConfig``'s fields are bounded.
     """
 
-    down_owd_us: int = 2500            # server -> BTS one-way network delay
-    up_owd_us: int = 6457              # UE -> server one-way network delay
-    uplink_rate_bps: float = 12_000_000.0  # ack depletion rate; 0 = ideal
-    oob_delay_us: int = 2000           # measurement entity -> server
-    loss_prob: float = 0.0             # post-dequeue air-interface loss
-    probe_jitter_us: int = 0
+    # server -> BTS and UE -> server one-way network delays
+    down_owd_us: int = field(default=2500, metadata={"sign": "non-negative"})
+    up_owd_us: int = field(default=6457, metadata={"sign": "non-negative"})
+    # ack depletion rate; 0 = ideal, else at least 1 bit/s (a cross-key check)
+    uplink_rate_bps: float = field(default=12_000_000.0, metadata={"sign": "non-negative"})
+    # measurement entity -> server
+    oob_delay_us: int = field(default=2000, metadata={"sign": "non-negative"})
+    # post-dequeue air-interface loss probability
+    loss_prob: float = field(default=0.0, metadata={"sign": "non-negative", "max": 1})
+    probe_jitter_us: int = field(default=0, metadata={"sign": "non-negative"})
 
     def serialization_us(self, size_bytes: int) -> int:
         if self.uplink_rate_bps <= 0:

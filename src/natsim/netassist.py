@@ -48,12 +48,22 @@ class FeedbackMsg:
 
 @dataclass
 class NetAssistConfig:
-    period_us: int = 50_000
-    mode: str = "oob"                  # "oob" or "ib"
-    probe_interval_us: int = 50_000
-    # bytes on the wire per message
-    feedback_size: int = field(default=64, metadata={"key": "feedback_size_bytes"})
-    part2_ceiling_us: int = 1_000_000  # outage clamp for the HOL term
+    """Each field is a config key ``assist.<name>``; its metadata bounds it
+    as ``SimConfig``'s fields are bounded."""
+
+    period_us: int = field(default=50_000, metadata={"sign": "positive"})
+    # out of band or in band
+    mode: str = field(default="oob", metadata={"choices": ("oob", "ib")})
+    probe_interval_us: int = field(default=50_000, metadata={"sign": "positive"})
+    # bytes on the wire per message: at most a megabyte digest, far above any
+    # real one; far above, its serialization delay overflows a float
+    feedback_size: int = field(default=64, metadata={
+        "key": "feedback_size_bytes", "sign": "non-negative", "max": 1_000_000})
+    # outage clamp for the HOL term: at most ~32 years, as duration_s; a
+    # digest's min-RTT is at most the run, this ceiling and 8e12 us of
+    # serialization, so it stays within the int64s of the packed feedback row
+    part2_ceiling_us: int = field(default=1_000_000, metadata={
+        "sign": "non-negative", "max": 1_000_000_000_000_000})
     suppress_after_us: int | None = None  # fault injection: stop emitting
 
 

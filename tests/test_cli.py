@@ -79,6 +79,12 @@ def test_validation_collects_errors():
         cfg.require_valid()
 
 
+def test_a_non_finite_duration_exits_2_with_one_message(tmp_path, capsys):
+    rc = main(["run", "--duration", "nan", "-o", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "natsim: duration_s must be finite\n"
+
+
 def test_flow_lists_must_align():
     cfg = build_config(None, {"flows.start_s": "0,1", "flows.ue": "0,1,2"})
     with pytest.raises(ConfigError):

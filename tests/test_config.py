@@ -1,8 +1,9 @@
 """Config keys: every key parses to the right field with the right type,
-the README's key table documents exactly these keys and their defaults, and
-validation rejects non-finite values, negative delays and every key's
-lower bound.  A sweep of boundary values checks that a config either fails
-before its run or runs to the end."""
+the README's key table documents exactly these keys, their defaults and
+their maxima, and validation rejects non-finite values, values of the wrong
+type and every bound declared on a field.  A sweep of boundary values checks
+that a config either fails before its run or runs to the end.  The bounds
+are read from ``config._SETTINGS``, which reads them from the fields."""
 
 import itertools
 import math
@@ -15,10 +16,15 @@ import pytest
 
 from natsim import config
 from natsim.config import ConfigError, SimConfig, apply_settings
+from natsim.emulink import PathConfig
 from natsim.engine import Simulation
+from natsim.netassist import NetAssistConfig
 from natsim.trace import TraceError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# key -> (sign, maximum, choices), as the fields' metadata declares them
+BOUNDS = {key: entry[-3:] for key, entry in config._SETTINGS.items()}
+MAXIMA = {key: high for key, (_, high, _) in BOUNDS.items() if high is not None}
 
 # key, attribute path on SimConfig, raw text, typed value
 CASES = [
@@ -109,22 +115,32 @@ def test_read_utf8_decodes_whatever_the_locale_and_names_a_bad_line(tmp_path):
         config.read_utf8(str(path), TraceError)
 
 
-def readme_key_table() -> dict[str, str]:
+def readme_key_table() -> dict[str, tuple[str, str]]:
+    """key -> (default, meaning) from the README's key table."""
     text = README.read_text()
     section = text.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, re.M)
-    keys = [key for key, _ in rows]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| (.*) \|$", section, re.M)
+    keys = [key for key, *_ in rows]
     assert len(keys) == len(set(keys)), "duplicate README rows"
-    return dict(rows)
+    return {key: (default, meaning) for key, default, meaning in rows}
 
 
 def test_readme_documents_every_key_and_its_default():
     table = readme_key_table()
     assert set(table) == set(config._SETTINGS)
-    for key, default in table.items():
+    for key, (default, _) in table.items():
         # the documented default, parsed like any setting, is the default
         cfg = apply_settings(SimConfig(), {key: default})
         assert cfg == SimConfig(), f"README default for {key}: {default}"
+
+
+def test_readme_states_exactly_the_declared_maxima():
+    stated = {}
+    for key, (_, meaning) in readme_key_table().items():
+        match = re.search(r"at most ([\d,]+)", meaning)
+        if match:
+            stated[key] = int(match[1].replace(",", ""))
+    assert stated == MAXIMA
 
 
 # -- validation ---------------------------------------------------------------
@@ -152,6 +168,10 @@ def test_readme_documents_every_key_and_its_default():
                  id="assist.feedback_size_bytes-320 nines"),
     ("path.uplink_rate_bps", "1e-299"),
     ("path.uplink_rate_bps", "0.5"),
+    ("path.loss_prob", "-0.1"),
+    ("path.loss_prob", "1.5"),
+    ("scheme", "bogus"),
+    ("assist.mode", "x"),
 ])
 def test_validation_rejects(key, raw):
     cfg = apply_settings(SimConfig(), {key: raw})
@@ -161,16 +181,17 @@ def test_validation_rejects(key, raw):
 
 
 @pytest.mark.parametrize("key,raw,message", [
-    *((key, "0", "must be positive") for key in config._POSITIVE),
-    *((key, "-1", "must not be negative") for key in config._NON_NEGATIVE),
-    *((key, repr(high * 2), f"must be at most {high:,}")
-      for key, high in config._AT_MOST.items()),
+    *((key, "0", "must be positive")
+      for key, (sign, _, _) in BOUNDS.items() if sign == "positive"),
+    *((key, "-1", "must not be negative")
+      for key, (sign, _, _) in BOUNDS.items() if sign == "non-negative"),
+    *((key, repr(high * 2), f"must be at most {high:,}") for key, high in MAXIMA.items()),
+    *((key, "x", f"must be one of {'/'.join(choices)}, got 'x'")
+      for key, (_, _, choices) in BOUNDS.items() if choices),
 ])
 def test_validation_bound_names_the_key(key, raw, message):
-    # a misspelt name in _POSITIVE, _NON_NEGATIVE or _AT_MOST would drop its bound
-    assert key in config._SETTINGS
     cfg = apply_settings(SimConfig(), {key: raw})
-    assert f"{key} {message}" in cfg.validate()
+    assert cfg.validate() == [f"{key} {message}"]
 
 
 def test_validation_accepts_zero_delays():
@@ -181,7 +202,7 @@ def test_validation_accepts_zero_delays():
 
 def test_validation_accepts_the_edges_of_the_upper_bounds():
     cfg = apply_settings(SimConfig(), {
-        **{key: repr(high) for key, high in config._AT_MOST.items()},
+        **{key: repr(high) for key, high in MAXIMA.items()},
         "path.uplink_rate_bps": "1"})
     assert cfg.validate() == []
 
@@ -200,6 +221,46 @@ def test_validation_rejects_a_float_in_an_integer_key():
         cfg.require_valid()
 
 
+WRONG_TYPES = [
+    (SimConfig(trace=5), "trace must be a string"),
+    (SimConfig(flow_ues=(0.5,)), "flows.ue must be a tuple of integers"),
+    (SimConfig(flow_ues=0), "flows.ue must be a tuple of integers"),
+    (SimConfig(flow_starts_s=("0",)), "flows.start_s must be a tuple of numbers"),
+    (SimConfig(scheme=None), "scheme must be a string"),
+    (SimConfig(log_events="yes"), "log.events must be a boolean"),
+    # not also "queue.capacity_bytes must hold at least one MTU packet"
+    (SimConfig(mtu=1e6), "mtu must be an integer"),
+    (SimConfig(assist=NetAssistConfig(suppress_after_us=2.5e6)),
+     "assist.suppress_after_us must be an integer or none"),
+]
+
+
+@pytest.mark.parametrize("cfg,message", WRONG_TYPES,
+                         ids=[message for _, message in WRONG_TYPES])
+def test_validation_rejects_a_value_of_the_wrong_type(cfg, message):
+    # a library caller can set any value; only its key's message comes back
+    assert cfg.validate() == [message]
+
+
+def test_validation_accepts_an_int_in_a_float_key():
+    cfg = SimConfig(duration_s=1, alpha=3, flow_starts_s=(0, 0.5),
+                    path=PathConfig(uplink_rate_bps=6_000_000, loss_prob=0))
+    assert cfg.validate() == []
+
+
+@pytest.mark.parametrize("key,raw,message", [
+    # not also "flow 0 start 0.0s outside [0, duration)"
+    ("duration_s", "nan", "duration_s must be finite"),
+    ("duration_s", "0", "duration_s must be positive"),
+    # not also "flow 1 start nans outside [0, duration)"
+    ("flows.start_s", "0, nan", "flows.start_s must be finite"),
+    # a check that spans keys still runs when the keys it reads passed theirs
+    ("flows.ue", "0,1,2", "flows.ue must list one UE or one per flows.start_s entry"),
+])
+def test_a_bad_key_gets_one_message(key, raw, message):
+    assert apply_settings(SimConfig(), {key: raw}).validate() == [message]
+
+
 def test_validation_accepts_zero_sizes_rates_and_terms():
     # a zero uplink rate means ideal serialization, not an error
     cfg = apply_settings(SimConfig(), {
@@ -211,9 +272,9 @@ def test_validation_accepts_zero_sizes_rates_and_terms():
 # -- boundary sweep -------------------------------------------------------------
 
 BOUNDARY_VALUES = tuple(dict.fromkeys((
-    0, 1, *itertools.chain.from_iterable((high, high + 1) for high in config._AT_MOST.values()),
+    0, 1, *itertools.chain.from_iterable((high, high + 1) for high in MAXIMA.values()),
     2**62, 1e300, 1e-300)))
-NUMERIC_KEYS = [key for key, (_, _, cast) in config._SETTINGS.items()
+NUMERIC_KEYS = [key for key, (_, _, cast, *_) in config._SETTINGS.items()
                 if cast not in (str, config._parse_bool)]
 # a few round trips and digests; short enough that assist.period_us=1, a
 # digest every microsecond, stays cheap
