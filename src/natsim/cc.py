@@ -269,7 +269,7 @@ class NatcpController(Controller):
                 while self._samples and self._samples[-1][1] >= rtt_us:
                     self._samples.pop()
                 self._samples.append((now, rtt_us))
-        elif max(1, beta) != self.beta:
+        elif beta != self.beta:  # beta moved; a count below 1 stands for 1
             self.beta = max(1, beta)
             self._window = None
         elif self.assisted and not self.cap:

@@ -15,21 +15,22 @@ like htsim's pipes: a packet sent onto a leg takes its heap key
 delay is a constant of the link and loop time never decreases, so each
 leg delivers in send order by construction.
 
-Only the uplink's first entry is on the event heap; ``_ack_arrive`` pushes
-the next one before it hands its ack over, so the heap pops every ack
-exactly where it would with one entry per ack in flight.  The downlink's
-first entry is on the heap only while the backlog is empty or the event
-log is on; ``_arrive`` then admits it to its UE queue (the drop test and
-the enqueue) and pushes the next one under the same rule.  While the
-backlog is non-empty and no log is kept, an arrival can only enqueue or
-drop, and nothing reads a queue before the next service.  So no downlink
-entry goes on the heap: each ``_on_opportunity`` first admits, in order,
-every entry keyed below its own ``(time, tick)``, with no frame a packet,
-and a service that empties the backlog pushes the leg's first entry.  No
-dequeue happens between two services, so every drop decision and every
-enqueue time is the one the heap would have given.  The entries that
-arrive at or before the end of the run but after its last service are
-admitted by ``admit_until``.  With the log on, every arrival goes through
+Only the uplink's first entry is on the event heap; its arg is the ack
+itself.  ``_ack_arrive`` pushes the next one before it hands its ack to
+``on_ack(now, pkt)``, the one ack handler the link is built with, so the
+heap pops every ack exactly where it would with one entry per ack in
+flight.  The downlink's first entry is on the heap only while the backlog
+is empty or the event log is on; ``_arrive`` then admits it to its UE queue
+(the drop test and the enqueue) and pushes the next one under the same
+rule.  While the backlog is non-empty and no log is kept, an arrival can
+only enqueue or drop, and nothing reads a queue before the next service.
+So no downlink entry goes on the heap: each ``_on_opportunity`` first
+admits, in order, every entry keyed below its own ``(time, tick)``, with no
+frame a packet, and a service that empties the backlog pushes the leg's
+first entry.  No dequeue happens between two services, so every drop
+decision and every enqueue time is the one the heap would have given.  The
+entries that arrive at or before the end of the run but after its last
+service are admitted by ``admit_until``.  With the log on, every arrival goes through
 the heap, so each ``enq`` or ``drop`` row is written at its own time.
 
 The link sees every packet, so it writes every per-packet event-log row
@@ -47,7 +48,9 @@ spool, between slices of the run; the spool keeps the rows in this format.
 delay, the loss probability, the probe jitter and the ack delay, the uplink
 one-way delay plus the serialization of one ``ACK_SIZE`` ack.  Every data
 packet and every ack crosses the link, so neither computes a delay per
-packet.
+packet.  It binds its heap handlers (``_arrive``, ``_on_opportunity``,
+``_ack_arrive``), ``schedule.instant`` and ``on_ack`` once too, as instance
+attributes, so a push reuses one object and builds no bound method.
 
 All times are integer microseconds.
 """
@@ -206,8 +209,10 @@ class BtsLink:
         rng: random.Random,
         loop: EventLoop,
         log: Callable[[bytes], None] | None = None,
+        on_ack: Callable[[int, Packet], None] | None = None,
     ) -> None:
         self.schedule = schedule
+        self._instant = schedule.instant
         self._down_owd_us = path.down_owd_us
         self._ack_delay_us = path.up_owd_us + path.serialization_us(ACK_SIZE)
         self._loss_prob = path.loss_prob
@@ -215,6 +220,13 @@ class BtsLink:
         self.rng = rng
         self._reserve = loop.reserve
         self._push = loop.push
+        # each handler bound once: the instance attribute shadows the method
+        self._arrive = self._arrive
+        self._on_opportunity = self._on_opportunity
+        self._ack_arrive = self._ack_arrive
+        # takes every ack the uplink delivers, as on_ack(now, pkt); a link
+        # built without one carries no ack
+        self._on_ack = on_ack
         # each leg in flight: a FIFO of (arrival_us, tick, fn, arg) entries;
         # the uplink's first is on the event heap, the downlink's only while
         # the backlog is empty or the log is on (else services admit them)
@@ -298,10 +310,10 @@ class BtsLink:
     def _start_drain(self, now: int) -> None:
         """Schedule the first unserved opportunity at or after ``now``."""
         idx = self._next_opp_index
-        t_us = self.schedule.instant(idx)
+        t_us = self._instant(idx)
         if t_us < now:  # the link idled past it: search from now
             idx = self.schedule.index_at_or_after(now)
-            t_us = self.schedule.instant(idx)
+            t_us = self._instant(idx)
         tick = self._reserve()
         self._push((t_us, tick, self._on_opportunity, (idx, tick)))
 
@@ -359,8 +371,7 @@ class BtsLink:
         if backlog:  # the next opportunity, never before now
             idx += 1
             tick = self._reserve()
-            self._push((self.schedule.instant(idx), tick, self._on_opportunity,
-                        (idx, tick)))
+            self._push((self._instant(idx), tick, self._on_opportunity, (idx, tick)))
 
     # -- in-band feedback -------------------------------------------------
 
@@ -374,28 +385,27 @@ class BtsLink:
 
     # -- uplink -----------------------------------------------------------
 
-    def send_uplink(self, pkt: Packet, now: int, arrive: Callable[[int, Packet], None]) -> None:
-        """Carry an ack (possibly with piggybacked feedback) to the server."""
+    def send_uplink(self, pkt: Packet, now: int) -> None:
+        """Carry an ack (possibly with piggybacked feedback) to the server,
+        where the link hands it to ``on_ack``."""
         if pkt.kind is not ACK:
             raise LinkError("send_uplink carries acks only")
-        entry = (now + self._ack_delay_us, self._reserve(), self._ack_arrive, (arrive, pkt))
+        entry = (now + self._ack_delay_us, self._reserve(), self._ack_arrive, pkt)
         up = self._up
         if not up:
             self._push(entry)
         up.append(entry)
 
-    def _ack_arrive(self, now: int,
-                    arg: tuple[Callable[[int, Packet], None], Packet]) -> None:
-        """Hand the uplink's first entry, ``arg = (arrive, pkt)``, to
-        ``arrive(now, pkt)``, after pushing the next one onto the heap."""
-        arrive, pkt = arg
+    def _ack_arrive(self, now: int, pkt: Packet) -> None:
+        """Hand the uplink's first entry, the ack ``pkt``, to
+        ``on_ack(now, pkt)``, after pushing the next one onto the heap."""
         up = self._up
         up.popleft()
         if up:
             self._push(up[0])
         if self._log is not None:
             self._log(_ROW(now, _ACK, pkt.flow_id, pkt.cum_ack, -1))
-        arrive(now, pkt)
+        self._on_ack(now, pkt)
 
     # -- probes -----------------------------------------------------------
 

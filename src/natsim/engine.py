@@ -13,12 +13,15 @@ handler with several values takes them as one tuple, one with none ``None``.
 
 The engine is the control plane: it starts flows, emits and applies the
 feedback digests and runs the watchdogs.  Packets move between senders,
-link and receivers, which call each other directly: ``transmit`` is
-``send_downlink`` bound to the UE's queue, and a data packet becomes its
-own ack.  The link writes every per-packet event-log row through its one
-sink, ``events.frombytes`` when ``log.events`` is on, else ``None``: each
-row lands in the ``array('q')`` buffer ``events`` as five int64s, 40 bytes,
-with no Python frame (see ``emulink``).  The log does not stay in memory:
+link and receivers, which call each other directly, each through a callable
+bound once, at wiring: ``transmit`` is ``send_downlink`` bound to the UE's
+queue, a data packet becomes its own ack, each receiver's ``transmit_ack``
+is the link's ``send_uplink``, and the link hands every ack that arrives to
+``_on_ack_arrival``, the handler it is built with.  The link writes every
+per-packet event-log row through its one sink, ``events.frombytes`` when
+``log.events`` is on, else ``None``: each row lands in the ``array('q')``
+buffer ``events`` as five int64s, 40 bytes, with no Python frame (see
+``emulink``).  The log does not stay in memory:
 a logged run advances in slices of ``LOG_SLICE_US`` simulated microseconds,
 each ending one slice after the next pending event, and after each slice it
 writes the buffer to an anonymous temporary file, the spool, and clears it.
@@ -357,8 +360,10 @@ class Simulation:
         self.feedback_fids: list[tuple] = []
 
         # the link packs every event-log row straight into events when it is on
+        # and hands every ack that arrives to _on_ack_arrival
         self.link = BtsLink(self.schedule, cfg.path, self.rng, self.loop,
-                            self.events.frombytes if cfg.log_events else None)
+                            self.events.frombytes if cfg.log_events else None,
+                            self._on_ack_arrival)
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
         # (UE rank, flow, sender) of every started flow, in fan-out order, and
@@ -372,7 +377,7 @@ class Simulation:
         self._watchdog: dict[object, tuple[int, list[tuple[int, int]]]] = {}
 
         for ue in cfg.ue_ids():
-            self.receivers[ue] = UeReceiver(ue, self._transmit_ack)
+            self.receivers[ue] = UeReceiver(ue, self.link.send_uplink)
             self.link.register_ue(ue, cfg.queue_capacity_bytes,
                                   self._make_deliver(ue))
 
@@ -404,7 +409,9 @@ class Simulation:
         return self.receivers[ue_id].on_data
 
     def _transmit_ack(self, pkt: Packet, now: int) -> None:
-        self.link.send_uplink(pkt, now, self._on_ack_arrival)
+        """Unused: receivers send acks on ``link.send_uplink`` itself; kept
+        because ``perfbench/spans.py`` names it."""
+        self.link.send_uplink(pkt, now)
 
     # -- event handlers ---------------------------------------------------------
 

@@ -30,7 +30,12 @@ pacing rate changes, not per segment.
 
 An ack is its data packet turned around: the receiver sets its kind,
 cumulative ack and beta and leaves ``size`` at the payload, which nothing
-reads, since the uplink charges every ack ``emulink.ACK_SIZE``.
+reads, since the uplink charges every ack ``emulink.ACK_SIZE``.  It sends
+the ack on ``transmit_ack(pkt, now)``, which a run binds at wiring to the
+link's ``send_uplink``, so an ack passes through no engine frame on its way
+up.  The sender binds its own timer handlers, ``_on_pacer`` and
+``_on_rto_event``, once at construction, so scheduling one builds no bound
+method.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ class Sender:
         self.controller = controller
         self.transmit = transmit
         self.schedule_event = schedule_event
+        # each timer handler bound once: the instance attribute shadows the method
+        self._on_pacer = self._on_pacer
+        self._on_rto_event = self._on_rto_event
 
         self.next_seq = 0                   # next new byte to send
         self.cum_acked = 0                  # all bytes below this are acked
@@ -169,7 +177,7 @@ class Sender:
         else:
             self._rto_deadline = None
 
-        self.controller.on_ack(now, newly_acked, rtt_sample, max(1, pkt.beta))
+        self.controller.on_ack(now, newly_acked, rtt_sample, pkt.beta)
 
     def _on_dupack(self, now: int) -> None:
         if self.in_flight <= 0:
@@ -287,6 +295,7 @@ class UeReceiver:
 
         pkt.kind = ACK
         pkt.cum_ack = cum
-        # this flow was just stamped active, so the count is at least 1
+        # this flow was just stamped active, so the count is at least 1, and
+        # Sender.process_ack hands it to the controller as it is
         pkt.beta = self.active_flows(now)
         self.transmit_ack(pkt, now)

@@ -32,7 +32,7 @@ def unpack_row(row: bytes) -> tuple:
 
 
 def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
-              ues=(0,), loss=0.0, seed=1, logged=True):
+              ues=(0,), loss=0.0, seed=1, logged=True, on_ack=None):
     loop = EventLoop()
     log = []
     path = path or PathConfig(loss_prob=loss)
@@ -42,6 +42,7 @@ def make_link(rate_bps=12e6, duration_ms=2_000, path=None, capacity=150_000,
         random.Random(seed),
         loop,
         (lambda row: log.append(unpack_row(row))) if logged else None,
+        on_ack,
     )
     delivered = {ue: [] for ue in ues}
     for ue in ues:
@@ -430,16 +431,16 @@ def test_attach_ib_latest_wins_and_single_use():
 # -- uplink and probes ---------------------------------------------------------
 
 def test_uplink_delay_includes_serialization():
-    link, loop, _, _ = make_link()
     arrivals = []
+    link, loop, _, _ = make_link(on_ack=lambda now, pkt: arrivals.append(now))
     # an ack keeps its data packet's size; the uplink charges it ACK_SIZE
     ack = Packet(flow_id=0, seq=0, size=1500, kind=PacketKind.ACK, cum_ack=1500)
-    link.send_uplink(ack, now=1_000, arrive=lambda now, pkt: arrivals.append(now))
+    link.send_uplink(ack, now=1_000)
     loop.run_until(50_000)
     # 6457 us propagation + round(64*8e6/12e6) = 43 us serialization
     assert arrivals == [1_000 + 6_457 + 43]
     with pytest.raises(LinkError):
-        link.send_uplink(data(), 0, lambda now, pkt: None)
+        link.send_uplink(data(), 0)
 
 
 class Leg(deque):
@@ -460,12 +461,13 @@ def send_on_both_legs(sends, path, logged):
     until every one has left its leg, and return what each leg did: the
     sends as ``(leg, t_us, tick, pkt)``, the entries in the order they left
     and each ack's arrival."""
-    link, loop, _, _ = make_link(path=path, ues=(0, 1), logged=logged)
+    sent, acked = [], []
+    link, loop, _, _ = make_link(path=path, ues=(0, 1), logged=logged,
+                                 on_ack=lambda now, pkt: acked.append((now, pkt)))
     left = []
     link._down, link._up = Leg("data", left), Leg("ack", left)
     reserve, ticks = link._reserve, []
     link._reserve = lambda: ticks.append(reserve()) or ticks[-1]
-    sent, acked = [], []
 
     def send(now, arg):
         i, leg, value = arg
@@ -475,7 +477,7 @@ def send_on_both_legs(sends, path, logged):
             link.send_downlink(link.queue_for(value), pkt, now)
         else:
             pkt = Packet(flow_id=0, seq=0, size=value, kind=PacketKind.ACK, cum_ack=i)
-            link.send_uplink(pkt, now, lambda now, pkt: acked.append((now, pkt)))
+            link.send_uplink(pkt, now)
         (tick,) = ticks[n:]   # a send takes one tick
         sent.append((leg, now, tick, pkt))
 
@@ -506,7 +508,7 @@ def test_each_leg_delivers_in_send_order_after_its_constant_delay(sends, path):
         sent, left, acked = send_on_both_legs(sends, path, logged)
         for leg in ("data", "ack"):
             due = [(t + delay[leg], tick, id(pkt)) for name, t, tick, pkt in sent if name == leg]
-            gone = [(e[0], e[1], id(e[3][0] if leg == "data" else e[3][1]))
+            gone = [(e[0], e[1], id(e[3][0] if leg == "data" else e[3]))
                     for name, e in left if name == leg]
             assert gone == due
         due = [(t + delay["ack"], id(pkt)) for name, t, _, pkt in sent if name == "ack"]

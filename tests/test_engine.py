@@ -141,6 +141,45 @@ def test_every_heap_entry_is_a_handler_and_its_one_arg(monkeypatch, mode, log_ev
     assert handlers == (want | {"_oob_arrive"} if mode == "oob" else want)
 
 
+@pytest.mark.parametrize("log_events", [False, True])
+@pytest.mark.parametrize("mode", ["oob", "ib"])
+def test_per_packet_handlers_are_bound_once_at_wiring(monkeypatch, mode, log_events):
+    # each link and sender pushes every one of its handlers as one object,
+    # not a bound method built per push; acks go from each receiver straight
+    # onto the link, and from the link straight to _on_ack_arrival
+    pushed = []
+    heappush = engine.heappush
+
+    def kept(heap, entry):
+        pushed.append(entry[2])
+        heappush(heap, entry)
+
+    def unused(self, pkt, now):
+        raise AssertionError("an ack passed through Simulation._transmit_ack")
+
+    monkeypatch.setattr(engine, "heappush", kept)
+    monkeypatch.setattr(Simulation, "_transmit_ack", unused)
+    sim = Simulation(cfg(duration_s=1.0, assist=NetAssistConfig(mode=mode),
+                         log_events=log_events, flow_starts_s=(0.0, 0.3),
+                         flow_ues=(0, 1)))
+    result = sim.run()
+    assert all(f.delivered_bytes > 0 for f in result.flows)
+    assert all(s.cum_acked > 0 for s in sim.senders.values())
+    for receiver in sim.receivers.values():
+        assert receiver.transmit_ack == sim.link.send_uplink
+    owners = {"_arrive": [sim.link], "_on_opportunity": [sim.link],
+              "_ack_arrive": [sim.link], "_on_pacer": list(sim.senders.values()),
+              "_on_rto_event": list(sim.senders.values())}
+    for name, objs in owners.items():
+        # only the first flow paces here; each handler is pushed again and again
+        by_owner = [[fn for fn in pushed
+                     if fn.__name__ == name and getattr(fn, "__self__", None) is obj]
+                    for obj in objs]
+        assert max(map(len, by_owner)) > 1, name
+        for fns in by_owner:
+            assert all(fn is fns[0] for fn in fns), name
+
+
 # -- end-to-end wiring -------------------------------------------------------------
 
 def test_deterministic_replay_same_seed():
