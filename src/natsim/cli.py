@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -50,8 +51,14 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def open_output(path: Path):
+    """path opened for writing, its directory made first if missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="")
+
+
 def write_csv(path: Path, columns: tuple, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
@@ -59,9 +66,17 @@ def write_csv(path: Path, columns: tuple, rows: list[dict]) -> None:
 
 
 def output_dir(args) -> Path:
-    chosen = args.output_dir or os.environ.get("NATSIM_OUTPUT_DIR") or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, checked before any run: a path that cannot be
+    one (a file, or a path under a file) is a usage error.  The first output
+    written makes it, so a run that fails at set-up leaves no directory."""
+    path = Path(args.output_dir or os.environ.get("NATSIM_OUTPUT_DIR") or ".")
+    try:
+        found = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:   # a name too long, say
+        raise ConfigError(f"output directory {str(path)!r}: {exc.strerror}") from None
+    if not found.is_dir():
+        raise ConfigError(f"output directory {str(path)!r} cannot be made: "
+                          f"{str(found)!r} is not a directory")
     return path
 
 
@@ -157,7 +172,10 @@ def run_grid(args, configs: list[SimConfig], rows_of, line, outputs) -> int:
     list of rows per (file name, columns) entry of ``outputs``; each CSV gets
     its rows in grid order, and stdout gets ``line(row)`` of each run's first
     row.  A pool runs the grid only for a subcommand with --workers and more
-    than one run; in-process, each line prints as its run ends."""
+    than one run; in-process, each line prints as its run ends.  The output
+    directory is checked before the first run, and ``args.output_dir`` set to
+    it, for a ``rows_of`` that writes files of its own."""
+    args.output_dir = output_dir(args)
     jobs = [(rows_of, cfg) for cfg in configs]
     workers = min(getattr(args, "workers", 1), len(jobs))   # a pool may start them all at once
     if workers > 1:
@@ -171,24 +189,22 @@ def run_grid(args, configs: list[SimConfig], rows_of, line, outputs) -> int:
         for table, rows in zip(tables, run):
             table += rows
     for (name, columns), rows in zip(outputs, tables):
-        write_csv(output_dir(args) / name, columns, rows)
+        write_csv(args.output_dir / name, columns, rows)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_run(args) -> int:
-    cfg = config_from_args(args)
-    with contextlib.closing(run_simulation(cfg)) as result:
-        outdir = output_dir(args)
-        summary = result.summary_row()
-        write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [summary])
+def run_rows(args, cfg: SimConfig, result) -> tuple[list[dict]]:
+    """run's summary row, once the event and feedback logs it asks for are
+    written to the output directory."""
+    with contextlib.closing(result):
         if args.events_csv:
             # the rows csv.writer would write (no cell needs quoting), one
             # template formatted a chunk of the spooled log: the log is the
             # largest output a run makes.  A qdelay of -1 is an empty cell
-            with open(outdir / args.events_csv, "w", newline="") as fh:
+            with open_output(args.output_dir / args.events_csv) as fh:
                 fh.write("time_us,kind,flow,seq,qdelay_us\r\n")
                 for chunk in result.event_chunks():
                     cells = chunk.tolist()
@@ -197,7 +213,7 @@ def cmd_run(args) -> int:
                     cells[4::5] = map({-1: ""}.get, qdelay, qdelay)
                     fh.write(EVENT_ROW * (len(cells) // 5) % tuple(cells))
         if args.feedback_csv:
-            with open(outdir / args.feedback_csv, "w", newline="") as fh:
+            with open_output(args.output_dir / args.feedback_csv) as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("flow", "seq", "t_emitted_us", "t_arrived_us",
                                  "bl_bw_bps", "min_rtt_us"))
@@ -205,8 +221,12 @@ def cmd_run(args) -> int:
                     flow, seq, t_emit, t_arr, bl_bw, min_rtt = row
                     writer.writerow((flow, seq, t_emit, t_arr,
                                      format_cell(float(bl_bw)), min_rtt))
-    print(describe(summary))
-    return EXIT_OK
+    return summary_rows(cfg, result)
+
+
+def cmd_run(args) -> int:
+    return run_grid(args, [config_from_args(args)], functools.partial(run_rows, args),
+                    describe, [("summary.csv", SUMMARY_COLUMNS)])
 
 
 def cmd_single_flow(args) -> int:

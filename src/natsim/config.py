@@ -283,7 +283,7 @@ def resolve_schedule(cfg: SimConfig) -> TraceSchedule:
     opportunity (an all-outage trace, or a rate that rounds to nothing)
     raises TraceError here, before a run could queue its first packet.
     """
-    duration_ms = int(round(cfg.duration_s * 1000))
+    duration_ms = -(-cfg.duration_us // 1000)   # whole ms that cover the run
     if is_trace_expression(cfg.trace):
         schedule = schedule_from_spec(cfg.trace, duration_ms, cfg.mtu, cfg.seed)
     else:

@@ -1,15 +1,19 @@
 """Config file handling, CLI subcommands, exit codes, CSV outputs."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import tempfile
 from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from natsim import cli
+from natsim import cli, config
 from natsim.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
@@ -255,6 +259,35 @@ def test_sub_microsecond_duration_exits_at_validation(tmp_path, capsys, trace, d
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match="duration_s"):
         Simulation(SimConfig(duration_s=float(duration), trace=str(trace)))
+
+
+@pytest.mark.parametrize("trace,duration", [
+    ("const:12mbps", "1e-6"), ("const:1gbps", "0.0004"), ("const:1gbps", "0.0005")])
+def test_a_run_shorter_than_a_millisecond_replays_its_opportunities(tmp_path, trace, duration):
+    # the schedule once lasted the run rounded to whole milliseconds: 0 ms,
+    # so no opportunity, where the 1 ms cycle now starts with one at t = 0
+    assert main(["run", "--trace", trace, "--duration", duration,
+                 "-o", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["period-sweep", "--workers", "1", "--periods-us", "5000,10000"]],
+    ids=["run", "period-sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("via", ["-o", "env"])
+def test_an_output_path_that_cannot_be_a_directory_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, recorded_runs, command, under, via):
+    path = tmp_path / "taken"
+    path.write_text("")
+    out = path / "sub" if under else path
+    if via == "env":
+        monkeypatch.setenv("NATSIM_OUTPUT_DIR", str(out))
+    argv = [*command, "--duration", "0.1", *(["-o", str(out)] if via == "-o" else [])]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"output directory {str(out)!r}" in captured.err
+    assert captured.out == ""
+    assert recorded_runs == []
 
 
 def test_config_file_section_exit_code(tmp_path):
@@ -557,3 +590,108 @@ def test_experiment_outputs_are_byte_identical(tmp_path, capsys, case):
     for path in sorted(tmp_path.iterdir()):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert digest.hexdigest() == expected
+
+
+# -- exit codes as a property ----------------------------------------------------
+
+# each grid subcommand at its smallest: in-process, one seed
+SUBCOMMANDS = {
+    "run": [],
+    "single-flow": ["--schemes", "natcp,cubic"],
+    "fairness": ["--schemes", "nacubic"],
+    "feedback-modes": ["--seeds", "1", "--workers", "1"],
+    "period-sweep": ["--periods-us", "5000,20000", "--workers", "1"],
+}
+
+
+def edge_values(key: str) -> list[str]:
+    *_, high, choices = config._SETTINGS[key]
+    values = ["0", "1", "-1", "nan", "inf", "", "9" * 25, "0,0.01", "off"]
+    if high is not None:
+        values += [str(high), str(high + 1)]
+    return values + [*(choices or ())]
+
+
+SETTING = st.sampled_from(sorted(config._SETTINGS)).flatmap(
+    lambda key: st.sampled_from(edge_values(key)).map(lambda value: f"{key}={value}"))
+# argv names a file the test makes as {dir}/name; {dir} itself is a directory
+# and {dir}/taken a file
+TRACES = [
+    "const:12mbps", "const:1gbps", "const:0mbps", "const:13gbps", "const:x",
+    "step:12mbps@10ms,0mbps@10ms", "step:0mbps@10ms", "step:12mbps@5.5ms", "step:12mbps",
+    "walk:1mbps-24mbps@100ms", "walk:24mbps-1mbps@100ms", "walk:1mbps-24mbps@0ms", "walk:x",
+    "", "  ", "{dir}", "{dir}/none"]
+# a comment and a blank line, a bad byte, decreasing stamps, a final 0, nothing
+TRACE_FILES = [b"0\n1\n2\n", b"# stamps\n\n5\n10\n", b"10\n20\n\xff30\n",
+               b"5\n3\n", b"3\n0\n", b""]
+CONFIG_FILES = [b"scheme = tg\n", b"# a comment\n\nseed = 3\n", b"duration_s = 0.01\n",
+                b"assist.mode = ib\n", b"[run]\nscheme = tg\n", b"cc.alpha = 1e300\n",
+                b"bogus\n", b"\xff\n"]
+# a run that can start is drawn three times in five, a usable output two in three
+DURATIONS = ["0.02", "0.02", "0.0004", "1e-7", "4e-7"]
+OUTPUTS = ["{dir}/out"] * 4 + ["{dir}/taken", "{dir}/taken/out"]
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, {file name: bytes}) for one call of ``main``."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command, *SUBCOMMANDS[command], "--duration", draw(st.sampled_from(DURATIONS))]
+    files = {}
+    trace = draw(st.one_of(st.none(), st.sampled_from(TRACES), st.sampled_from(TRACE_FILES)))
+    if isinstance(trace, bytes):
+        files["trace.txt"], trace = trace, "{dir}/trace.txt"
+    if trace is not None:
+        argv += ["--trace", trace]
+    conf = draw(st.one_of(st.none(), st.sampled_from(CONFIG_FILES), st.just("{dir}")))
+    if isinstance(conf, bytes):
+        files["run.conf"], conf = conf, "{dir}/run.conf"
+    if conf is not None:
+        argv += ["--config", conf]
+    for setting in draw(st.lists(SETTING, max_size=2)):
+        argv += ["--set", setting]
+    return argv + ["-o", draw(st.sampled_from(OUTPUTS))], files
+
+
+def in_run(*argv, **files):
+    return (["run", "--duration", "0.02", *argv, "-o", "{dir}/out"],
+            {f"{name}.txt": data for name, data in files.items()})
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cli_cases())
+# each input that once exited 1, or that a check now refuses with exit 2
+@example((["run", "--duration", "1e-7", "--trace", "step:12mbps@10ms,0mbps@10ms",
+           "-o", "{dir}/out"], {}))
+@example((["run", "--duration", "4e-7", "--trace", "{dir}/trace.txt", "-o", "{dir}/out"],
+          {"trace.txt": b"0\n1\n2\n"}))
+@example(in_run("--set", "cc.alpha=" + "9" * 25))
+@example(in_run("--trace", "{dir}"))
+@example(in_run("--config", "{dir}"))
+@example(in_run("--trace", "  "))
+@example(in_run("--trace", "{dir}/trace.txt", trace=b""))
+@example(in_run("--trace", "{dir}/trace.txt", trace=b"10\n20\n\xff30\n"))
+@example((["run", "--duration", "0.02", "-o", "{dir}/taken"], {}))
+@example((["period-sweep", *SUBCOMMANDS["period-sweep"], "--duration", "0.02",
+           "-o", "{dir}/taken/out"], {}))
+def test_every_argument_list_exits_0_2_or_3_without_a_traceback(case):
+    """Exit 1 is for a bug: every input from outside the program (each
+    subcommand's flags, config keys at their edges, malformed trace and
+    config files, an output path under a file) is used or refused.  A blank
+    trace names neither the default trace nor a path: it is a usage error."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "taken").write_text("")
+        for name, data in files.items():
+            Path(tmp, name).write_bytes(data)
+        argv = [arg.replace("{dir}", tmp) for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:   # argparse refuses a flag's value
+                rc = exc.code
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_MISSING_INPUT), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if "--trace" in argv and not argv[argv.index("--trace") + 1].strip():
+        assert rc == EXIT_USAGE, (argv, err.getvalue())

@@ -332,6 +332,12 @@ def test_synth_constant_holds_one_period_not_the_run():
     assert sched.long_run_bps() == 1e9
 
 
+def test_a_walk_schedule_covers_a_run_that_ends_mid_millisecond():
+    # 150.4 ms: a 150 ms walk would replay its first 0.4 ms at the end
+    cfg = SimConfig(trace="walk:1mbps-24mbps@150ms", duration_s=0.1504)
+    assert resolve_schedule(cfg).cycle_us == 151_000
+
+
 def test_synth_constant_integer_spacing_never_drifts():
     # 7 Mbit/s has a non-integer packet spacing; accumulated arithmetic
     # must still hit the exact long-run rate over the full cycle.

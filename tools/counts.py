@@ -1,0 +1,231 @@
+"""``python tools/counts.py`` prints src/'s line counts and the Python calls,
+opcodes, heap events and bytes of benchmark-shaped runs at seed 1 (CI's step
+summary): each repeats exactly on one Python version, so it shows what a change
+moves without timing noise.  On 3.11, where the ceilings are pinned, a count
+above its ceiling writes an ``::error::`` line to stderr, and the script exits
+1 once every count has printed.  natsim comes from this checkout's src/, and
+the workload settings, ``walk_trace`` and ``deep_size`` from its perfbench/.
+"""
+
+import ast
+import dataclasses
+import io
+import os
+import platform
+import sys
+import tokenize
+from array import array
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from natsim import config, engine  # noqa: E402
+from natsim.trace import parse_trace  # noqa: E402
+from stats import deep_size  # noqa: E402
+
+PINNED = (3, 11)   # the interpreter the ceilings were measured on
+REF_12M = {"scheme": "natcp", "trace": "const:12mbps", "seed": "1"}
+
+
+def python_calls(fn, *args):
+    """(Python function calls, not C calls, that fn(*args) makes, its value)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    sys.setprofile(count)
+    value = fn(*args)
+    sys.setprofile(None)
+    return calls, value
+
+
+def traced(kind: str, fn, *args):
+    """(trace events of ``kind``, "line" or "opcode", that fn(*args) runs, its value)."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "call":
+            frame.f_trace_opcodes = kind == "opcode"
+        events += event == kind
+        return local
+    sys.settrace(local)
+    value = fn(*args)
+    sys.settrace(None)
+    return events, value
+
+
+def heap_events(fn, *args):
+    """(entries the event loop pops from its heap in fn(*args), its value)."""
+    pops, heappop = 0, engine.heappop
+
+    def counted(heap):
+        nonlocal pops
+        pops += 1
+        return heappop(heap)
+    engine.heappop = counted
+    value = fn(*args)
+    engine.heappop = heappop
+    return pops, value
+
+
+def simulation(settings: dict, duration_s: str, **overrides: str) -> engine.Simulation:
+    """A wired simulation, so that a count covers its run, not its set-up."""
+    return engine.Simulation(config.build_config(
+        None, {**settings, "duration_s": duration_s, **overrides}))
+
+
+def at_seed_1(workload) -> dict:
+    w = workload.__new__(workload)   # settings only: no output directory
+    w.seed = 1
+    return w.make_settings()
+
+
+def over_ceilings(*checks) -> int:
+    """Writes an ``::error::`` line for each (what, value, ceiling) check whose
+    value is above its ceiling, on the pinned interpreter only; 1 if any."""
+    over = [c for c in checks if sys.version_info[:2] == PINNED and c[1] > c[2]]
+    for what, value, ceiling in over:
+        print(f"::error::{what}: {value:,.2f}, above {ceiling:,}", file=sys.stderr)
+    return 1 if over else 0
+
+
+def code_lines(text: str) -> int:
+    """Lines that hold code: no docstring (found with ast), comment-only or
+    blank line (found with tokenize), since removing those simplifies nothing."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    defs = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(text)):
+        first = node.body[0] if isinstance(node, defs) and node.body else None
+        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)):
+            code.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(code)
+
+
+# the groups, in the summary's order: each prints its counts, and returns
+# 1 when one is above its ceiling
+
+def source_lines():
+    texts = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "src" / "natsim").glob("*.py"))}
+    for count, total in ((lambda text: text.count("\n"), "total"),
+                         (code_lines, "code lines in total")):
+        counts = {name: count(text) for name, text in texts.items()}
+        print("```", *(f"{n:6} {name}" for name, n in counts.items()),
+              f"{sum(counts.values()):6} {total}", "```", sep="\n")
+
+
+def crowd_calls_and_events():
+    from workloads import Crowd
+    crowd = at_seed_1(Crowd)
+    for mode in ("oob", "ib"):
+        calls, _ = python_calls(simulation(crowd, "2", **{"assist.mode": mode}).run)
+        print(f"crowd ({mode}), 2 s at seed 1: {calls:,} Python calls")
+    pops, _ = heap_events(simulation(crowd, "10").run)
+    print(f"crowd, 10 s at seed 1: {pops:,} heap events")
+
+
+def ref_12m_per_packet():
+    """A per-packet call, opcode loop or heap event that comes back shows here."""
+    calls, result = python_calls(simulation(REF_12M, "10").run)
+    pkts = sum(len(f.deliveries) for f in result.flows)
+    print(f"ref-12m, 10 s at seed 1: {calls:,} Python calls for {pkts:,} "
+          f"delivered packets, {calls / pkts:.2f} a packet")
+    opcodes, short = traced("opcode", simulation(REF_12M, "2").run)
+    short_pkts = sum(len(f.deliveries) for f in short.flows)
+    print(f"ref-12m, 2 s at seed 1: {opcodes:,} opcodes for {short_pkts:,} "
+          f"delivered packets, {opcodes / short_pkts:.1f} a packet")
+    pops, _ = heap_events(simulation(REF_12M, "10").run)
+    print(f"ref-12m, 10 s at seed 1: {pops:,} heap events, "
+          f"{pops / pkts:.2f} a delivered packet")
+    return over_ceilings(("ref-12m (10 s): Python calls a packet", calls / pkts, 18.0),
+                         ("ref-12m (10 s): heap events a packet", pops / pkts, 2.1),
+                         ("ref-12m (2 s): opcodes a packet", opcodes / short_pkts, 880))
+
+
+def walk_parse_lines():
+    """cellular-cli's trace (tests/test_trace.py fails above 1,000 lines)."""
+    from workloads import walk_trace
+    text = walk_trace(1)
+    lines, _ = traced("line", parse_trace, text)
+    print(f"walk trace at seed 1, {len(text.splitlines()):,} stamps: "
+          f"parse_trace runs {lines:,} Python lines")
+
+
+def gig_result_and_per_packet():
+    """The largest result, and the workload the pacer drives hardest."""
+    from workloads import Gig
+    gig = at_seed_1(Gig)
+    pops, result = heap_events(simulation(gig, "2").run)
+    pkts = sum(len(f.deliveries) for f in result.flows)
+    print(f"gig, 2 s at seed 1: the result keeps {deep_size(result):,} bytes")
+    print(f"gig, 2 s at seed 1: {pops:,} heap events for {pkts:,} delivered "
+          f"packets, {pops / pkts:.2f} a packet")
+    opcodes, _ = traced("opcode", simulation(gig, "2").run)
+    print(f"gig, 2 s at seed 1: {opcodes:,} opcodes, {opcodes / pkts:.1f} "
+          f"a delivered packet")
+    return over_ceilings(("gig (2 s): heap events a packet", pops / pkts, 4.05),
+                         ("gig (2 s): opcodes a packet", opcodes / pkts, 1075))
+
+
+def event_log_row_bytes():
+    """The rows live in a spool file of 40 bytes a row, not in memory."""
+    off, on = (simulation(REF_12M, "10", **{"log.events": events}).run()
+               for events in ("off", "on"))
+    size_off, size_on = deep_size(off), deep_size(on)
+    rows = os.fstat(on.events.fileno()).st_size // 40
+    per_row = (size_on - size_off) / rows
+    print(f"natcp on const:12mbps, 10 s at seed 1 with log.events=on: the "
+          f"result keeps {size_on:,} bytes, {per_row:.2f} a row over "
+          f"{rows:,} event-log rows ({size_off:,} bytes with the log off)")
+    return over_ceilings(("event log (10 s): bytes a row", per_row, 1))
+
+
+def feedback_arrival_bytes():
+    """A packed row and its reference are 48 bytes, and a boxed row about 97
+    out of band and 123 in band (with each flow's one-flow tuple)."""
+    from workloads import Crowd
+    checks = []
+    for mode in ("oob", "ib"):
+        result = simulation(at_seed_1(Crowd), "2", **{"assist.mode": mode}).run()
+        size, arrivals = deep_size(result), len(result.feedback_log)
+        per_arrival = (size - deep_size(dataclasses.replace(
+            result, feedback=array("q"), feedback_fids=[]))) / arrivals
+        print(f"crowd ({mode}), 2 s at seed 1: the result keeps {size:,} bytes, "
+              f"{per_arrival:.1f} a feedback arrival over {arrivals:,} arrivals "
+              f"in {len(result.feedback_fids):,} packed rows")
+        checks.append((f"crowd ({mode}, 2 s): bytes a feedback arrival", per_arrival, 56))
+    return over_ceilings(*checks)
+
+
+GROUPS = (source_lines, crowd_calls_and_events, ref_12m_per_packet, walk_parse_lines,
+          gig_result_and_per_packet, event_log_row_bytes, feedback_arrival_bytes)
+
+
+def main() -> int:
+    """Runs each group in a fresh interpreter that imports only this module: a
+    process's first run makes 26 more Python calls (ABC subclass checks) than
+    a later one, and each ``collections.abc`` subclass imported adds one.  So
+    only the parent imports ``subprocess``, and the ref-12m groups never
+    import perfbench's workloads (natsim.cli)."""
+    import subprocess
+    pinned = sys.version_info[:2] == PINNED
+    print(f"Python {platform.python_version()}" + (
+        "" if pinned else ": the ceilings are pinned to 3.11, and not checked"), flush=True)
+    failed = 0
+    for group in GROUPS:
+        code = f"import sys, counts; sys.exit(counts.{group.__name__}())"
+        failed |= subprocess.run([sys.executable, "-c", code], cwd=ROOT / "tools").returncode
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
