@@ -38,6 +38,8 @@ EXIT_MISSING_INPUT = 3
 DEFAULT_SWEEP_PERIODS_US = (5_000, 10_000, 25_000, 50_000, 100_000)
 DEFAULT_MODE_SEEDS = (1, 2, 3, 4, 5)
 EVENT_ROW = "%d,%s,%d,%d,%s\r\n"   # time_us, kind, flow, seq, qdelay_us
+# RunResult.feedback_log's tuple, cell for cell
+FEEDBACK_COLUMNS = ("flow", "seq", "t_emitted_us", "t_arrived_us", "bl_bw_bps", "min_rtt_us")
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +67,39 @@ def write_csv(path: Path, columns: tuple, rows: list[dict]) -> None:
             writer.writerow([format_cell(row.get(col)) for col in columns])
 
 
-def output_dir(args) -> Path:
-    """The output directory, checked before any run: a path that cannot be
-    one (a file, or a path under a file) is a usage error.  The first output
-    written makes it, so a run that fails at set-up leaves no directory."""
+def output_dir(args, tables: list[str]) -> Path:
+    """The output directory, checked before any run with every file the
+    subcommand writes: its ``tables`` in the directory, and run's two logs.
+    A usage error names the first path that cannot be written: a directory
+    that is a file or lies under one, or an output that is a directory (the
+    output directory or one above it included) or lies under a file, or is
+    or lies under another output.  The first output written makes the
+    directory, so a run that fails at set-up leaves no directory."""
     path = Path(args.output_dir or os.environ.get("NATSIM_OUTPUT_DIR") or ".")
+    home = path.resolve()
+    logs = getattr(args, "events_csv", None), getattr(args, "feedback_csv", None)
+    # the logs first: of two outputs that clash, the log is named
+    outputs = [(f"output {str(path / name)!r}", (path / name).resolve())
+               for name in (*logs, *tables) if name]
     try:
-        found = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest(home).is_dir():
+            raise ConfigError(f"output directory {str(path)!r} is a file or lies under one")
+        for i, (what, real) in enumerate(outputs):
+            found = nearest(real)
+            # found is real itself and a directory, or a file above it
+            if home.is_relative_to(real) or found.is_dir() == (found == real):
+                raise ConfigError(f"{what} is a directory or lies under a file")
+            for other, taken in outputs[:i] + outputs[i + 1:]:
+                if real.is_relative_to(taken):
+                    raise ConfigError(f"{what} is or lies under {other}")
     except OSError as exc:   # a name too long, say
-        raise ConfigError(f"output directory {str(path)!r}: {exc.strerror}") from None
-    if not found.is_dir():
-        raise ConfigError(f"output directory {str(path)!r} cannot be made: "
-                          f"{str(found)!r} is not a directory")
+        raise ConfigError(f"{exc.filename!r}: {exc.strerror}") from None
     return path
+
+
+def nearest(path: Path) -> Path:
+    """path itself, or the nearest of its parents, whichever exists first."""
+    return next(p for p in (path, *path.parents) if p.exists())
 
 
 def describe(row: dict) -> str:
@@ -123,14 +145,10 @@ def parse_set_pairs(pairs: list[str]) -> dict[str, str]:
 
 def config_from_args(args, extra: dict[str, str] | None = None) -> SimConfig:
     overrides = parse_set_pairs(getattr(args, "set", None))
-    if getattr(args, "trace", None) is not None:
-        overrides["trace"] = args.trace
-    if getattr(args, "duration", None) is not None:
-        overrides["duration_s"] = str(args.duration)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
-    if getattr(args, "scheme", None):
-        overrides["scheme"] = args.scheme
+    for flag, key in (("trace", "trace"), ("duration", "duration_s"), ("seed", "seed"),
+                      ("scheme", "scheme")):   # the flags a subcommand may lack
+        if getattr(args, flag, None) is not None:
+            overrides[key] = str(getattr(args, flag))
     # the event log is recorded exactly when a run writes it out
     overrides["log.events"] = "on" if getattr(args, "events_csv", None) else "off"
     if extra:
@@ -173,9 +191,10 @@ def run_grid(args, configs: list[SimConfig], rows_of, line, outputs) -> int:
     its rows in grid order, and stdout gets ``line(row)`` of each run's first
     row.  A pool runs the grid only for a subcommand with --workers and more
     than one run; in-process, each line prints as its run ends.  The output
-    directory is checked before the first run, and ``args.output_dir`` set to
-    it, for a ``rows_of`` that writes files of its own."""
-    args.output_dir = output_dir(args)
+    directory and every output path are checked before the first run, and
+    ``args.output_dir`` set to the directory, for a ``rows_of`` that writes
+    files of its own."""
+    args.output_dir = output_dir(args, [name for name, _ in outputs])
     jobs = [(rows_of, cfg) for cfg in configs]
     workers = min(getattr(args, "workers", 1), len(jobs))   # a pool may start them all at once
     if workers > 1:
@@ -213,14 +232,8 @@ def run_rows(args, cfg: SimConfig, result) -> tuple[list[dict]]:
                     cells[4::5] = map({-1: ""}.get, qdelay, qdelay)
                     fh.write(EVENT_ROW * (len(cells) // 5) % tuple(cells))
         if args.feedback_csv:
-            with open_output(args.output_dir / args.feedback_csv) as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("flow", "seq", "t_emitted_us", "t_arrived_us",
-                                 "bl_bw_bps", "min_rtt_us"))
-                for row in result.feedback_log:
-                    flow, seq, t_emit, t_arr, bl_bw, min_rtt = row
-                    writer.writerow((flow, seq, t_emit, t_arr,
-                                     format_cell(float(bl_bw)), min_rtt))
+            write_csv(args.output_dir / args.feedback_csv, FEEDBACK_COLUMNS,
+                      [dict(zip(FEEDBACK_COLUMNS, row)) for row in result.feedback_log])
     return summary_rows(cfg, result)
 
 
@@ -256,9 +269,8 @@ def cmd_feedback_modes(args) -> int:
                                 "assist.period_us": str(args.period_us)})
         for scheme in sorted(args.schemes) for mode in sorted(args.modes)
         for seed in sorted(args.seeds)]
-    columns = ("scheme", "mode", "seed", "throughput_mbps", "goodput_mbps",
-               "avg_qdelay_ms", "p95_qdelay_ms", "power", "power95",
-               "retrans", "drops")
+    # the summary's metrics, throughput_mbps to drops
+    columns = ("scheme", "mode", "seed", *SUMMARY_COLUMNS[3:11])
     return run_grid(args, configs, summary_rows, lambda row: (
         f"{row['scheme']:<8} {row['mode']:<4} seed={row['seed']} "
         f"power95={format_cell(row['power95'])}"), [("modes.csv", columns)])

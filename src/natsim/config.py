@@ -98,11 +98,8 @@ class SimConfig:
         ]
 
     def ue_ids(self) -> list[int]:
-        seen: list[int] = []
-        for ue in self._flow_ue_list():
-            if ue not in seen:
-                seen.append(ue)
-        return seen
+        """Each flow's UE once, in the order the flows name them."""
+        return list(dict.fromkeys(self._flow_ue_list()))
 
     # -- validation ---------------------------------------------------------
 

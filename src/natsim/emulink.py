@@ -8,6 +8,10 @@ and one drain event is pending exactly while it is non-empty.
 The uplink (acks) is an ideal pipe: fixed one-way delay plus per-packet
 serialization at a configured depletion rate, no queuing.  Measurement
 probes bypass the UE queues entirely and observe only fixed network delay.
+The wiring fixes what each leg carries: ``send_downlink`` is reached only
+through a sender's ``transmit``, with the data packets it builds, and
+``send_uplink`` only as a receiver's ``transmit_ack``, with the ack it has
+just marked, so neither checks a packet's kind.
 
 Both legs in flight, server to BTS and UE to server, are a FIFO each,
 like htsim's pipes: a packet sent onto a leg takes its heap key
@@ -237,7 +241,6 @@ class BtsLink:
         self._backlog: list[UeQueue] = []   # queues holding a packet, by rank
         self._rr_next = 0          # lowest rank the next service may pick
         self._next_opp_index = 0   # first opportunity not yet served
-        self.served_opportunities = 0
         self.air_drops = 0
         self.drops_by_flow: dict[int, int] = {}
 
@@ -266,15 +269,12 @@ class BtsLink:
     def send_downlink(self, q: UeQueue, pkt: Packet, now: int) -> None:
         """Launch a data packet toward the UE queue ``q`` (arrives after the
         downlink one-way delay).  Probes never take this path."""
-        if pkt.kind is not DATA:
-            raise LinkError("send_downlink carries data packets only")
         if self._log is not None:
             self._log(_ROW(now, _SND, pkt.flow_id, pkt.seq, -1))
         entry = (now + self._down_owd_us, self._reserve(), self._arrive, (pkt, q))
-        down = self._down
-        if not down and (self._log is not None or not self._backlog):
+        if not self._down and (self._log is not None or not self._backlog):
             self._push(entry)
-        down.append(entry)
+        self._down.append(entry)
 
     def _arrive(self, now: int, arg: tuple[Packet, UeQueue]) -> None:
         """Admit the downlink's first entry, ``arg = (pkt, q)``, to its UE
@@ -348,7 +348,6 @@ class BtsLink:
         q = backlog[i]
         self._rr_next = q.rank + 1
         self._next_opp_index = idx + 1
-        self.served_opportunities += 1
         pkt = q.pop(now)
         if not q.fifo:
             del backlog[i]
@@ -388,13 +387,10 @@ class BtsLink:
     def send_uplink(self, pkt: Packet, now: int) -> None:
         """Carry an ack (possibly with piggybacked feedback) to the server,
         where the link hands it to ``on_ack``."""
-        if pkt.kind is not ACK:
-            raise LinkError("send_uplink carries acks only")
         entry = (now + self._ack_delay_us, self._reserve(), self._ack_arrive, pkt)
-        up = self._up
-        if not up:
+        if not self._up:
             self._push(entry)
-        up.append(entry)
+        self._up.append(entry)
 
     def _ack_arrive(self, now: int, pkt: Packet) -> None:
         """Hand the uplink's first entry, the ack ``pkt``, to
@@ -423,6 +419,12 @@ class BtsLink:
         return max(0, base)
 
     # -- accounting -------------------------------------------------------
+
+    @property
+    def served_opportunities(self) -> int:
+        """Opportunities that served a packet: each service pops one, and
+        each pop keeps one delay sample."""
+        return sum([len(q.qdelay_samples_us) for q in self.queues.values()])
 
     def idle_opportunities(self, horizon_us: int) -> int:
         elapsed = self.schedule.index_at_or_after(horizon_us + 1)

@@ -29,8 +29,9 @@ So a logged run keeps at most one slice's rows in memory, however long it
 runs, and an idle stretch costs one slice.  Slicing moves no event: the loop
 pops the same heap in the same order, and stops only between two events.
 The spool holds the rows in the buffer's format, 40 bytes each;
-``RunResult.event_chunks`` reads it back as ``array('q')`` chunks.  An
-unlogged run makes one ``run_until`` call and opens no file.
+``RunResult.event_chunks`` reads it back from the start as ``array('q')``
+chunks, one reader at a time.  An unlogged run makes one ``run_until`` call
+and opens no file.
 
 ``_collect`` derives each flow's byte counts from its receiver's
 deliveries, and raises ``LinkError`` naming the UE whose queue's byte
@@ -248,21 +249,16 @@ class RunResult:
         return n * self.mtu * 8 / (t1_us - t0_us)
 
     def event_chunks(self) -> Iterator[array]:
-        """The event log read back from its spool as ``array('q')`` chunks of
-        at most ``EVENT_CHUNK_ROWS`` rows, five int64s a row; nothing when
-        the run kept no log.  Each reader keeps its own offset, so two
-        readers may interleave."""
-        spool = self.events
-        if spool is None:
-            return
-        offset = 0
-        while True:
-            spool.seek(offset)
-            data = spool.read(40 * EVENT_CHUNK_ROWS)   # 40 bytes a row
-            if not data:
-                return
-            offset += len(data)
-            yield array("q", data)
+        """The event log read back from the start of its spool as
+        ``array('q')`` chunks of at most ``EVENT_CHUNK_ROWS`` rows, five
+        int64s a row; nothing when the run kept no log.  The call seeks to
+        the start, and every chunk read moves the spool's one offset, so one
+        reader at a time."""
+        if self.events is None:
+            return iter(())
+        self.events.seek(0)
+        # 40 bytes a row; array("q", data) decodes a chunk with no Python frame
+        return map(partial(array, "q"), iter(partial(self.events.read, 40 * EVENT_CHUNK_ROWS), b""))
 
     def close(self) -> None:
         """Close the event log's spool, which deletes it."""

@@ -290,6 +290,40 @@ def test_an_output_path_that_cannot_be_a_directory_exits_2_before_any_run(
     assert recorded_runs == []
 
 
+SWEEP = ["period-sweep", "--workers", "1", "--periods-us", "5000,10000"]
+
+
+@pytest.mark.parametrize("argv, table_dir, named", [
+    (["run", "--events-csv", "."], None, "out"),
+    (["run", "--feedback-csv", ".."], None, "out/.."),
+    (["run", "--events-csv", "summary.csv"], None, "out/summary.csv"),
+    (["run", "--feedback-csv", "summary.csv/x"], None, "out/summary.csv/x"),
+    (["run", "--events-csv", "../taken/x"], None, "out/../taken/x"),
+    (["run", "--events-csv", "log.csv", "--feedback-csv", "log.csv"], None, "out/log.csv"),
+    (["run", "--events-csv", "a/b.csv", "--feedback-csv", "a"], None, "out/a/b.csv"),
+    (["run", "--events-csv", "e.csv"], "summary.csv", "out/summary.csv"),
+    (["run", "--feedback-csv", "f.csv"], "f.csv", "out/f.csv"),
+    (SWEEP, "sweep.csv", "out/sweep.csv"),
+], ids=["events-is-the-dir", "feedback-holds-the-dir", "events-is-the-summary",
+        "feedback-under-the-summary", "events-under-a-file", "logs-share-a-name",
+        "events-under-feedback", "summary-is-a-dir", "feedback-is-a-dir", "sweep-is-a-dir"])
+def test_an_output_file_that_cannot_be_written_exits_2_before_any_run(
+        tmp_path, capsys, recorded_runs, argv, table_dir, named):
+    """Every output path is checked with the directory, so a run is never
+    made only to fail at its write: the error names the path, and no
+    directory is made."""
+    (tmp_path / "taken").write_text("")
+    if table_dir is not None:
+        (tmp_path / "out" / table_dir).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--duration", "0.1", "-o", str(tmp_path / "out")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"output {str(tmp_path / named)!r} " in captured.err
+    assert captured.out == ""
+    assert recorded_runs == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_config_file_section_exit_code(tmp_path):
     # a [section] line would otherwise drop every key after it
     path = tmp_path / "run.ini"
@@ -630,11 +664,19 @@ CONFIG_FILES = [b"scheme = tg\n", b"# a comment\n\nseed = 3\n", b"duration_s = 0
 # a run that can start is drawn three times in five, a usable output two in three
 DURATIONS = ["0.02", "0.02", "0.0004", "1e-7", "4e-7"]
 OUTPUTS = ["{dir}/out"] * 4 + ["{dir}/taken", "{dir}/taken/out"]
+# the tables each subcommand writes in its output directory
+TABLES = {"run": ["summary.csv"], "single-flow": ["summary.csv"],
+          "fairness": ["summary.csv", "fairness.csv"], "feedback-modes": ["modes.csv"],
+          "period-sweep": ["sweep.csv"]}
+# run's log names that cannot be written: the output directory, its parent,
+# the summary and a path under the summary
+LOG_NAMES = [".", "..", "summary.csv", "summary.csv/x"]
 
 
 @st.composite
 def cli_cases(draw):
-    """(argv, {file name: bytes}) for one call of ``main``."""
+    """(argv, {file name: bytes, or None for a directory}) for one call of
+    ``main``."""
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     argv = [command, *SUBCOMMANDS[command], "--duration", draw(st.sampled_from(DURATIONS))]
     files = {}
@@ -650,6 +692,14 @@ def cli_cases(draw):
         argv += ["--config", conf]
     for setting in draw(st.lists(SETTING, max_size=2)):
         argv += ["--set", setting]
+    if command == "run":
+        for flag in ("--events-csv", "--feedback-csv"):
+            usable = f"{flag[2:]}.csv"   # no log or a usable one five times in nine
+            name = draw(st.sampled_from([None, None, None, usable, usable, *LOG_NAMES]))
+            if name is not None:
+                argv += [flag, name]
+    if draw(st.integers(0, 7)) == 0:   # a directory where a table goes
+        files["out/" + draw(st.sampled_from(TABLES[command]))] = None
     return argv + ["-o", draw(st.sampled_from(OUTPUTS))], files
 
 
@@ -674,16 +724,27 @@ def in_run(*argv, **files):
 @example((["run", "--duration", "0.02", "-o", "{dir}/taken"], {}))
 @example((["period-sweep", *SUBCOMMANDS["period-sweep"], "--duration", "0.02",
            "-o", "{dir}/taken/out"], {}))
+@example(in_run("--events-csv", "events.csv", "--feedback-csv", "feedback.csv"))
+@example(in_run("--events-csv", "."))
+@example(in_run("--feedback-csv", "summary.csv/x"))
+@example(in_run("--events-csv", "summary.csv"))
+@example((["run", "--duration", "0.02", "-o", "{dir}/out"], {"out/summary.csv": None}))
+@example((["period-sweep", *SUBCOMMANDS["period-sweep"], "--duration", "0.02",
+           "-o", "{dir}/out"], {"out/sweep.csv": None}))
 def test_every_argument_list_exits_0_2_or_3_without_a_traceback(case):
     """Exit 1 is for a bug: every input from outside the program (each
     subcommand's flags, config keys at their edges, malformed trace and
-    config files, an output path under a file) is used or refused.  A blank
-    trace names neither the default trace nor a path: it is a usage error."""
+    config files, an output path under a file, run's log names, a directory
+    where a table goes) is used or refused.  A blank trace names neither the
+    default trace nor a path: it is a usage error."""
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "taken").write_text("")
         for name, data in files.items():
-            Path(tmp, name).write_bytes(data)
+            if data is None:
+                Path(tmp, name).mkdir(parents=True)
+            else:
+                Path(tmp, name).write_bytes(data)
         argv = [arg.replace("{dir}", tmp) for arg in argv]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -148,7 +148,7 @@ def ref_12m_per_packet():
           f"{pops / pkts:.2f} a delivered packet")
     return over_ceilings(("ref-12m (10 s): Python calls a packet", calls / pkts, 18.0),
                          ("ref-12m (10 s): heap events a packet", pops / pkts, 2.1),
-                         ("ref-12m (2 s): opcodes a packet", opcodes / short_pkts, 880))
+                         ("ref-12m (2 s): opcodes a packet", opcodes / short_pkts, 860))
 
 
 def walk_parse_lines():
@@ -173,7 +173,7 @@ def gig_result_and_per_packet():
     print(f"gig, 2 s at seed 1: {opcodes:,} opcodes, {opcodes / pkts:.1f} "
           f"a delivered packet")
     return over_ceilings(("gig (2 s): heap events a packet", pops / pkts, 4.05),
-                         ("gig (2 s): opcodes a packet", opcodes / pkts, 1075))
+                         ("gig (2 s): opcodes a packet", opcodes / pkts, 1055))
 
 
 def event_log_row_bytes():
