@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import os
 import sys
@@ -98,8 +99,16 @@ def output_dir(args, tables: list[str]) -> Path:
 
 
 def nearest(path: Path) -> Path:
-    """path itself, or the nearest of its parents, whichever exists first."""
-    return next(p for p in (path, *path.parents) if p.exists())
+    """path itself, or the nearest of its parents, whichever exists first.
+    No lookup reaches a name under a missing directory, so a missing name
+    longer than the file system there allows raises here the ``OSError``
+    that making it would."""
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if found != path and hasattr(os, "pathconf"):
+        longest = max(len(os.fsencode(part)) for part in path.relative_to(found).parts)
+        if 0 < os.pathconf(found, "PC_NAME_MAX") < longest:
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(path))
+    return found
 
 
 def describe(row: dict) -> str:

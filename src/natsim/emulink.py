@@ -159,7 +159,8 @@ class UeQueue:
     never enters the queue, so it sits outside the byte identity (enqueued =
     dequeued + occupancy) and is only counted; ``conserved`` checks that
     identity once, at the end of the run.  Each dequeue appends the packet's
-    queuing delay to ``qdelay_samples_us``, 8 bytes a sample.
+    queuing delay to ``qdelay_samples_us``, an ``array`` of the run's time
+    typecode: 4 bytes a sample for a run of at most 2**31 - 1 us, else 8.
     """
 
     ue_id: int
@@ -251,10 +252,14 @@ class BtsLink:
         ue_id: int,
         capacity_bytes: int,
         deliver: Callable[[Packet, int], None],
+        typecode: str = "q",
     ) -> UeQueue:
+        """A new queue for ``ue_id``, whose delay samples are an
+        ``array(typecode)``."""
         if ue_id in self.queues:
             raise LinkError(f"UE {ue_id!r} already registered")
-        q = UeQueue(ue_id, capacity_bytes, len(self.queues), deliver)
+        q = UeQueue(ue_id, capacity_bytes, len(self.queues), deliver,
+                    qdelay_samples_us=array(typecode))
         self.queues[ue_id] = q
         return q
 

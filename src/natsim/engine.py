@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import statistics
 import struct
@@ -174,7 +175,8 @@ class FlowStats:
     drops: int = 0
     fb_count: int = 0
     mode_log: list = field(default_factory=list)
-    # arrival time of each data packet (one MTU each); ~t for a duplicate
+    # arrival time of each data packet (one MTU each); ~t for a duplicate;
+    # 4 bytes an entry ("i") in a run of at most 2**31 - 1 us, else 8 ("q")
     deliveries: array = field(default_factory=partial(array, "q"))
 
 
@@ -351,6 +353,9 @@ class Simulation:
         self.schedule = resolve_schedule(cfg)
         self.loop = EventLoop()
         self.rng = random.Random(cfg.seed)
+        # every time the run stores, an arrival, ~t for a duplicate or a
+        # queuing delay, lies in [-duration_us - 1, duration_us]
+        self.time_typecode = "i" if cfg.duration_us <= 2**31 - 1 else "q"
         self.events = array("q")
         self.feedback = array("q")
         self.feedback_fids: list[tuple] = []
@@ -373,9 +378,10 @@ class Simulation:
         self._watchdog: dict[object, tuple[int, list[tuple[int, int]]]] = {}
 
         for ue in cfg.ue_ids():
-            self.receivers[ue] = UeReceiver(ue, self.link.send_uplink)
+            self.receivers[ue] = UeReceiver(ue, self.link.send_uplink,
+                                            self.time_typecode)
             self.link.register_ue(ue, cfg.queue_capacity_bytes,
-                                  self._make_deliver(ue))
+                                  self._make_deliver(ue), self.time_typecode)
 
         self.assist = NetAssist(cfg.assist, self.schedule, cfg.path,
                                 cfg.ue_ids(), self.link.probe_rtt)
@@ -554,8 +560,8 @@ class Simulation:
                 retransmits=snd.retransmits,
                 timeouts=snd.timeouts,
                 delivered_bytes=len(deliveries) * mtu,
-                # a list, not a generator: one call, however many entries
-                unique_bytes=sum([t >= 0 for t in deliveries]) * mtu,
+                # first arrivals, counted in C: no Python frame and no list
+                unique_bytes=sum(map(operator.ge, deliveries, itertools.repeat(0))) * mtu,
                 drops=drops,
                 fb_count=ctl.fb_count,
                 mode_log=list(ctl.mode_log),
@@ -566,7 +572,7 @@ class Simulation:
         if len(queues) == 1:  # the one queue's samples, as they are
             qdelay = queues[0].qdelay_samples_us
         else:  # pooled in ascending order
-            qdelay = array("q", sorted(itertools.chain.from_iterable(
+            qdelay = array(self.time_typecode, sorted(itertools.chain.from_iterable(
                 q.qdelay_samples_us for q in queues)))
         return RunResult(
             scheme=self.cfg.scheme,

@@ -19,11 +19,13 @@ turns every data packet into its ack at once, and reports how many flows
 were recently active so senders can share capacity fairly.  It decides
 whether a payload is new, so it keeps each flow's deliveries, the one
 record of what arrived, from which a run derives its byte counts: one
-``array('q')`` entry per arriving data packet, its arrival time for new
-payload and ``~t`` (that is, -t-1, always negative) for a duplicate.
-Every segment is one MTU, so no size is stored.  A segment that
-arrives in order while nothing is buffered advances the cumulative point
-directly, without passing through the reassembly map.  The sender
+``array`` entry per arriving data packet, its arrival time for new payload
+and ``~t`` (that is, -t-1, always negative) for a duplicate.  Every segment
+is one MTU, so no size is stored.  The array's typecode is the receiver's
+``typecode``, ``"q"`` (8 bytes an entry) unless given; a run passes ``"i"``
+(4 bytes) when it lasts at most 2**31 - 1 us, so every entry fits.  A
+segment that arrives in order while nothing is buffered advances the
+cumulative point directly, without passing through the reassembly map.  The sender
 keeps no copy of the congestion decision: each send reads the window and
 the pacing gap from its controller, which computes the gap when the
 pacing rate changes, not per segment.
@@ -248,14 +250,15 @@ class Sender:
 class UeReceiver:
     """Per-UE receiver: reassembly, immediate acks, activity census."""
 
-    def __init__(self, ue_id: int, transmit_ack: Callable[[Packet, int], None]) -> None:
+    def __init__(self, ue_id: int, transmit_ack: Callable[[Packet, int], None],
+                 typecode: str = "q") -> None:
         self.ue_id = ue_id
         self.transmit_ack = transmit_ack
         self.cum: dict[int, int] = {}            # flow -> next expected byte
         self.ooo: dict[int, dict[int, int]] = {}  # flow -> {seq: size}
         self.last_data_us: dict[int, int] = {}
         # flow -> arrival time of each data packet; ~t for a duplicate
-        self.deliveries: defaultdict[int, array] = defaultdict(partial(array, "q"))
+        self.deliveries: defaultdict[int, array] = defaultdict(partial(array, typecode))
 
     def expected(self, flow_id: int) -> int:
         return self.cum.get(flow_id, 0)

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import tempfile
 from array import array
 from pathlib import Path
@@ -322,6 +323,38 @@ def test_an_output_file_that_cannot_be_written_exits_2_before_any_run(
     assert captured.out == ""
     assert recorded_runs == []
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "pathconf"), reason="no pathconf")
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--events-csv", "{long}"], "out/{long}"),
+    (["run", "--feedback-csv", "logs/{long}/f.csv"], "out/logs/{long}/f.csv"),
+    (["run", "-o", "out/{long}"], "out/{long}"),
+    ([*SWEEP, "-o", "out/{long}/sub"], "out/{long}/sub"),
+], ids=["events", "feedback-dir", "run-dir", "sweep-dir"])
+def test_a_name_too_long_under_a_missing_directory_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, recorded_runs, argv, named):
+    """No lookup reaches a name under a directory that does not exist yet,
+    so its length is checked against the file system's limit."""
+    long = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+    argv = [arg.format(long=long) for arg in argv]
+    if "-o" not in argv:
+        argv += ["-o", "out"]
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--duration", "0.1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{str(tmp_path / named.format(long=long))!r}: File name too long" in captured.err
+    assert captured.out == ""
+    assert recorded_runs == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "pathconf"), reason="no pathconf")
+def test_a_name_as_long_as_the_file_system_allows_is_written(tmp_path):
+    longest = "x" * os.pathconf(tmp_path, "PC_NAME_MAX")
+    assert main(["run", "--events-csv", longest, "--duration", "0.1",
+                 "-o", str(tmp_path / "out")]) == EXIT_OK
+    assert (tmp_path / "out" / longest).is_file()
 
 
 def test_config_file_section_exit_code(tmp_path):

@@ -812,7 +812,7 @@ def test_goodput_window_helper():
         res.flow_goodput_mbps(0, -1, 1_000_000)
 
 
-def test_lossy_deliveries_keep_eight_bytes_per_arriving_packet():
+def test_lossy_deliveries_keep_four_bytes_per_arriving_packet():
     # cubic fills a deep queue under air loss, and a timeout resends a
     # segment whose first copy is still queued: both copies arrive
     res = run_simulation(cfg(scheme="cubic", duration_s=2.0,
@@ -820,11 +820,39 @@ def test_lossy_deliveries_keep_eight_bytes_per_arriving_packet():
                              path_kw={"loss_prob": 0.01},
                              flow_starts_s=(0.0, 0.0, 0.5), flow_ues=(0, 1, 0)))
     assert any(t < 0 for fs in res.flows for t in fs.deliveries)
+    # two UEs: the pooled delay samples keep the run's typecode too
+    assert res.qdelay_samples_us.itemsize == 4
     for fs in res.flows:
-        assert fs.deliveries.itemsize == 8
+        assert fs.deliveries.itemsize == 4
         assert len(fs.deliveries) == fs.delivered_bytes // res.mtu
         assert (res.flow_goodput_mbps(fs.flow_id, 0, res.duration_us)
                 == fs.unique_bytes * 8 / res.duration_us)
+
+
+def horizon_run(duration_s: str, start_s: str):
+    """A flow that starts just before the end of a long run."""
+    sim = Simulation(build_config(None, {"duration_s": duration_s,
+                                         "flows.start_s": start_s}))
+    return sim, sim.run()
+
+
+def test_a_run_of_2_to_the_31_us_less_1_keeps_4_byte_times():
+    sim, res = horizon_run("2147.483647", "2147.3")
+    assert sim.time_typecode == "i" and res.duration_us == 2**31 - 1
+    (fs,) = res.flows
+    assert fs.deliveries.typecode == res.qdelay_samples_us.typecode == "i"
+    assert max(fs.deliveries) == 2_147_483_000
+    assert fs.unique_bytes == len(fs.deliveries) * res.mtu > 0
+
+
+def test_a_run_past_2_to_the_31_us_keeps_8_byte_times():
+    # arrivals past 2**31 - 1 us do not fit 4 bytes: OverflowError with "i"
+    sim, res = horizon_run("2147.6", "2147.45")
+    assert sim.time_typecode == "q"
+    (fs,) = res.flows
+    assert fs.deliveries.typecode == res.qdelay_samples_us.typecode == "q"
+    assert max(fs.deliveries) > 2**31 - 1
+    assert fs.unique_bytes == len(fs.deliveries) * res.mtu
 
 
 @pytest.mark.parametrize("settings,d", [

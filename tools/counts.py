@@ -166,14 +166,17 @@ def gig_result_and_per_packet():
     gig = at_seed_1(Gig)
     pops, result = heap_events(simulation(gig, "2").run)
     pkts = sum(len(f.deliveries) for f in result.flows)
-    print(f"gig, 2 s at seed 1: the result keeps {deep_size(result):,} bytes")
+    size = deep_size(result)
+    print(f"gig, 2 s at seed 1: the result keeps {size:,} bytes, "
+          f"{size / pkts:.2f} a delivered packet")
     print(f"gig, 2 s at seed 1: {pops:,} heap events for {pkts:,} delivered "
           f"packets, {pops / pkts:.2f} a packet")
     opcodes, _ = traced("opcode", simulation(gig, "2").run)
     print(f"gig, 2 s at seed 1: {opcodes:,} opcodes, {opcodes / pkts:.1f} "
           f"a delivered packet")
     return over_ceilings(("gig (2 s): heap events a packet", pops / pkts, 4.05),
-                         ("gig (2 s): opcodes a packet", opcodes / pkts, 1055))
+                         ("gig (2 s): opcodes a packet", opcodes / pkts, 1055),
+                         ("gig (2 s): result bytes a packet", size / pkts, 8.5))
 
 
 def event_log_row_bytes():
