@@ -1,7 +1,7 @@
 """natsim: deterministic trace-driven simulator for network-assisted
 congestion control over cellular-style bottlenecks."""
 
-from .cc import SCHEMES, assisted_cwnd_bytes, cubic_k, cubic_window, make_controller
+from .cc import SCHEMES, CcConfig, assisted_cwnd_bytes, cubic_k, cubic_window, make_controller
 from .config import ConfigError, SimConfig, build_config, resolve_schedule
 from .engine import (
     RunResult,
@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SCHEMES",
+    "CcConfig",
     "ConfigError",
     "FeedbackMsg",
     "NetAssist",

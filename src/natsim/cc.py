@@ -24,6 +24,12 @@ class-level choices, both off for natcp:
            min-RTT is the minimum of the sender's own ack RTT samples over
            ``horizon_us``; no beta term, no watchdog, no mode log.
 
+``make_controller(scheme, mtu, cc)`` builds each one.  ``cc``, a
+``CcConfig``, holds the ``cc.*`` keys: alpha, whether pacing divides by
+beta, and tg's horizon.  The assisted core copies them into ``alpha``,
+``divide_pacing_by_beta`` and ``horizon_us`` once, at construction, as
+``BtsLink`` reads its ``PathConfig``; cubic reads none.
+
 The controller is the one home of the decision: ``cwnd`` (bytes),
 ``pacing_bps`` (None = unpaced) and ``gap_us``, the pacing gap of one MTU
 packet, which setting ``pacing_bps`` computes.  The sender keeps no copy;
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .netassist import FeedbackMsg
 
@@ -73,6 +79,22 @@ def cwnd_floor_bytes(mtu: int) -> int:
 def assisted_cwnd_bytes(alpha: float, beta: int, min_rtt_us: int, bl_bw_bps: float) -> int:
     """Feedback-driven window: alpha * (1/beta) * minRTT * BL_Bw, in bytes."""
     return int(round(alpha * min_rtt_us * bl_bw_bps / (8e6 * beta)))
+
+
+@dataclass
+class CcConfig:
+    """The assisted schemes' settings, read once by each controller.
+
+    Each field is a config key ``cc.<name>``; its metadata bounds it as
+    ``SimConfig``'s fields are bounded.  Cubic reads none of them.
+    """
+
+    # at most a window of a million bandwidth-delay products; far above, it
+    # overflows a float
+    alpha: float = field(default=2.0, metadata={"sign": "positive", "max": 1_000_000})
+    divide_pacing_by_beta: bool = False
+    # tg's min-RTT sliding window
+    tg_horizon_us: int = field(default=10_000_000, metadata={"sign": "positive"})
 
 
 @dataclass
@@ -205,17 +227,12 @@ class NatcpController(Controller):
     own_rtt = False  # on for tg
     uses_watchdog = True  # off for tg, with own_rtt
 
-    def __init__(
-        self,
-        mtu: int,
-        alpha: float = 2.0,
-        divide_pacing_by_beta: bool = False,
-        horizon_us: int = 10_000_000,
-    ) -> None:
+    def __init__(self, mtu: int, cc: CcConfig | None = None) -> None:
         super().__init__(mtu)
-        self.alpha = alpha
-        self.divide_pacing_by_beta = divide_pacing_by_beta
-        self.horizon_us = horizon_us
+        cc = CcConfig() if cc is None else cc
+        self.alpha = cc.alpha
+        self.divide_pacing_by_beta = cc.divide_pacing_by_beta
+        self.horizon_us = cc.tg_horizon_us
         self.beta = 1
         self.assisted = False
         self.bl_bw = 0.0
@@ -324,16 +341,10 @@ CONTROLLERS = {
 SCHEMES = tuple(CONTROLLERS)
 
 
-def make_controller(
-    scheme: str,
-    mtu: int,
-    alpha: float = 2.0,
-    divide_pacing_by_beta: bool = False,
-    tg_horizon_us: int = 10_000_000,
-) -> Controller:
+def make_controller(scheme: str, mtu: int, cc: CcConfig | None = None) -> Controller:
+    """A new ``scheme`` controller; ``cc`` (None: ``CcConfig()``) sets the
+    assisted schemes."""
     cls = CONTROLLERS.get(scheme)
     if cls is None:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if cls is CubicController:
-        return cls(mtu)
-    return cls(mtu, alpha, divide_pacing_by_beta, tg_horizon_us)
+    return cls(mtu) if cls is CubicController else cls(mtu, cc)

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .cc import SCHEMES
+from .cc import SCHEMES, CcConfig
 from .emulink import PathConfig
 from .netassist import NetAssistConfig
 from .trace import (
+    DEFAULT_MTU,
     TraceError,
     TraceSchedule,
     is_trace_expression,
@@ -52,8 +53,8 @@ class SimConfig:
     A field's metadata names its key when that is not its attribute name
     (``key``) and bounds it: ``sign`` is ``"positive"`` or
     ``"non-negative"``, ``max`` an inclusive maximum and ``choices`` the
-    values allowed.  ``PathConfig`` and ``NetAssistConfig`` spell theirs the
-    same way, and ``validate`` reads every bound from there.
+    values allowed.  ``PathConfig``, ``NetAssistConfig`` and ``CcConfig``
+    spell theirs the same way, and ``validate`` reads every bound from there.
     """
 
     scheme: str = field(default="natcp", metadata={"choices": SCHEMES})
@@ -62,16 +63,11 @@ class SimConfig:
     # int64 range of the event log and the deliveries
     duration_s: float = field(default=60.0, metadata={"sign": "positive", "max": 1_000_000_000})
     seed: int = 1
-    mtu: int = field(default=1500, metadata={"sign": "positive"})
+    # at most 1,000,000, so the event log's byte seq (packets x mtu) stays
+    # within int64 for 9.2e12 packets
+    mtu: int = field(default=DEFAULT_MTU, metadata={"sign": "positive", "max": 1_000_000})
     queue_capacity_bytes: int = field(default=150_000, metadata={"key": "queue.capacity_bytes"})
-    # at most a window of a million bandwidth-delay products; far above, it
-    # overflows a float
-    alpha: float = field(default=2.0, metadata={
-        "key": "cc.alpha", "sign": "positive", "max": 1_000_000})
-    divide_pacing_by_beta: bool = field(default=False, metadata={
-        "key": "cc.divide_pacing_by_beta"})
-    tg_horizon_us: int = field(default=10_000_000, metadata={
-        "key": "cc.tg_horizon_us", "sign": "positive"})
+    cc: CcConfig = field(default_factory=CcConfig)
     flow_starts_s: tuple[float, ...] = field(default=(0.0,), metadata={"key": "flows.start_s"})
     flow_ues: tuple[int, ...] = field(default=(0,), metadata={"key": "flows.ue"})
     # record the per-packet event log: the run spools its rows to a temporary

@@ -157,10 +157,11 @@ class UeQueue:
 
     A packet is accepted only when its full size fits.  A dropped packet
     never enters the queue, so it sits outside the byte identity (enqueued =
-    dequeued + occupancy) and is only counted; ``conserved`` checks that
-    identity once, at the end of the run.  Each dequeue appends the packet's
-    queuing delay to ``qdelay_samples_us``, an ``array`` of the run's time
-    typecode: 4 bytes a sample for a run of at most 2**31 - 1 us, else 8.
+    dequeued + occupancy), and the link counts it per flow; ``conserved``
+    checks that identity once, at the end of the run.  Each dequeue appends
+    the packet's queuing delay to ``qdelay_samples_us``, an ``array`` of the
+    run's time typecode: 4 bytes a sample for a run of at most 2**31 - 1 us,
+    else 8.
     """
 
     ue_id: int
@@ -172,13 +173,11 @@ class UeQueue:
     occupancy: int = 0
     enqueued_bytes: int = 0
     dequeued_bytes: int = 0
-    drop_count: int = 0
     qdelay_samples_us: array = field(default_factory=partial(array, "q"))
 
     def offer(self, pkt: Packet, now: int) -> bool:
         """Enqueue pkt, or drop it when it does not fit whole."""
         if self.occupancy + pkt.size > self.capacity_bytes:
-            self.drop_count += 1
             return False
         pkt.t_enqueued = now
         self.fifo.append(pkt)
@@ -338,7 +337,6 @@ class BtsLink:
                 t_us, _, _, (pkt, q) = down.popleft()
                 size = pkt.size
                 if q.occupancy + size > q.capacity_bytes:
-                    q.drop_count += 1
                     self.drops_by_flow[pkt.flow_id] = (
                         self.drops_by_flow.get(pkt.flow_id, 0) + 1)
                 else:

@@ -387,8 +387,7 @@ class Simulation:
                                 cfg.ue_ids(), self.link.probe_rtt)
 
         for spec in cfg.flows():
-            ctl = make_controller(cfg.scheme, cfg.mtu, cfg.alpha,
-                                  cfg.divide_pacing_by_beta, cfg.tg_horizon_us)
+            ctl = make_controller(cfg.scheme, cfg.mtu, cfg.cc)
             snd = Sender(spec.flow_id, cfg.mtu, ctl,
                          self._make_transmit(spec.ue_id), self.loop.schedule)
             self.senders[spec.flow_id] = snd
@@ -568,7 +567,6 @@ class Simulation:
                 deliveries=deliveries,
             ))
         queues = list(self.link.queues.values())
-        queue_drops = sum(q.drop_count for q in queues)
         if len(queues) == 1:  # the one queue's samples, as they are
             qdelay = queues[0].qdelay_samples_us
         else:  # pooled in ascending order
@@ -586,7 +584,8 @@ class Simulation:
             feedback=self.feedback,
             feedback_fids=self.feedback_fids,
             overhead_kbps=self.assist.overhead_kbps(self.cfg.duration_us),
-            queue_drops=queue_drops,
+            # every drop is at a queue or in the air
+            queue_drops=sum(self.link.drops_by_flow.values()) - self.link.air_drops,
         )
 
 

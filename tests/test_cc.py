@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natsim.cc import (
+    CcConfig,
     CubicController,
     CubicState,
     NaCubicController,
@@ -168,7 +169,7 @@ def test_natcp_beta_halves_share():
 
 
 def test_natcp_divide_pacing_by_beta_option():
-    ctl = NatcpController(MTU, divide_pacing_by_beta=True)
+    ctl = NatcpController(MTU, CcConfig(divide_pacing_by_beta=True))
     ctl.on_feedback(52_000, fb(12e6, 6_043))
     ctl.on_ack(60_000, MTU, 10_000, beta=2)
     assert ctl.pacing_bps == 6e6
@@ -264,7 +265,8 @@ CALLS = st.lists(st.one_of(
 @given(calls=CALLS, divide=st.booleans())
 def test_unchanged_digest_early_out_matches_a_full_recompute(cls, calls, divide):
     # a 50 ms horizon ages tg's RTT samples out within a run of calls
-    ctl, ref = (c(MTU, 2.0, divide, 50_000) for c in (cls, closed_form(cls)))
+    cc = CcConfig(alpha=2.0, divide_pacing_by_beta=divide, tg_horizon_us=50_000)
+    ctl, ref = (c(MTU, cc) for c in (cls, closed_form(cls)))
     for i, (method, *args) in enumerate(calls):
         if method == "on_feedback":
             args = [fb(*args, seq=i)]
@@ -302,7 +304,7 @@ def test_cubic_feedback_never_moves_the_decision():
 
 
 def test_tg_recomputes_on_a_repeated_digest():
-    tg = TgController(MTU, horizon_us=500_000)
+    tg = TgController(MTU, CcConfig(tg_horizon_us=500_000))
     tg.on_ack(0, MTU, 10_000, 1)
     tg.on_ack(300_000, MTU, 40_000, 1)
     # the digest's min-RTT equals tg's own estimate, so only the ageing of
@@ -375,7 +377,7 @@ def test_tg_window_from_own_min_rtt():
 
 
 def test_tg_min_filter_expires_after_horizon():
-    tg = TgController(MTU, horizon_us=10_000_000)
+    tg = TgController(MTU, CcConfig(tg_horizon_us=10_000_000))
     tg.on_ack(10_000, MTU, 10_000, 1)
     tg.on_feedback(50_000, fb(12e6, 0))
     for t in range(1, 10):                          # later, larger samples
@@ -416,8 +418,18 @@ def test_make_controller_mapping():
 
 
 def test_make_controller_passes_options():
-    ctl = make_controller("natcp", MTU, alpha=3.0, divide_pacing_by_beta=True)
+    cc = CcConfig(alpha=3.0, divide_pacing_by_beta=True, tg_horizon_us=5_000_000)
+    ctl = make_controller("natcp", MTU, cc)
     ctl.on_feedback(52_000, fb(12e6, 10_000))
     assert ctl.cwnd == assisted_cwnd_bytes(3.0, 1, 10_000, 12e6)
-    tg = make_controller("tg", MTU, tg_horizon_us=5_000_000)
+    assert ctl.divide_pacing_by_beta
+    tg = make_controller("tg", MTU, cc)
     assert tg.horizon_us == 5_000_000
+
+
+def test_no_config_means_the_default_config():
+    default = CcConfig()
+    for scheme in ("natcp", "nacubic", "tg"):
+        ctl = make_controller(scheme, MTU)
+        assert (ctl.alpha, ctl.divide_pacing_by_beta, ctl.horizon_us) == \
+            (default.alpha, default.divide_pacing_by_beta, default.tg_horizon_us)

@@ -244,6 +244,22 @@ def test_overflowing_value_exits_at_validation(tmp_path, capsys, settings, key):
     assert not list(tmp_path.iterdir())
 
 
+def test_an_mtu_past_its_bound_exits_2_before_a_logged_run(tmp_path, capsys, recorded_runs):
+    # the event log packs a row's byte seq (packets x mtu) as an int64; at
+    # this mtu it passed 2**63 after about 9,200 packets, and the run exited 1
+    out = tmp_path / "out"
+    rc = main(["run", "--trace", "const:200000000000gbps", "--duration", "1",
+               "--set", "mtu=1000000000000000",
+               "--set", "queue.capacity_bytes=100000000000000000",
+               "--events-csv", "ev.csv", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert "mtu must be at most 1,000,000" in captured.err
+    assert captured.out == ""
+    assert recorded_runs == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trace", ["file", "step:12mbps@10ms,0mbps@10ms"])
 @pytest.mark.parametrize("duration", ["1e-7", "5e-7"])
 def test_sub_microsecond_duration_exits_at_validation(tmp_path, capsys, trace, duration):

@@ -5,6 +5,7 @@ type and every bound declared on a field.  A sweep of boundary values checks
 that a config either fails before its run or runs to the end.  The bounds
 are read from ``config._SETTINGS``, which reads them from the fields."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from natsim import config
+from natsim.cc import CcConfig
 from natsim.config import ConfigError, SimConfig, apply_settings
 from natsim.emulink import PathConfig
 from natsim.engine import Simulation
@@ -48,16 +50,16 @@ CASES = [
     ("assist.suppress_after_us", "assist.suppress_after_us", "3000000", 3_000_000),
     ("assist.suppress_after_us", "assist.suppress_after_us", " None ", None),
     ("assist.suppress_after_us", "assist.suppress_after_us", "off", None),
-    ("cc.alpha", "alpha", "1.5", 1.5),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "true", True),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "Yes", True),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "on", True),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "1", True),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "FALSE", False),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "no", False),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "off", False),
-    ("cc.divide_pacing_by_beta", "divide_pacing_by_beta", "0", False),
-    ("cc.tg_horizon_us", "tg_horizon_us", "500000", 500_000),
+    ("cc.alpha", "cc.alpha", "1.5", 1.5),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "true", True),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "Yes", True),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "on", True),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "1", True),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "FALSE", False),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "no", False),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "off", False),
+    ("cc.divide_pacing_by_beta", "cc.divide_pacing_by_beta", "0", False),
+    ("cc.tg_horizon_us", "cc.tg_horizon_us", "500000", 500_000),
     ("flows.start_s", "flow_starts_s", "0, 15", (0.0, 15.0)),
     ("flows.start_s", "flow_starts_s", "2.5", (2.5,)),
     ("flows.ue", "flow_ues", "0,1, 1", (0, 1, 1)),
@@ -75,13 +77,35 @@ def test_cases_cover_every_key():
     assert len(config._SETTINGS) == 24
 
 
+def test_the_keys_keep_their_order():
+    # the CLI's keys, in the order validation reports their errors
+    assert list(config._SETTINGS) == [
+        "scheme", "trace", "duration_s", "seed", "mtu", "queue.capacity_bytes",
+        "cc.alpha", "cc.divide_pacing_by_beta", "cc.tg_horizon_us",
+        "flows.start_s", "flows.ue", "log.events",
+        "path.down_owd_us", "path.up_owd_us", "path.uplink_rate_bps",
+        "path.oob_delay_us", "path.loss_prob", "path.probe_jitter_us",
+        "assist.period_us", "assist.mode", "assist.probe_interval_us",
+        "assist.feedback_size_bytes", "assist.part2_ceiling_us",
+        "assist.suppress_after_us",
+    ]
+
+
+def test_no_cc_key_names_itself():
+    # each cc.* key is its field's path, like the path.* and assist.* keys
+    for f in dataclasses.fields(CcConfig):
+        assert "key" not in f.metadata
+        assert config._SETTINGS[f"cc.{f.name}"][:2] == ("cc", f.name)
+
+
 @pytest.mark.parametrize("key,path,raw,value", CASES,
                          ids=[f"{k}={r.strip()}" for k, _, r, _ in CASES])
 def test_key_sets_typed_field(key, path, raw, value):
     cfg = SimConfig()
     cfg.assist.suppress_after_us = 1      # so that "none" visibly clears it
     if isinstance(value, bool):           # so that a flag visibly flips
-        setattr(cfg, path, not value)
+        *owner, attr = path.split(".")
+        setattr(reduce(getattr, owner, cfg), attr, not value)
     apply_settings(cfg, {key: raw})
     got = attr_path(cfg, path)
     assert got == value
@@ -201,9 +225,10 @@ def test_validation_accepts_zero_delays():
 
 
 def test_validation_accepts_the_edges_of_the_upper_bounds():
+    # the queue must hold one packet of the largest mtu
     cfg = apply_settings(SimConfig(), {
         **{key: repr(high) for key, high in MAXIMA.items()},
-        "path.uplink_rate_bps": "1"})
+        "path.uplink_rate_bps": "1", "queue.capacity_bytes": repr(MAXIMA["mtu"])})
     assert cfg.validate() == []
 
 
@@ -243,7 +268,7 @@ def test_validation_rejects_a_value_of_the_wrong_type(cfg, message):
 
 
 def test_validation_accepts_an_int_in_a_float_key():
-    cfg = SimConfig(duration_s=1, alpha=3, flow_starts_s=(0, 0.5),
+    cfg = SimConfig(duration_s=1, cc=CcConfig(alpha=3), flow_starts_s=(0, 0.5),
                     path=PathConfig(uplink_rate_bps=6_000_000, loss_prob=0))
     assert cfg.validate() == []
 

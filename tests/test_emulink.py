@@ -57,8 +57,8 @@ def test_queue_droptail_and_conservation():
     assert q.offer(data(seq=0), now=1)
     assert q.offer(data(seq=1500), now=2)
     assert not q.offer(data(seq=3000), now=3)   # full: dropped whole
-    assert q.drop_count == 1
     assert q.enqueued_bytes == 3000              # the dropped bytes never entered
+    assert [p.seq for p in q.fifo] == [0, 1500]
     assert q.occupancy == 3000
     pkt = q.pop(now=10)
     assert pkt.seq == 0
@@ -323,7 +323,7 @@ def replay(sends, logged, t_end_us, capacity=150_000, ues=(0,)):
     link.admit_until(t_end_us)
     seen = {
         "delivered": {ue: [(t, p.seq) for t, p in d] for ue, d in delivered.items()},
-        "queues": [(q.enqueued_bytes, q.dequeued_bytes, q.occupancy, q.drop_count,
+        "queues": [(q.enqueued_bytes, q.dequeued_bytes, q.occupancy,
                     list(q.qdelay_samples_us), [(p.seq, p.t_enqueued) for p in q.fifo])
                    for q in link.queues.values()],
         "drops": link.drops_by_flow,
@@ -341,7 +341,7 @@ def test_drop_burst_between_two_services_matches_the_logged_run():
     _, logged_loop, _, logged = replay(sends, True, 50_000, 3_000)
     assert lazy == logged
     assert lazy["drops"] == {0: 4}
-    assert lazy["queues"][0][4] == [500, 1_500, 1_800]
+    assert lazy["queues"][0][3] == [500, 1_500, 1_800]
     assert lazy_arrivals == [(2_500, 0)]   # the rest were admitted by services
     assert lazy_loop.processed == logged_loop.processed - 6
 
@@ -363,7 +363,7 @@ def test_arrivals_after_the_last_service_are_admitted_by_the_end():
     _, _, _, lazy = replay(sends, False, 4_600)
     _, _, _, logged = replay(sends, True, 4_600)
     assert lazy == logged
-    assert lazy["queues"][0][5] == [(3000, 3_500), (4500, 4_300), (6000, 4_600)]
+    assert lazy["queues"][0][4] == [(3000, 3_500), (4500, 4_300), (6000, 4_600)]
     assert lazy["held"] == {0: 4}   # three queued, one still on the leg
 
 
@@ -396,7 +396,8 @@ def test_lazy_admission_matches_the_logged_link(ues, sends, capacity, t_end_ms):
     _, _, _, logged = replay(timed, True, t_end_us, capacity, tuple(range(ues)))
     assert lazy == logged
     due = sum(t + 2_500 <= t_end_us for t, _, _ in timed)
-    admitted = sum(q.enqueued_bytes // 1500 + q.drop_count for q in link.queues.values())
+    admitted = (sum(q.enqueued_bytes // 1500 for q in link.queues.values())
+                + sum(link.drops_by_flow.values()))   # no air loss: every drop is at a queue
     assert admitted == due
     assert len(set(arrivals)) == len(arrivals)
 

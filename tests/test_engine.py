@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from heapq import heappop
 
 import pytest
@@ -301,12 +302,24 @@ def test_the_lazy_and_the_logged_path_give_the_same_run(trace_file):
             seen.append((
                 res.summary_row(), [vars(f) for f in res.flows],
                 res.qdelay_samples_us, res.feedback_log, link.drops_by_flow,
-                [(q.enqueued_bytes, q.occupancy, q.drop_count)
-                 for q in link.queues.values()],
+                [(q.enqueued_bytes, q.occupancy) for q in link.queues.values()],
             ))
         assert seen[0] == seen[1]
 
     check()
+
+
+def test_queue_and_air_drops_agree_with_the_log():
+    # queue_drops is derived: every drop the link counts per flow, less the
+    # air drops; a tiny queue and cubic make queue drops, loss air drops
+    sim = Simulation(cfg(scheme="cubic", duration_s=3.0, log_events=True,
+                         queue_capacity_bytes=6_000, path_kw={"loss_prob": 0.02},
+                         flow_starts_s=(0.0, 0.0), flow_ues=(0, 1)))
+    res = sim.run()
+    kinds = Counter(row[1] for row in res.event_log)
+    assert res.queue_drops == kinds["drop"] > 0
+    assert sim.link.air_drops == kinds["airdrop"] > 0
+    assert sum(f.drops for f in res.flows) == res.queue_drops + sim.link.air_drops
 
 
 def test_link_is_the_one_writer_of_the_event_log():
