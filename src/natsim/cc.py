@@ -26,21 +26,22 @@ class-level choices, both off for natcp:
 
 ``make_controller(scheme, mtu, cc)`` builds each one.  ``cc``, a
 ``CcConfig``, holds the ``cc.*`` keys: alpha, whether pacing divides by
-beta, and tg's horizon.  The assisted core copies them into ``alpha``,
-``divide_pacing_by_beta`` and ``horizon_us`` once, at construction, as
-``BtsLink`` reads its ``PathConfig``; cubic reads none.
+beta, and tg's horizon.  The assisted core keeps it as ``cc`` and reads it
+in place: ``_apply`` reads alpha and the pacing choice when it recomputes,
+and ``rtt_estimate_us`` the horizon.  Cubic reads none.
 
 The controller is the one home of the decision: ``cwnd`` (bytes),
 ``pacing_bps`` (None = unpaced) and ``gap_us``, the pacing gap of one MTU
-packet, which setting ``pacing_bps`` computes.  The sender keeps no copy;
-it reads ``cwnd`` and ``gap_us`` each time it tests whether it may send.
+packet; ``_pace`` sets the two together.  The sender keeps no copy; it
+reads ``cwnd`` and ``gap_us`` each time it tests whether it may send.
 
-``on_feedback`` counts every digest.  natcp and nacubic recompute only
-when a digest can move the decision: while assisted, a digest whose
-``bl_bw`` and ``min_rtt`` equal the applied ones is skipped, since every
-ack, loss and revert that changes another input already ends in
-``_apply``.  Cubic only counts them.  tg recomputes on every digest,
-because its ``_apply`` ages the RTT samples by ``now``.
+No controller counts digests: the run's feedback log names every flow that
+received each one.  natcp and nacubic recompute only when a digest can
+move the decision: while assisted, a digest whose ``bl_bw`` and
+``min_rtt`` equal the applied ones is skipped, since every ack, loss and
+revert that changes another input already ends in ``_apply``.  Cubic
+ignores them.  tg recomputes on every digest, because its ``_apply`` ages
+the RTT samples by ``now``.
 
 The assisted core caches the feedback window and sets the pacing rate
 with it; both depend only on beta, min-RTT and ``bl_bw``.  A change of
@@ -83,7 +84,7 @@ def assisted_cwnd_bytes(alpha: float, beta: int, min_rtt_us: int, bl_bw_bps: flo
 
 @dataclass
 class CcConfig:
-    """The assisted schemes' settings, read once by each controller.
+    """The assisted schemes' settings, read in place by each controller.
 
     Each field is a config key ``cc.<name>``; its metadata bounds it as
     ``SimConfig``'s fields are bounded.  Cubic reads none of them.
@@ -129,18 +130,13 @@ class Controller:
         self._cwnd_floor = cwnd_floor_bytes(mtu)
         self._pacing_floor = pacing_floor_bps(mtu)
         self.cwnd = INITIAL_WINDOW_SEGMENTS * mtu
-        self.pacing_bps = None
-        self.fb_count = 0
+        self.pacing_bps = self.gap_us = None  # unpaced; _pace sets both
         self.mode_log: list[tuple[int, str]] = []
 
-    @property
-    def pacing_bps(self) -> float | None:
-        return self._pacing_bps
-
-    @pacing_bps.setter
-    def pacing_bps(self, bps: float | None) -> None:
-        self._pacing_bps = bps
-        # microseconds between MTU packets; None = unpaced
+    def _pace(self, bps: float | None) -> None:
+        """Pace at ``bps`` (None = unpaced), with ``gap_us`` the microseconds
+        between MTU packets."""
+        self.pacing_bps = bps
         self.gap_us = None if bps is None else max(1, math.ceil(self.mtu * 8 * 1e6 / bps))
 
     # callbacks ------------------------------------------------------------
@@ -151,7 +147,7 @@ class Controller:
         pass
 
     def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
-        self.fb_count += 1
+        pass
 
     def revert(self, now: int) -> None:
         pass
@@ -159,9 +155,6 @@ class Controller:
     # helpers --------------------------------------------------------------
     def _clamp_cwnd(self, cwnd_bytes: float) -> int:
         return max(self._cwnd_floor, int(round(cwnd_bytes)))
-
-    def _clamp_pacing(self, bps: float) -> float:
-        return max(self._pacing_floor, bps)
 
 
 class CubicController(Controller):
@@ -229,10 +222,7 @@ class NatcpController(Controller):
 
     def __init__(self, mtu: int, cc: CcConfig | None = None) -> None:
         super().__init__(mtu)
-        cc = CcConfig() if cc is None else cc
-        self.alpha = cc.alpha
-        self.divide_pacing_by_beta = cc.divide_pacing_by_beta
-        self.horizon_us = cc.tg_horizon_us
+        self.cc = CcConfig() if cc is None else cc
         self.beta = 1
         self.assisted = False
         self.bl_bw = 0.0
@@ -241,14 +231,13 @@ class NatcpController(Controller):
         self._last_est_us: int | None = None
         self._window: int | None = None  # feedback window; None = recompute
         self.cubic = CubicController(mtu)
-        self.cwnd = self.cubic.cwnd
         if self.uses_watchdog:
             self.mode_log.append((0, "fallback"))
 
     def _apply(self, now: int) -> None:
         if not self.assisted:
             self.cwnd = self.cubic.cwnd
-            self.pacing_bps = None
+            self._pace(None)
             return
         if self.own_rtt:
             est = self.rtt_estimate_us(now)
@@ -260,14 +249,13 @@ class NatcpController(Controller):
         window = self._window
         if window is None:
             window = self._window = self._clamp_cwnd(
-                assisted_cwnd_bytes(self.alpha, self.beta, self.min_rtt_us, self.bl_bw)
+                assisted_cwnd_bytes(self.cc.alpha, self.beta, self.min_rtt_us, self.bl_bw)
             )
-            rate = self.bl_bw / self.beta if self.divide_pacing_by_beta else self.bl_bw
-            self.pacing_bps = self._clamp_pacing(rate)
+            rate = self.bl_bw / self.beta if self.cc.divide_pacing_by_beta else self.bl_bw
+            self._pace(max(self._pacing_floor, rate))
         self.cwnd = min(self.cubic.cwnd, window) if self.cap else window
 
     def on_feedback(self, now: int, msg: FeedbackMsg) -> None:
-        self.fb_count += 1
         if (self.assisted and not self.own_rtt and msg.bl_bw == self.bl_bw
                 and msg.min_rtt == self.min_rtt_us):
             return  # an unchanged digest: the decision already reflects it
@@ -311,7 +299,7 @@ class NatcpController(Controller):
         self.mode_log.append((now, "fallback"))
 
     def rtt_estimate_us(self, now: int) -> int | None:
-        horizon_start = now - self.horizon_us
+        horizon_start = now - self.cc.tg_horizon_us
         while self._samples and self._samples[0][0] <= horizon_start:
             self._samples.popleft()
         if self._samples:

@@ -38,6 +38,8 @@ EXIT_MISSING_INPUT = 3
 
 DEFAULT_SWEEP_PERIODS_US = (5_000, 10_000, 25_000, 50_000, 100_000)
 DEFAULT_MODE_SEEDS = (1, 2, 3, 4, 5)
+# feedback-modes' own defaults: under the config file, --set and the flags
+MODE_DEFAULTS = {"duration_s": "30", "assist.period_us": "10000"}
 EVENT_ROW = "%d,%s,%d,%d,%s\r\n"   # time_us, kind, flow, seq, qdelay_us
 # RunResult.feedback_log's tuple, cell for cell
 FEEDBACK_COLUMNS = ("flow", "seq", "t_emitted_us", "t_arrived_us", "bl_bw_bps", "min_rtt_us")
@@ -152,17 +154,21 @@ def parse_set_pairs(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def config_from_args(args, extra: dict[str, str] | None = None) -> SimConfig:
+def config_from_args(args, extra: dict[str, str] | None = None,
+                     defaults: dict[str, str] | None = None) -> SimConfig:
+    """The run's config: built-in defaults < ``defaults`` < the config file <
+    ``--set`` < the flags < ``extra``, the subcommand's grid point."""
     overrides = parse_set_pairs(getattr(args, "set", None))
+    # the flags, each of which a subcommand may lack
     for flag, key in (("trace", "trace"), ("duration", "duration_s"), ("seed", "seed"),
-                      ("scheme", "scheme")):   # the flags a subcommand may lack
+                      ("scheme", "scheme"), ("period_us", "assist.period_us")):
         if getattr(args, flag, None) is not None:
             overrides[key] = str(getattr(args, flag))
     # the event log is recorded exactly when a run writes it out
     overrides["log.events"] = "on" if getattr(args, "events_csv", None) else "off"
     if extra:
         overrides.update(extra)
-    cfg = build_config(getattr(args, "config", None), overrides)
+    cfg = build_config(getattr(args, "config", None), overrides, defaults)
     cfg.require_valid()
     return cfg
 
@@ -274,8 +280,8 @@ def cmd_fairness(args) -> int:
 def cmd_feedback_modes(args) -> int:
     # sorted axes give rows sorted by scheme, mode and seed
     configs = [
-        config_from_args(args, {"scheme": scheme, "assist.mode": mode, "seed": str(seed),
-                                "assist.period_us": str(args.period_us)})
+        config_from_args(args, {"scheme": scheme, "assist.mode": mode, "seed": str(seed)},
+                         MODE_DEFAULTS)
         for scheme in sorted(args.schemes) for mode in sorted(args.modes)
         for seed in sorted(args.seeds)]
     # the summary's metrics, throughput_mbps to drops
@@ -299,7 +305,7 @@ def cmd_period_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _subcommand(sub, name: str, fn, about: str, default_duration=None,
+def _subcommand(sub, name: str, fn, about: str,
                 schemes: str | None = None) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, help=about)
     parser.set_defaults(fn=fn)
@@ -307,8 +313,7 @@ def _subcommand(sub, name: str, fn, about: str, default_duration=None,
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     parser.add_argument("--trace", help="trace file or const:/step:/walk: expression")
-    parser.add_argument("--duration", type=float, default=default_duration,
-                        help="run length in seconds")
+    parser.add_argument("--duration", type=float, help="run length in seconds")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("-o", "--output-dir",
                         help="directory for CSV outputs (default: "
@@ -344,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_modes = _subcommand(sub, "feedback-modes", cmd_feedback_modes,
                           "out-of-band vs in-band feedback comparison",
-                          default_duration=30.0, schemes="natcp,tg")
+                          schemes="natcp,tg")
     p_modes.add_argument("--modes", type=comma_list(str), default="oob,ib")
     p_modes.add_argument("--seeds", type=comma_list(int),
                          default=",".join(str(s) for s in DEFAULT_MODE_SEEDS))
-    p_modes.add_argument("--period-us", type=int, default=10_000)
+    p_modes.add_argument("--period-us", type=int, help="feedback period in us (default: 10000)")
 
     p_sweep = _subcommand(sub, "period-sweep", cmd_period_sweep, "feedback period sweep")
     p_sweep.add_argument("--scheme", choices=SCHEMES, default="natcp")

@@ -10,7 +10,8 @@ Config files are flat ``key = value`` lines with dotted namespaces, e.g.::
     flows.start_s = 0, 15
     flows.ue = 0, 0
 
-Precedence: command-line flags > config file > built-in defaults.
+Precedence: explicit overrides > config file > a caller's own defaults
+(a CLI subcommand's) > built-in defaults.
 """
 
 from __future__ import annotations
@@ -100,12 +101,17 @@ class SimConfig:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
-        errs: list[str] = []
+        # a part of the wrong type has no keys to check
+        errs = [f"{part} must be a {cls.__name__}" for part, cls in _PARTS.items()
+                if not isinstance(getattr(self, part), cls)]
+        bad_parts = {err.split(" ", 1)[0] for err in errs}
         for key, (owner, attr, _, types, items, kind, sign, high, choices) in _SETTINGS.items():
+            if owner in bad_parts:
+                continue
             value = getattr(getattr(self, owner) if owner else self, attr)
             if isinstance(value, float) and not math.isfinite(value):
                 errs.append(f"{key} must be finite")
-            elif not isinstance(value, types) or items and not items.issuperset(map(type, value)):
+            elif type(value) not in types or items and not items.issuperset(map(type, value)):
                 errs.append(f"{key} must be {kind}")
             elif items and float in items and not all(
                     math.isfinite(v) for v in value if type(v) is float):
@@ -120,6 +126,7 @@ class SimConfig:
                 errs.append(f"{key} must be one of {'/'.join(choices)}, got {value!r}")
         # the checks below read keys that passed their own checks only
         bad = {err.split(" ", 1)[0] for err in errs}
+        bad |= {key for key, entry in _SETTINGS.items() if entry[0] in bad_parts}
         if "trace" not in bad and not self.trace.strip():
             errs.append("trace must not be empty")
         if "duration_s" not in bad and self.duration_us == 0:  # rounds to no microsecond
@@ -167,17 +174,17 @@ def _parse_optional_int(text: str) -> int | None:
     return int(norm)
 
 
-# field type -> (caster of a setting's text, the types a value may have, the
-# exact types a tuple's items may have, the type's name in messages); an int
-# is accepted where a float is declared
+# field type -> (caster of a setting's text, the exact types a value may
+# have, those a tuple's items may have, the type's name in messages); an int
+# is accepted where a float is declared, and a bool only where a bool is
 _TYPES = {
-    "str": (str, str, None, "a string"),
-    "int": (int, int, None, "an integer"),  # a run packs these as int64s
-    "float": (float, (int, float), None, "a number"),
-    "bool": (_parse_bool, bool, None, "a boolean"),
-    "int | None": (_parse_optional_int, (int, type(None)), None, "an integer or none"),
-    "tuple[float, ...]": (partial(_parse_list, float), tuple, {int, float}, "a tuple of numbers"),
-    "tuple[int, ...]": (partial(_parse_list, int), tuple, {int}, "a tuple of integers"),
+    "str": (str, {str}, None, "a string"),
+    "int": (int, {int}, None, "an integer"),  # a run packs these as int64s
+    "float": (float, {int, float}, None, "a number"),
+    "bool": (_parse_bool, {bool}, None, "a boolean"),
+    "int | None": (_parse_optional_int, {int, type(None)}, None, "an integer or none"),
+    "tuple[float, ...]": (partial(_parse_list, float), {tuple}, {int, float}, "a tuple of numbers"),
+    "tuple[int, ...]": (partial(_parse_list, int), {tuple}, {int}, "a tuple of integers"),
 }
 
 
@@ -200,6 +207,9 @@ def _key_table(cls: type, owner: str | None = None) -> dict:
 
 
 _SETTINGS = _key_table(SimConfig)
+# attribute -> class of each part that holds dotted keys (path, assist, cc)
+_PARTS = {f.name: f.default_factory for f in dataclasses.fields(SimConfig)
+          if dataclasses.is_dataclass(f.default_factory)}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -255,9 +265,11 @@ def read_utf8(path: str, error: type[ValueError]) -> str:
 def build_config(
     file_path: str | None = None,
     overrides: dict[str, str] | None = None,
+    defaults: dict[str, str] | None = None,
 ) -> SimConfig:
-    """Defaults, then the config file, then explicit overrides."""
-    cfg = SimConfig()
+    """Built-in defaults, then ``defaults``, then the config file, then
+    explicit overrides."""
+    cfg = apply_settings(SimConfig(), defaults or {})
     if file_path is not None:
         text = read_utf8(file_path, ConfigError)
         apply_settings(cfg, parse_config_text(text))

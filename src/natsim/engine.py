@@ -75,11 +75,12 @@ row per arrival, not one per flow: ``FEEDBACK_ROW`` packs it into the
 ``array('q')`` ``feedback`` in 40 bytes, and ``feedback_fids`` keeps a
 reference to the stream's flow ids, a tuple shared by every arrival until
 a start changes the stream (out of band) or for the whole run (in band).
-``RunResult.feedback_log`` decodes the two into one tuple per flow.  Each
-flow counts the digest, and its controller recomputes the decision only
-when the digest can move it; with one digest per period for the whole
-cell, most applications move nothing.  The sender reads the
-decision from its controller, so there is nothing to hand over.
+``RunResult.feedback_log`` decodes the two into one tuple per flow, and
+``_collect`` counts each flow's digests there, as ``FlowStats.fb_count``.
+Each flow's controller recomputes the decision only when the digest can
+move it; with one digest per period for the whole cell, most applications
+move nothing.  The sender reads the decision from its controller, so
+there is nothing to hand over.
 ``try_send`` still runs for every flow whose window is open, even one
 whose decision did not move: a flow whose pacer releases at the arrival
 instant sends from the fan-out, ahead of its own pacer event, and
@@ -103,6 +104,7 @@ import tempfile
 import weakref
 from array import array
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
@@ -541,6 +543,8 @@ class Simulation:
                 raise LinkError(f"queue byte identity broken at UE {q.ue_id}")
         mtu = self.cfg.mtu
         held = self.link.held_by_flow(self.cfg.duration_us)
+        # every flow that applies a digest is in that arrival's ids
+        fb_counts = Counter(itertools.chain.from_iterable(self.feedback_fids))
         flows = []
         for spec in self.cfg.flows():
             snd = self.senders[spec.flow_id]
@@ -562,7 +566,7 @@ class Simulation:
                 # first arrivals, counted in C: no Python frame and no list
                 unique_bytes=sum(map(operator.ge, deliveries, itertools.repeat(0))) * mtu,
                 drops=drops,
-                fb_count=ctl.fb_count,
+                fb_count=fb_counts[spec.flow_id],
                 mode_log=list(ctl.mode_log),
                 deliveries=deliveries,
             ))

@@ -222,7 +222,6 @@ def closed_form(cls):
 
     class Reference(cls):
         def on_feedback(self, now, msg):
-            self.fb_count += 1
             self.bl_bw = msg.bl_bw
             self.min_rtt_us = msg.min_rtt
             if not self.assisted:
@@ -241,9 +240,9 @@ def closed_form(cls):
                     return
                 self.min_rtt_us = est
             window = max(cwnd_floor_bytes(MTU), assisted_cwnd_bytes(
-                self.alpha, self.beta, self.min_rtt_us, self.bl_bw))
+                self.cc.alpha, self.beta, self.min_rtt_us, self.bl_bw))
             self.cwnd = min(self.cubic.cwnd, window) if self.cap else window
-            rate = self.bl_bw / self.beta if self.divide_pacing_by_beta else self.bl_bw
+            rate = self.bl_bw / self.beta if self.cc.divide_pacing_by_beta else self.bl_bw
             self.pacing_bps = max(pacing_floor_bps(MTU), rate)
 
     return Reference
@@ -273,10 +272,33 @@ def test_unchanged_digest_early_out_matches_a_full_recompute(cls, calls, divide)
         now = (i + 1) * 10_000
         getattr(ctl, method)(now, *args)
         getattr(ref, method)(now, *args)
-        assert (ctl.cwnd, ctl.pacing_bps, ctl.fb_count) == \
-            (ref.cwnd, ref.pacing_bps, ref.fb_count)
+        assert (ctl.cwnd, ctl.pacing_bps) == (ref.cwnd, ref.pacing_bps)
         assert ctl.mode_log == ref.mode_log
-        # the gap the sender reads follows every rate the controller sets
+
+
+# digests over the whole range of rates: below the pacing floor, 0, and so
+# high that a packet's gap rounds up to 1 us
+PACING_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("on_ack"), st.integers(0, 4 * MTU),
+              st.one_of(st.none(), st.integers(1, 100_000)), st.integers(0, 4)),
+    st.tuples(st.just("on_loss"), st.sampled_from(["dupack", "timeout"])),
+    st.tuples(st.just("on_feedback"),
+              st.one_of(st.just(0.0), st.floats(1.0, 1e13)),
+              st.integers(0, 100_000)),
+    st.tuples(st.just("revert")),
+), max_size=40)
+
+
+@pytest.mark.parametrize("cls", [NatcpController, NaCubicController, TgController])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(calls=PACING_CALLS, divide=st.booleans())
+def test_the_pacing_gap_follows_every_rate_the_controller_sets(cls, calls, divide):
+    ctl = cls(MTU, CcConfig(divide_pacing_by_beta=divide, tg_horizon_us=50_000))
+    for i, (method, *args) in enumerate(calls):
+        if method == "on_feedback":
+            args = [fb(*args, seq=i)]
+        getattr(ctl, method)((i + 1) * 10_000, *args)
+        # the gap the sender reads, set with every rate
         assert ctl.gap_us == (None if ctl.pacing_bps is None
                               else max(1, math.ceil(MTU * 8e6 / ctl.pacing_bps)))
 
@@ -299,8 +321,7 @@ def test_the_same_digest_after_a_revert_restores_the_pacing(cls):
 def test_cubic_feedback_never_moves_the_decision():
     ctl = CubicController(MTU)
     ctl.on_feedback(52_000, fb(12e6, 6_043))
-    assert (ctl.cwnd, ctl.pacing_bps, ctl.gap_us, ctl.fb_count) == \
-        (10 * MTU, None, None, 1)
+    assert (ctl.cwnd, ctl.pacing_bps, ctl.gap_us) == (10 * MTU, None, None)
 
 
 def test_tg_recomputes_on_a_repeated_digest():
@@ -422,14 +443,12 @@ def test_make_controller_passes_options():
     ctl = make_controller("natcp", MTU, cc)
     ctl.on_feedback(52_000, fb(12e6, 10_000))
     assert ctl.cwnd == assisted_cwnd_bytes(3.0, 1, 10_000, 12e6)
-    assert ctl.divide_pacing_by_beta
+    ctl.on_ack(60_000, MTU, 10_000, 2)
+    assert ctl.pacing_bps == 6e6                   # divided by beta
     tg = make_controller("tg", MTU, cc)
-    assert tg.horizon_us == 5_000_000
+    assert ctl.cc is tg.cc is cc                    # read in place, not copied
 
 
 def test_no_config_means_the_default_config():
-    default = CcConfig()
     for scheme in ("natcp", "nacubic", "tg"):
-        ctl = make_controller(scheme, MTU)
-        assert (ctl.alpha, ctl.divide_pacing_by_beta, ctl.horizon_us) == \
-            (default.alpha, default.divide_pacing_by_beta, default.tg_horizon_us)
+        assert make_controller(scheme, MTU).cc == CcConfig()

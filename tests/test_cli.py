@@ -552,6 +552,28 @@ def test_feedback_modes_grid(tmp_path):
         ("ib", "1"), ("ib", "2"), ("oob", "1"), ("oob", "2")]
 
 
+@pytest.mark.parametrize("argv, file, want", [
+    ([], None, (30.0, 10_000)),                           # feedback-modes' own
+    (["--config", "{conf}"], "duration_s = 5\nassist.period_us = 20000\n", (5.0, 20_000)),
+    (["--config", "{conf}", "--set", "duration_s=7", "--set", "assist.period_us=30000"],
+     "duration_s = 5\nassist.period_us = 20000\n", (7.0, 30_000)),
+    (["--config", "{conf}", "--set", "duration_s=7", "--set", "assist.period_us=30000",
+      "--duration", "2", "--period-us", "40000"],
+     "duration_s = 5\nassist.period_us = 20000\n", (2.0, 40_000)),
+], ids=["defaults", "file-wins", "set-wins", "flags-win"])
+def test_feedback_modes_defaults_sit_under_the_file_set_and_flags(
+        tmp_path, monkeypatch, argv, file, want):
+    conf = tmp_path / "modes.conf"
+    if file:
+        conf.write_text(file)
+    configs = []
+    monkeypatch.setattr(cli, "run_grid",
+                        lambda args, grid, *rest: configs.extend(grid) or EXIT_OK)
+    assert main(["feedback-modes", "--seeds", "1,2", "--schemes", "natcp",
+                 *(arg.format(conf=conf) for arg in argv)]) == EXIT_OK
+    assert [(c.duration_s, c.assist.period_us) for c in configs] == [want] * 4
+
+
 def test_period_sweep_parallel_workers(tmp_path):
     rc = main(["period-sweep", "--scheme", "natcp",
                "--periods-us", "25000,50000", "--duration", "1",

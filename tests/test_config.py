@@ -267,6 +267,31 @@ def test_validation_rejects_a_value_of_the_wrong_type(cfg, message):
     assert cfg.validate() == [message]
 
 
+# a part of the wrong type, and a bool where only a number is valid
+WRONG_PARTS_AND_BOOLS = [
+    (SimConfig(path=None), "path must be a PathConfig"),
+    (SimConfig(cc=None), "cc must be a CcConfig"),
+    (SimConfig(assist="oob"), "assist must be a NetAssistConfig"),
+    # not also "queue.capacity_bytes must hold at least one MTU packet"
+    (SimConfig(mtu=True, queue_capacity_bytes=1500), "mtu must be an integer"),
+    # not also "flow 0 start 0.0s outside [0, duration)"
+    (SimConfig(duration_s=True), "duration_s must be a number"),
+    (SimConfig(cc=CcConfig(alpha=False)), "cc.alpha must be a number"),
+    (SimConfig(assist=NetAssistConfig(suppress_after_us=True)),
+     "assist.suppress_after_us must be an integer or none"),
+    (SimConfig(flow_ues=(True,)), "flows.ue must be a tuple of integers"),
+]
+
+
+@pytest.mark.parametrize("cfg,message", WRONG_PARTS_AND_BOOLS,
+                         ids=[message for _, message in WRONG_PARTS_AND_BOOLS])
+def test_a_wrong_part_or_a_bool_number_fails_validation(cfg, message):
+    assert cfg.validate() == [message]
+    # the run is refused before any part is read
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        Simulation(cfg)
+
+
 def test_validation_accepts_an_int_in_a_float_key():
     cfg = SimConfig(duration_s=1, cc=CcConfig(alpha=3), flow_starts_s=(0, 0.5),
                     path=PathConfig(uplink_rate_bps=6_000_000, loss_prob=0))

@@ -705,6 +705,24 @@ def test_feedback_log_rows_equal_the_digests_each_flow_applied(mode):
         assert len({id(fids) for fids in res.feedback_fids}) == 3
 
 
+@pytest.mark.parametrize("mode", ["oob", "ib"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_each_flow_counts_the_arrivals_that_name_it(scheme, mode):
+    # staggered starts on 3 UEs, so the out-of-band stream grows during the run
+    sim = Simulation(cfg(scheme=scheme, duration_s=1.0, assist=NetAssistConfig(mode=mode),
+                         flow_starts_s=(0.0, 0.2, 0.45, 0.7), flow_ues=(1, 0, 2, 0)))
+    applied = Counter()
+    for fid, snd in sim.senders.items():
+        def on_feedback(now, msg, fid=fid, apply=snd.controller.on_feedback):
+            applied[fid] += 1
+            apply(now, msg)
+        snd.controller.on_feedback = on_feedback
+    res = sim.run()
+    for flow in res.flows:
+        named = sum(flow.flow_id in fids for fids in res.feedback_fids)
+        assert flow.fb_count == named == applied[flow.flow_id] > 0
+
+
 def test_the_largest_valid_hol_ceiling_packs_into_a_feedback_row():
     # an outage keeps the capacity at 0, so the min-RTT takes the whole ceiling
     settings = {"trace": "step:0mbps@500ms,12mbps@400ms,0mbps@100ms",

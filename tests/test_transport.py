@@ -18,7 +18,7 @@ class CountingController(Controller):
     def __init__(self, cwnd=15_000, pacing=None):
         super().__init__(MTU)
         self.cwnd = cwnd
-        self.pacing_bps = pacing
+        self._pace(pacing)
         self.losses = []
         self.acks = []
 
@@ -78,10 +78,10 @@ def test_pacing_gap_follows_every_rate_change():
     snd, ctl, loop, sent = make_sender(cwnd=15_000, pacing=12e6)
     snd.try_send(0)
     loop.run_until(2_500)                 # paced at 12 Mb/s: 1 ms apart
-    ctl.pacing_bps = None                 # unpaced: the rest of the window at once
+    ctl._pace(None)                       # unpaced: the rest of the window at once
     snd.try_send(2_500)
     loop.run_until(5_000)                 # the pending pacer finds the window full
-    ctl.pacing_bps = 6e6                  # paced again at half the rate: 2 ms apart
+    ctl._pace(6e6)                        # paced again at half the rate: 2 ms apart
     snd.process_ack(ack(15_000), now=10_000)
     snd.try_send(10_000)
     loop.run_until(20_000)

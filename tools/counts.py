@@ -124,13 +124,21 @@ def source_lines():
 
 
 def crowd_calls_and_events():
+    """The fan-out path: each digest reaches every started flow (oob)."""
     from workloads import Crowd
     crowd = at_seed_1(Crowd)
-    for mode in ("oob", "ib"):
-        calls, _ = python_calls(simulation(crowd, "2", **{"assist.mode": mode}).run)
-        print(f"crowd ({mode}), 2 s at seed 1: {calls:,} Python calls")
-    pops, _ = heap_events(simulation(crowd, "10").run)
-    print(f"crowd, 10 s at seed 1: {pops:,} heap events")
+    checks = []
+    for mode, ceiling in (("oob", 24.1), ("ib", 26.5)):
+        calls, result = python_calls(simulation(crowd, "2", **{"assist.mode": mode}).run)
+        pkts = sum(len(f.deliveries) for f in result.flows)
+        print(f"crowd ({mode}), 2 s at seed 1: {calls:,} Python calls for {pkts:,} "
+              f"delivered packets, {calls / pkts:.2f} a packet")
+        checks.append((f"crowd ({mode}, 2 s): Python calls a packet", calls / pkts, ceiling))
+    pops, result = heap_events(simulation(crowd, "10").run)
+    pkts = sum(len(f.deliveries) for f in result.flows)
+    print(f"crowd, 10 s at seed 1: {pops:,} heap events for {pkts:,} delivered "
+          f"packets, {pops / pkts:.2f} a packet")
+    return over_ceilings(*checks, ("crowd (10 s): heap events a packet", pops / pkts, 2.54))
 
 
 def ref_12m_per_packet():
