@@ -22,7 +22,6 @@ import errno
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .cc import SCHEMES
@@ -213,6 +212,8 @@ def run_grid(args, configs: list[SimConfig], rows_of, line, outputs) -> int:
     jobs = [(rows_of, cfg) for cfg in configs]
     workers = min(getattr(args, "workers", 1), len(jobs))   # a pool may start them all at once
     if workers > 1:
+        # imported here: multiprocessing costs every single run its import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(run_point, jobs))
     else:

@@ -159,9 +159,10 @@ class UeQueue:
     never enters the queue, so it sits outside the byte identity (enqueued =
     dequeued + occupancy), and the link counts it per flow; ``conserved``
     checks that identity once, at the end of the run.  Each dequeue appends
-    the packet's queuing delay to ``qdelay_samples_us``, an ``array`` of the
-    run's time typecode: 4 bytes a sample for a run of at most 2**31 - 1 us,
-    else 8.
+    the packet's queuing delay to ``qdelay_samples_us``, an ``array("H")``,
+    2 bytes a sample, until a delay passes 65,535 us.  That sample widens
+    the array, once, to ``wide_typecode``, the run's time typecode: 4 bytes
+    a sample for a run of at most 2**31 - 1 us, else 8.
     """
 
     ue_id: int
@@ -173,7 +174,8 @@ class UeQueue:
     occupancy: int = 0
     enqueued_bytes: int = 0
     dequeued_bytes: int = 0
-    qdelay_samples_us: array = field(default_factory=partial(array, "q"))
+    qdelay_samples_us: array = field(default_factory=partial(array, "H"))
+    wide_typecode: str = "q"
 
     def offer(self, pkt: Packet, now: int) -> bool:
         """Enqueue pkt, or drop it when it does not fit whole."""
@@ -189,7 +191,11 @@ class UeQueue:
         pkt = self.fifo.popleft()
         self.occupancy -= pkt.size
         self.dequeued_bytes += pkt.size
-        self.qdelay_samples_us.append(now - pkt.t_enqueued)
+        try:
+            self.qdelay_samples_us.append(now - pkt.t_enqueued)
+        except OverflowError:   # the first delay past 65,535 us
+            self.qdelay_samples_us = array(self.wide_typecode, self.qdelay_samples_us)
+            self.qdelay_samples_us.append(now - pkt.t_enqueued)
         return pkt
 
     def conserved(self) -> bool:
@@ -253,12 +259,12 @@ class BtsLink:
         deliver: Callable[[Packet, int], None],
         typecode: str = "q",
     ) -> UeQueue:
-        """A new queue for ``ue_id``, whose delay samples are an
-        ``array(typecode)``."""
+        """A new queue for ``ue_id``, whose delay samples widen from 2 bytes
+        to an ``array(typecode)`` at the first that does not fit."""
         if ue_id in self.queues:
             raise LinkError(f"UE {ue_id!r} already registered")
         q = UeQueue(ue_id, capacity_bytes, len(self.queues), deliver,
-                    qdelay_samples_us=array(typecode))
+                    wide_typecode=typecode)
         self.queues[ue_id] = q
         return q
 

@@ -122,6 +122,7 @@ EMIT_TICK = -1         # tie-break of every feedback emit: first at its instant
 LOG_SLICE_US = 1_000_000   # a logged run's slice: its next event to the slice's end, us
 EVENT_CHUNK_ROWS = 8192    # rows a spool reader decodes at a time
 _DEQ = EVENT_KINDS.index("deq")
+_ITEMSIZE = operator.attrgetter("itemsize")   # "H" < "i" < "q"
 # one feedback arrival: t_arrived, seq, t_emitted and min_rtt as int64, then
 # bl_bw as a double, so the float reads back exactly; 40 bytes
 FEEDBACK_ROW = struct.Struct("4qd")
@@ -190,6 +191,8 @@ class RunResult:
     seed: int
     mtu: int
     flows: list[FlowStats]
+    # one queuing delay per served packet, at exact length: 2 bytes a sample
+    # ("H") unless one passed 65,535 us, else the run's time typecode
     qdelay_samples_us: array
     # the event log's spool, an anonymous temporary file of five int64s a
     # row: t_us, kind (an index into EVENT_KINDS), flow, seq and qdelay_us
@@ -571,11 +574,12 @@ class Simulation:
                 deliveries=deliveries,
             ))
         queues = list(self.link.queues.values())
-        if len(queues) == 1:  # the one queue's samples, as they are
-            qdelay = queues[0].qdelay_samples_us
-        else:  # pooled in ascending order
-            qdelay = array(self.time_typecode, sorted(itertools.chain.from_iterable(
-                q.qdelay_samples_us for q in queues)))
+        if len(queues) == 1:  # the one queue's samples, at exact length
+            qdelay = queues[0].qdelay_samples_us[:]
+        else:  # pooled in ascending order, as wide as the widest queue's
+            samples = [q.qdelay_samples_us for q in queues]
+            qdelay = array(max(samples, key=_ITEMSIZE).typecode,
+                           sorted(itertools.chain.from_iterable(samples)))
         return RunResult(
             scheme=self.cfg.scheme,
             trace=self.cfg.trace,

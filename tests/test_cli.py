@@ -1,11 +1,14 @@
 """Config file handling, CLI subcommands, exit codes, CSV outputs."""
 
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from array import array
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import natsim
 from natsim import cli, config
 from natsim.cli import (
     EXIT_MISSING_INPUT,
@@ -587,9 +591,20 @@ def test_period_sweep_parallel_workers(tmp_path):
     assert overhead[0] == pytest.approx(2 * overhead[1])
 
 
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # a single run pays for no multiprocessing, sockets or pickle imports
+    code = "import sys, natsim.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(natsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 @pytest.fixture
 def pool_widths(monkeypatch):
-    """max_workers of every pool the CLI asks for; the runs stay in-process."""
+    """max_workers of every pool the CLI asks for; the runs stay in-process.
+    ``run_grid`` imports the pool class from ``concurrent.futures`` when it
+    needs one, so the fixture patches it there."""
     widths = []
 
     class InlinePool:
@@ -605,7 +620,7 @@ def pool_widths(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return widths
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from heapq import heappop
 
@@ -851,7 +852,7 @@ def test_lossy_deliveries_keep_four_bytes_per_arriving_packet():
                              path_kw={"loss_prob": 0.01},
                              flow_starts_s=(0.0, 0.0, 0.5), flow_ues=(0, 1, 0)))
     assert any(t < 0 for fs in res.flows for t in fs.deliveries)
-    # two UEs: the pooled delay samples keep the run's typecode too
+    # two UEs: a deep queue widens the pooled delay samples to the run's typecode
     assert res.qdelay_samples_us.itemsize == 4
     for fs in res.flows:
         assert fs.deliveries.itemsize == 4
@@ -871,7 +872,9 @@ def test_a_run_of_2_to_the_31_us_less_1_keeps_4_byte_times():
     sim, res = horizon_run("2147.483647", "2147.3")
     assert sim.time_typecode == "i" and res.duration_us == 2**31 - 1
     (fs,) = res.flows
-    assert fs.deliveries.typecode == res.qdelay_samples_us.typecode == "i"
+    assert fs.deliveries.typecode == "i"
+    # its delays all fit 2 bytes; the widening tests below reach "i" and "q"
+    assert res.qdelay_samples_us.typecode == "H"
     assert max(fs.deliveries) == 2_147_483_000
     assert fs.unique_bytes == len(fs.deliveries) * res.mtu > 0
 
@@ -881,9 +884,56 @@ def test_a_run_past_2_to_the_31_us_keeps_8_byte_times():
     sim, res = horizon_run("2147.6", "2147.45")
     assert sim.time_typecode == "q"
     (fs,) = res.flows
-    assert fs.deliveries.typecode == res.qdelay_samples_us.typecode == "q"
+    assert fs.deliveries.typecode == "q"
+    assert res.qdelay_samples_us.typecode == "H"
     assert max(fs.deliveries) > 2**31 - 1
     assert fs.unique_bytes == len(fs.deliveries) * res.mtu
+
+
+def exact_length(a: array) -> bool:
+    """The array holds no spare capacity: it is the size of its own copy."""
+    return sys.getsizeof(a) == sys.getsizeof(array(a.typecode, a))
+
+
+@pytest.mark.parametrize("duration_s, start_s, typecode", [
+    ("0.5", "0", "i"),
+    ("2147.6", "2147.45", "q"),   # past 2**31 - 1 us
+])
+def test_a_delay_past_65535_us_widens_the_samples_to_the_time_typecode(
+        duration_s, start_s, typecode):
+    # cubic fills a 300 kB queue at 1 Mbit/s: 12 ms a packet
+    sim = Simulation(build_config(None, {
+        "scheme": "cubic", "trace": "const:1mbps", "queue.capacity_bytes": "300000",
+        "duration_s": duration_s, "flows.start_s": start_s, "log.events": "on"}))
+    res = sim.run()
+    samples = res.qdelay_samples_us
+    assert samples.typecode == sim.time_typecode == typecode
+    assert min(samples) <= 65_535 < max(samples)
+    # every sample, the 2-byte ones before the widening among them, in order
+    assert list(samples) == [q for *_, q in res.departures()]
+    assert exact_length(samples)
+    res.close()
+
+
+@pytest.mark.parametrize("ues", [(0,), (0, 1)], ids=["one-UE", "pooled"])
+def test_delays_that_all_fit_keep_2_bytes_a_sample(ues):
+    res = run_simulation(cfg(duration_s=1.0, flow_starts_s=(0.0,) * len(ues),
+                             flow_ues=ues))
+    assert res.qdelay_samples_us.itemsize == 2
+    assert len(res.qdelay_samples_us) > 0 and exact_length(res.qdelay_samples_us)
+
+
+def test_pooled_samples_take_the_widest_queue_typecode():
+    # UE 0's cubic flow fills its queue past 65,535 us; UE 1's starts late
+    sim = Simulation(build_config(None, {
+        "scheme": "cubic", "queue.capacity_bytes": "300000", "duration_s": "0.5",
+        "flows.start_s": "0,0.45", "flows.ue": "0,1"}))
+    res = sim.run()
+    wide, narrow = (q.qdelay_samples_us for q in sim.link.queues.values())
+    assert (wide.typecode, narrow.typecode) == ("i", "H") and len(narrow) > 0
+    assert res.qdelay_samples_us.typecode == "i"
+    assert list(res.qdelay_samples_us) == sorted([*wide, *narrow])
+    assert exact_length(res.qdelay_samples_us)
 
 
 @pytest.mark.parametrize("settings,d", [
