@@ -122,7 +122,6 @@ EMIT_TICK = -1         # tie-break of every feedback emit: first at its instant
 LOG_SLICE_US = 1_000_000   # a logged run's slice: its next event to the slice's end, us
 EVENT_CHUNK_ROWS = 8192    # rows a spool reader decodes at a time
 _DEQ = EVENT_KINDS.index("deq")
-_ITEMSIZE = operator.attrgetter("itemsize")   # "H" < "i" < "q"
 # one feedback arrival: t_arrived, seq, t_emitted and min_rtt as int64, then
 # bl_bw as a double, so the float reads back exactly; 40 bytes
 FEEDBACK_ROW = struct.Struct("4qd")
@@ -576,10 +575,10 @@ class Simulation:
         queues = list(self.link.queues.values())
         if len(queues) == 1:  # the one queue's samples, at exact length
             qdelay = queues[0].qdelay_samples_us[:]
-        else:  # pooled in ascending order, as wide as the widest queue's
+        else:  # pooled in ascending order, widened if any queue widened
             samples = [q.qdelay_samples_us for q in queues]
-            qdelay = array(max(samples, key=_ITEMSIZE).typecode,
-                           sorted(itertools.chain.from_iterable(samples)))
+            typecode = "H" if all(a.typecode == "H" for a in samples) else self.time_typecode
+            qdelay = array(typecode, sorted(itertools.chain.from_iterable(samples)))
         return RunResult(
             scheme=self.cfg.scheme,
             trace=self.cfg.trace,

@@ -256,7 +256,6 @@ class UeReceiver:
         self.transmit_ack = transmit_ack
         self.cum: dict[int, int] = {}            # flow -> next expected byte
         self.ooo: dict[int, dict[int, int]] = {}  # flow -> {seq: size}
-        # flow -> its latest data arrival, in arrival order: on_data re-inserts
         self.last_data_us: dict[int, int] = {}
         # flow -> arrival time of each data packet; ~t for a duplicate
         self.deliveries: defaultdict[int, array] = defaultdict(partial(array, typecode))
@@ -265,26 +264,18 @@ class UeReceiver:
         return self.cum.get(flow_id, 0)
 
     def active_flows(self, now: int) -> int:
-        """The flows with data arriving within ``ACTIVITY_WINDOW_US`` of
-        ``now``.  ``now`` never decreases and ``last_data_us`` is in arrival
-        order, so a stale flow leaves from its front, for good: amortized
-        O(1), however many flows have sent to the UE."""
-        last = self.last_data_us
         oldest = now - ACTIVITY_WINDOW_US
-        while last and last[first := next(iter(last))] < oldest:
-            del last[first]
-        return len(last)
+        n = 0
+        for t in self.last_data_us.values():
+            if t >= oldest:
+                n += 1
+        return n
 
     def on_data(self, pkt: Packet, now: int) -> None:
         """Integrate and record one data packet, then send it back as its ack."""
         fid = pkt.flow_id
         seq = pkt.seq
         size = pkt.size
-        # re-inserted last, so the dict stays in arrival order
-        try:
-            del self.last_data_us[fid]
-        except KeyError:   # its first data, or its first since it went stale
-            pass
         self.last_data_us[fid] = now
 
         cum = self.cum.get(fid, 0)

@@ -305,19 +305,6 @@ def test_receiver_beta_counts_recently_active_flows():
     assert acks[-1][1].beta == 1
 
 
-def test_receiver_census_drops_stale_flows_down_to_none():
-    recv, _ = make_receiver()
-    assert recv.active_flows(0) == 0
-    recv.on_data(seg(0, 0), now=0)
-    recv.on_data(seg(1, 0), now=10)
-    assert recv.active_flows(ACTIVITY_WINDOW_US + 5) == 1
-    assert recv.active_flows(ACTIVITY_WINDOW_US + 11) == 0
-    assert recv.last_data_us == {}
-    # a flow that went stale counts again from its next data
-    recv.on_data(seg(0, MTU), now=ACTIVITY_WINDOW_US + 20)
-    assert recv.active_flows(ACTIVITY_WINDOW_US + 20) == 1
-
-
 def test_receiver_echoes_piggybacked_feedback():
     recv, acks = make_receiver()
     recv.on_data(seg(0, 0, feedback="digest"), now=5)

@@ -57,28 +57,6 @@ def traced(kind: str, fn, *args):
     return events, value
 
 
-def opcodes_in(cls, fn, *args):
-    """(opcodes that the methods of cls run in fn(*args), its value): only
-    their frames are traced opcode by opcode."""
-    codes = {f.__code__ for f in vars(cls).values() if hasattr(f, "__code__")}
-    opcodes = 0
-
-    def local(frame, event, arg):
-        nonlocal opcodes
-        opcodes += event == "opcode"
-        return local
-
-    def calls(frame, event, arg):
-        if frame.f_code in codes:
-            frame.f_trace_opcodes = True
-            return local
-        return None
-    sys.settrace(calls)
-    value = fn(*args)
-    sys.settrace(None)
-    return opcodes, value
-
-
 def heap_events(fn, *args):
     """(entries the event loop pops from its heap in fn(*args), its value)."""
     pops, heappop = 0, engine.heappop
@@ -185,25 +163,6 @@ def ref_12m_per_packet():
                          ("ref-12m (10 s): result bytes a packet", size / pkts, 7.26))
 
 
-def receiver_flows():
-    """64 flows on one UE: a data packet costs its receiver what it costs
-    with 1 flow, since stale flows leave the activity census for good."""
-    from natsim.transport import UeReceiver
-    per_packet = {}
-    for flows in (1, 64):
-        sim = simulation({"scheme": "natcp", "trace": "const:48mbps", "seed": "1",
-                          "flows.start_s": ",".join(["0"] * flows)}, "2")
-        opcodes, result = opcodes_in(UeReceiver, sim.run)
-        pkts = sum(len(f.deliveries) for f in result.flows)
-        per_packet[flows] = opcodes / pkts
-        print(f"{flows} flow{'s' * (flows > 1)} on one UE, natcp on const:48mbps, 2 s at "
-              f"seed 1: UeReceiver runs {opcodes:,} opcodes for {pkts:,} delivered "
-              f"packets, {opcodes / pkts:.1f} a packet")
-    # within 10% of the 1-flow figure
-    return over_ceilings(("64 flows on one UE (2 s): UeReceiver opcodes a packet",
-                          per_packet[64], 126))
-
-
 def walk_parse_lines():
     """cellular-cli's trace (tests/test_trace.py fails above 1,000 lines)."""
     from workloads import walk_trace
@@ -262,9 +221,8 @@ def feedback_arrival_bytes():
     return over_ceilings(*checks)
 
 
-GROUPS = (source_lines, crowd_calls_and_events, ref_12m_per_packet, receiver_flows,
-          walk_parse_lines, gig_result_and_per_packet, event_log_row_bytes,
-          feedback_arrival_bytes)
+GROUPS = (source_lines, crowd_calls_and_events, ref_12m_per_packet, walk_parse_lines,
+          gig_result_and_per_packet, event_log_row_bytes, feedback_arrival_bytes)
 
 
 def main() -> int:
