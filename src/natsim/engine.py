@@ -68,13 +68,14 @@ One path applies a digest: ``_handle_feedback`` logs the arrival, walks
 the flows of one stream in the order they receive it, then arms the
 stream's watchdog.  Out of band, the stream is the list of the started
 senders in UE rank, then flow id order; ``_start_flow`` inserts each sender
-as it starts, so the list costs no set-up work and an arrival touches no
-flow that has not started.  In band, it is the one flow whose ack carried
-the digest, a stream built once at wiring.  The feedback log keeps one
-row per arrival, not one per flow: ``FEEDBACK_ROW`` packs it into the
-``array('q')`` ``feedback`` in 40 bytes, and ``feedback_fids`` keeps a
-reference to the stream's flow ids, a tuple shared by every arrival until
-a start changes the stream (out of band) or for the whole run (in band).
+as it starts and rebuilds the stream's flow ids, so the list costs no set-up
+work and an arrival touches no flow that has not started.  In band, it is
+the one flow whose ack carried the digest, a stream built once at wiring.
+The feedback log keeps one row per arrival, not one per flow:
+``FEEDBACK_ROW`` packs it into the ``array('q')`` ``feedback`` in 40 bytes,
+and ``feedback_fids`` keeps a reference to the stream's flow ids, a tuple
+shared by every arrival until a start changes the stream (out of band) or
+for the whole run (in band).
 ``RunResult.feedback_log`` decodes the two into one tuple per flow, and
 ``_collect`` counts each flow's digests there, as ``FlowStats.fb_count``.
 Each flow's controller recomputes the decision only when the digest can
@@ -187,7 +188,6 @@ class RunResult:
     scheme: str
     trace: str
     duration_us: int
-    seed: int
     mtu: int
     flows: list[FlowStats]
     # one queuing delay per served packet, at exact length: 2 bytes a sample
@@ -340,11 +340,10 @@ def percentile(samples: list, q: float) -> float:
 
 
 def compute_power(throughput_mbps: float, delay_ms: float | None) -> float | None:
-    """Throughput/delay ratio; infinite when the path stayed queue-free."""
-    if delay_ms is None:
+    """Throughput/delay ratio; None, an empty cell, when there is no delay
+    sample or the delay is 0, where the ratio is undefined."""
+    if not delay_ms:
         return None
-    if delay_ms == 0:
-        return math.inf
     return throughput_mbps / delay_ms
 
 
@@ -372,9 +371,9 @@ class Simulation:
         self.receivers: dict[int, UeReceiver] = {}
         self.senders: dict[int, Sender] = {}
         # (UE rank, flow, sender) of every started flow, in fan-out order, and
-        # their flow ids; None after a start until the next arrival rebuilds it
+        # their flow ids, rebuilt at each start
         self._started: list[tuple[int, int, Sender]] = []
-        self._started_fids: tuple[int, ...] | None = ()
+        self._started_fids: tuple[int, ...] = ()
         # in band, flow -> its stream, ((0, flow, sender),), and its ids, (flow,)
         self._solo: dict[int, tuple[tuple, tuple[int]]] = {}
         # stream -> (deadline, [(tick, flow), ...]) of its latest arrival;
@@ -444,10 +443,7 @@ class Simulation:
                 self.link.attach_ib(ue, msg)
 
     def _oob_arrive(self, now: int, msg: FeedbackMsg) -> None:
-        fids = self._started_fids
-        if fids is None:  # a flow started since the last arrival
-            fids = self._started_fids = tuple([fid for _, fid, _ in self._started])
-        self._handle_feedback(now, msg, OOB_STREAM, self._started, fids)
+        self._handle_feedback(now, msg, OOB_STREAM, self._started, self._started_fids)
 
     def _handle_feedback(self, now: int, msg: FeedbackMsg, stream,
                          flows: Sequence[tuple[int, int, Sender]],
@@ -502,7 +498,7 @@ class Simulation:
     def _start_flow(self, now: int, spec: FlowSpec) -> None:
         sender = self.senders[spec.flow_id]
         insort(self._started, (self.link.queues[spec.ue_id].rank, spec.flow_id, sender))
-        self._started_fids = None
+        self._started_fids = tuple(map(operator.itemgetter(1), self._started))
         sender.try_send(now)
 
     # -- run --------------------------------------------------------------------
@@ -583,7 +579,6 @@ class Simulation:
             scheme=self.cfg.scheme,
             trace=self.cfg.trace,
             duration_us=self.cfg.duration_us,
-            seed=self.cfg.seed,
             mtu=self.cfg.mtu,
             flows=flows,
             qdelay_samples_us=qdelay,

@@ -71,19 +71,10 @@ class TraceSchedule:
         if self.cycle_us < 0:
             raise TraceError("cycle_length must be non-negative")
         opps = tuple(self.opportunities_us)
-        if opps and not (opps[0] >= 0 and opps[-1] <= self.cycle_us
+        if opps and not (self.cycle_us > 0 and 0 <= opps[0] and opps[-1] <= self.cycle_us
                          and all(map(operator.le, opps, opps[1:]))):
-            prev = -1   # find the first bad instant, to name what is wrong
-            for t in opps:
-                if t < 0:
-                    raise TraceError("opportunity instants must be non-negative")
-                if t < prev:
-                    raise TraceError("opportunity instants must be non-decreasing")
-                if t > self.cycle_us:
-                    raise TraceError("opportunity instant exceeds cycle_length")
-                prev = t
-        if self.cycle_us == 0 and opps:
-            raise TraceError("zero-length cycle with opportunities")
+            raise TraceError("opportunity instants must be non-decreasing and "
+                             "within [0, cycle_length], on a positive cycle_length")
         if self.phase < 0:
             raise TraceError("phase must be non-negative")
         n = bisect.bisect_left(opps, self.cycle_us)

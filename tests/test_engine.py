@@ -74,7 +74,8 @@ def test_percentile_rejects_bad_input():
 
 def test_compute_power():
     assert compute_power(12.0, 3.0) == 4.0
-    assert compute_power(12.0, 0.0) == math.inf
+    # undefined at zero delay: an empty cell, as with no delay samples
+    assert compute_power(12.0, 0.0) is None
     assert compute_power(12.0, None) is None
 
 
@@ -238,18 +239,38 @@ def small_runs(draw):
     }
 
 
+def assert_finite_or_empty(row):
+    """Every number in a summary row is finite; None is an empty cell."""
+    bad = {k: v for k, v in row.items()
+           if isinstance(v, float) and not math.isfinite(v)}
+    assert not bad, bad
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(small_runs())
 def test_valid_small_runs_finish_within_capacity_and_replay(run_settings):
     sim = Simulation(build_config(None, run_settings))
     res = sim.run()
     assert sim.link.conservation_ok()
+    assert_finite_or_empty(res.summary_row())
     capacity = sim.schedule.capacity_bits(0, res.duration_us + 1)
     assert sum(f.unique_bytes for f in res.flows) * 8 <= capacity
     again = run_simulation(build_config(None, run_settings))
     assert again.summary_row() == res.summary_row()
     assert again.feedback_log == res.feedback_log
     assert [f.deliveries for f in again.flows] == [f.deliveries for f in res.flows]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_one_packet_queue_writes_no_infinite_power(scheme):
+    # tg paces at the link's rate, so in a one-packet queue its 95th
+    # percentile delay is 0: its power95 is undefined, an empty cell
+    row = run_simulation(build_config(None, {
+        "scheme": scheme, "trace": "const:12mbps", "duration_s": "1",
+        "queue.capacity_bytes": "1500"})).summary_row()
+    assert_finite_or_empty(row)
+    if scheme == "tg":
+        assert row["p95_qdelay_ms"] == 0 and row["power95"] is None
 
 
 @pytest.fixture(scope="module")

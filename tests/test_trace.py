@@ -223,14 +223,14 @@ def test_long_run_bps():
 def test_schedule_validation():
     with pytest.raises(TraceError, match="mtu"):
         TraceSchedule((), 0, mtu=0)
-    with pytest.raises(TraceError, match="non-decreasing"):
-        TraceSchedule((5, 3), 10)
-    with pytest.raises(TraceError, match="exceeds cycle"):
-        TraceSchedule((15,), 10)
+    # one check, one message, for every bad set of instants: decreasing,
+    # negative, past the cycle, or on a zero-length cycle
+    for opps, cycle in (((5, 3), 10), ((-1, 5), 10), ((15,), 10), ((0,), 0)):
+        with pytest.raises(TraceError, match=r"non-decreasing and within \[0, cycle_length\], "
+                                             "on a positive cycle_length"):
+            TraceSchedule(opps, cycle)
     with pytest.raises(TraceError, match="phase"):
         TraceSchedule((5,), 10, phase=-1)
-    with pytest.raises(TraceError, match="zero-length cycle"):
-        TraceSchedule((0,), 0)
     # an instant at the cycle length is stored as the next cycle's t = 0
     assert TraceSchedule((5, 10), 10) == TraceSchedule((0, 5), 10)
     empty = TraceSchedule((), 0)

@@ -1,10 +1,11 @@
 """``python tools/counts.py`` prints src/'s line counts and the Python calls,
-opcodes, heap events and bytes of benchmark-shaped runs at seed 1 (CI's step
-summary): each repeats exactly on one Python version, so it shows what a change
-moves without timing noise.  On 3.11, where the ceilings are pinned, a count
-above its ceiling writes an ``::error::`` line to stderr, and the script exits
-1 once every count has printed.  natsim comes from this checkout's src/, and
-the workload settings, ``walk_trace`` and ``deep_size`` from its perfbench/.
+opcodes (split by module too), heap events and bytes of benchmark-shaped runs
+at seed 1 (CI's step summary): each repeats exactly on one Python version, so
+it shows what a change moves without timing noise.  On 3.11, where the
+ceilings are pinned, a count above its ceiling writes an ``::error::`` line to
+stderr, and the script exits 1 once every count has printed.  natsim comes
+from this checkout's src/, and the workload settings, ``walk_trace`` and
+``deep_size`` from its perfbench/.
 """
 
 import ast
@@ -15,6 +16,7 @@ import platform
 import sys
 import tokenize
 from array import array
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,20 +43,54 @@ def python_calls(fn, *args):
     return calls, value
 
 
-def traced(kind: str, fn, *args):
-    """(trace events of ``kind``, "line" or "opcode", that fn(*args) runs, its value)."""
-    events = 0
+def python_lines(fn, *args):
+    """(Python lines that fn(*args) runs, its value)."""
+    lines = 0
 
     def local(frame, event, arg):
-        nonlocal events
-        if event == "call":
-            frame.f_trace_opcodes = kind == "opcode"
-        events += event == kind
+        nonlocal lines
+        lines += event == "line"
         return local
     sys.settrace(local)
     value = fn(*args)
     sys.settrace(None)
-    return events, value
+    return lines, value
+
+
+def opcodes_by_module(fn, *args):
+    """(Counter of the opcodes fn(*args) runs, by the ``__name__`` of the
+    module whose globals each runs in, its value).  A dataclass's generated
+    methods run in its module's globals, so they count there; the counts'
+    sum is the run's opcode total."""
+    tracers = {}   # module name -> (its frames' trace function, its count's reader)
+
+    def module_tracer():
+        # one counter a module, kept as a closure's int: an opcode costs the
+        # tracer one add, not a dict update
+        n = 0
+
+        def local(frame, event, arg):
+            nonlocal n
+            n += event == "opcode"
+            return local
+        return local, lambda: n
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        name = frame.f_globals["__name__"]
+        if name not in tracers:
+            tracers[name] = module_tracer()
+        return tracers[name][0]
+    sys.settrace(call)
+    value = fn(*args)
+    sys.settrace(None)
+    return Counter({name: read() for name, (_, read) in tracers.items()}), value
+
+
+def per_module(split: Counter, pkts: int) -> str:
+    """The split as opcodes a delivered packet per module, largest first."""
+    return ", ".join(f"{name.removeprefix('natsim.')} {n / pkts:.1f}"
+                     for name, n in split.most_common())
 
 
 def heap_events(fn, *args):
@@ -138,6 +174,11 @@ def crowd_calls_and_events():
     pkts = sum(len(f.deliveries) for f in result.flows)
     print(f"crowd, 10 s at seed 1: {pops:,} heap events for {pkts:,} delivered "
           f"packets, {pops / pkts:.2f} a packet")
+    split, short = opcodes_by_module(simulation(crowd, "2").run)
+    opcodes, short_pkts = sum(split.values()), sum(len(f.deliveries) for f in short.flows)
+    print(f"crowd, 2 s at seed 1: {opcodes:,} opcodes for {short_pkts:,} delivered "
+          f"packets, {opcodes / short_pkts:.1f} a packet; by module: "
+          f"{per_module(split, short_pkts)}")
     return over_ceilings(*checks, ("crowd (10 s): heap events a packet", pops / pkts, 2.54))
 
 
@@ -147,10 +188,11 @@ def ref_12m_per_packet():
     pkts = sum(len(f.deliveries) for f in result.flows)
     print(f"ref-12m, 10 s at seed 1: {calls:,} Python calls for {pkts:,} "
           f"delivered packets, {calls / pkts:.2f} a packet")
-    opcodes, short = traced("opcode", simulation(REF_12M, "2").run)
-    short_pkts = sum(len(f.deliveries) for f in short.flows)
+    split, short = opcodes_by_module(simulation(REF_12M, "2").run)
+    opcodes, short_pkts = sum(split.values()), sum(len(f.deliveries) for f in short.flows)
     print(f"ref-12m, 2 s at seed 1: {opcodes:,} opcodes for {short_pkts:,} "
-          f"delivered packets, {opcodes / short_pkts:.1f} a packet")
+          f"delivered packets, {opcodes / short_pkts:.1f} a packet; by module: "
+          f"{per_module(split, short_pkts)}")
     pops, _ = heap_events(simulation(REF_12M, "10").run)
     print(f"ref-12m, 10 s at seed 1: {pops:,} heap events, "
           f"{pops / pkts:.2f} a delivered packet")
@@ -167,7 +209,7 @@ def walk_parse_lines():
     """cellular-cli's trace (tests/test_trace.py fails above 1,000 lines)."""
     from workloads import walk_trace
     text = walk_trace(1)
-    lines, _ = traced("line", parse_trace, text)
+    lines, _ = python_lines(parse_trace, text)
     print(f"walk trace at seed 1, {len(text.splitlines()):,} stamps: "
           f"parse_trace runs {lines:,} Python lines")
 
@@ -183,9 +225,10 @@ def gig_result_and_per_packet():
           f"{size / pkts:.2f} a delivered packet")
     print(f"gig, 2 s at seed 1: {pops:,} heap events for {pkts:,} delivered "
           f"packets, {pops / pkts:.2f} a packet")
-    opcodes, _ = traced("opcode", simulation(gig, "2").run)
+    split, _ = opcodes_by_module(simulation(gig, "2").run)
+    opcodes = sum(split.values())
     print(f"gig, 2 s at seed 1: {opcodes:,} opcodes, {opcodes / pkts:.1f} "
-          f"a delivered packet")
+          f"a delivered packet; by module: {per_module(split, pkts)}")
     return over_ceilings(("gig (2 s): heap events a packet", pops / pkts, 4.05),
                          ("gig (2 s): opcodes a packet", opcodes / pkts, 1055),
                          ("gig (2 s): result bytes a packet", size / pkts, 6.18))
