@@ -10,6 +10,7 @@ from this checkout's src/, and the workload settings, ``walk_trace`` and
 
 import ast
 import dataclasses
+import gc
 import io
 import os
 import platform
@@ -17,6 +18,7 @@ import sys
 import tokenize
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +32,21 @@ PINNED = (3, 11)   # the interpreter the ceilings were measured on
 REF_12M = {"scheme": "natcp", "trace": "const:12mbps", "seed": "1"}
 
 
+@contextmanager
+def no_collection():
+    """Collects garbage, then holds the cyclic collector off while a count
+    runs: a finalizer that a collection runs mid-count (another module's
+    garbage, say hypothesis's in the test suite) would add to that count."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def python_calls(fn, *args):
     """(Python function calls, not C calls, that fn(*args) makes, its value)."""
     calls = 0
@@ -37,9 +54,10 @@ def python_calls(fn, *args):
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
-    sys.setprofile(count)
-    value = fn(*args)
-    sys.setprofile(None)
+    with no_collection():
+        sys.setprofile(count)
+        value = fn(*args)
+        sys.setprofile(None)
     return calls, value
 
 
@@ -51,9 +69,10 @@ def python_lines(fn, *args):
         nonlocal lines
         lines += event == "line"
         return local
-    sys.settrace(local)
-    value = fn(*args)
-    sys.settrace(None)
+    with no_collection():
+        sys.settrace(local)
+        value = fn(*args)
+        sys.settrace(None)
     return lines, value
 
 
@@ -81,9 +100,10 @@ def opcodes_by_module(fn, *args):
         if name not in tracers:
             tracers[name] = module_tracer()
         return tracers[name][0]
-    sys.settrace(call)
-    value = fn(*args)
-    sys.settrace(None)
+    with no_collection():
+        sys.settrace(call)
+        value = fn(*args)
+        sys.settrace(None)
     return Counter({name: read() for name, (_, read) in tracers.items()}), value
 
 
