@@ -27,7 +27,7 @@ from pathlib import Path
 from .cc import SCHEMES
 from .config import ConfigError, SimConfig, build_config
 from .emulink import EVENT_KINDS
-from .engine import SUMMARY_COLUMNS, run_simulation
+from .engine import FEEDBACK_ROW, SUMMARY_COLUMNS, run_simulation
 from .trace import TraceError
 
 EXIT_OK = 0
@@ -248,9 +248,20 @@ def run_rows(args, cfg: SimConfig, result) -> tuple[list[dict]]:
                     cells[4::5] = map({-1: ""}.get, qdelay, qdelay)
                     fh.write(EVENT_ROW * (len(cells) // 5) % tuple(cells))
         if args.feedback_csv:
-            write_csv(args.output_dir / args.feedback_csv, FEEDBACK_COLUMNS,
-                      [dict(zip(FEEDBACK_COLUMNS, row)) for row in result.feedback_log])
+            write_feedback_csv(args.output_dir / args.feedback_csv, result)
     return summary_rows(cfg, result)
+
+
+def write_feedback_csv(path: Path, result) -> None:
+    """The feedback log's rows, one flow a digest arrival, as ``write_csv``
+    writes them (an int's cell is its str, bl_bw's is ``format_cell``'s),
+    written from each packed arrival in turn: nothing holds the rows."""
+    with open_output(path) as fh:
+        fh.write(",".join(FEEDBACK_COLUMNS) + "\r\n")
+        for (t_arr, seq, t_emit, min_rtt, bl_bw), fids in zip(
+                FEEDBACK_ROW.iter_unpack(result.feedback), result.feedback_fids):
+            row = "{}" + f",{seq},{t_emit},{t_arr},{bl_bw:.6g},{min_rtt}\r\n"
+            fh.writelines(map(row.format, fids))
 
 
 def cmd_run(args) -> int:

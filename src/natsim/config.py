@@ -28,8 +28,8 @@ from .emulink import PathConfig
 from .netassist import NetAssistConfig
 from .trace import (
     DEFAULT_MTU,
+    Schedule,
     TraceError,
-    TraceSchedule,
     is_trace_expression,
     parse_trace,
     schedule_from_spec,
@@ -278,7 +278,7 @@ def build_config(
     return cfg
 
 
-def resolve_schedule(cfg: SimConfig) -> TraceSchedule:
+def resolve_schedule(cfg: SimConfig) -> Schedule:
     """Turn the config's trace field into a delivery schedule.
 
     The field is either a generator expression (``const:``/``step:``/

@@ -72,7 +72,7 @@ from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
-from .trace import TraceSchedule
+from .trace import Schedule
 
 if TYPE_CHECKING:
     from .engine import EventLoop
@@ -214,7 +214,7 @@ class BtsLink:
 
     def __init__(
         self,
-        schedule: TraceSchedule,
+        schedule: Schedule,
         path: PathConfig,
         rng: random.Random,
         loop: EventLoop,

@@ -328,15 +328,35 @@ SUMMARY_COLUMNS = (
 )
 
 
-def percentile(samples: list, q: float) -> float:
-    """Nearest-rank percentile: smallest sample with at least q coverage."""
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile: smallest sample with at least q coverage.
+
+    It counts the samples, an ``array`` or any sequence, and walks the
+    distinct values in order to the rank, so it holds one entry a distinct
+    value, not a sorted copy of every sample."""
     if not samples:
         raise ValueError("no samples")
     if not (0 < q <= 1):
         raise ValueError("q must be in (0, 1]")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    rank = max(1, math.ceil(q * len(samples)))
+    counts = Counter(samples)
+    for value in sorted(counts):
+        rank -= counts[value]
+        if rank <= 0:
+            return value
+
+
+def pooled_samples(samples: list[array], typecode: str) -> array:
+    """Every array's samples in ascending order, at exact length: 2 bytes a
+    sample ("H") when every array kept them so, else ``typecode``.  Each
+    distinct value is repeated its count of times, so pooling holds one
+    entry a distinct value, not a boxed copy of every sample."""
+    counts = Counter(itertools.chain.from_iterable(samples))
+    kept = "H" if all(a.typecode == "H" for a in samples) else typecode
+    # an array built from an iterator over-allocates: keep a copy
+    values = sorted(counts)
+    return array(kept, itertools.chain.from_iterable(
+        map(itertools.repeat, values, map(counts.__getitem__, values))))[:]
 
 
 def compute_power(throughput_mbps: float, delay_ms: float | None) -> float | None:
@@ -536,6 +556,9 @@ class Simulation:
         del self.events[:]
 
     def _collect(self, events: BinaryIO | None) -> RunResult:
+        """The run's result, checked as the module docstring says.  Its
+        delay samples are the one queue's at exact length, or every queue's
+        ``pooled_samples``."""
         for q in self.link.queues.values():
             if not q.conserved():
                 raise LinkError(f"queue byte identity broken at UE {q.ue_id}")
@@ -568,13 +591,11 @@ class Simulation:
                 mode_log=list(ctl.mode_log),
                 deliveries=deliveries,
             ))
-        queues = list(self.link.queues.values())
-        if len(queues) == 1:  # the one queue's samples, at exact length
-            qdelay = queues[0].qdelay_samples_us[:]
-        else:  # pooled in ascending order, widened if any queue widened
-            samples = [q.qdelay_samples_us for q in queues]
-            typecode = "H" if all(a.typecode == "H" for a in samples) else self.time_typecode
-            qdelay = array(typecode, sorted(itertools.chain.from_iterable(samples)))
+        samples = [q.qdelay_samples_us for q in self.link.queues.values()]
+        if len(samples) == 1:  # the one queue's samples, at exact length
+            qdelay = samples[0][:]
+        else:
+            qdelay = pooled_samples(samples, self.time_typecode)
         return RunResult(
             scheme=self.cfg.scheme,
             trace=self.cfg.trace,

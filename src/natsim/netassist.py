@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .emulink import PathConfig
-from .trace import TraceSchedule
+from .trace import Schedule
 
 
 class MeasureError(RuntimeError):
@@ -73,7 +73,7 @@ class NetAssist:
     def __init__(
         self,
         cfg: NetAssistConfig,
-        schedule: TraceSchedule,
+        schedule: Schedule,
         path: PathConfig,
         ue_ids: list[int],
         probe_rtt: Callable[[int], int],

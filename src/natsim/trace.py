@@ -1,17 +1,17 @@
 """Downlink delivery schedules for the bottleneck (base-station) link.
 
-A schedule is a list of instants at which the link may transmit one packet
+A schedule is the sequence of instants at which the link may transmit one packet
 of ``mtu`` bytes toward the user equipment.  Schedules come from
 Mahimahi-format trace files (one integer millisecond timestamp per line,
 non-decreasing) or from the synthetic generators below, and are replayed
 cyclically: an opportunity at time ``t`` within the cycle repeats at
 ``t + k * cycle_length`` for every k >= 0.
 
-Internally all instants are integer microseconds, and a schedule stores
-each once, local to its cycle.  A timestamp equal to the cycle length is
-the next cycle's t = 0, so a trace listing both ``0`` and the cycle length
-yields back-to-back opportunities at the wrap point (kept as-is, not
-deduplicated).  A trace file's cycle is its last timestamp.
+Internally all instants are integer microseconds.  A trace file's
+schedule stores each once, local to its cycle.  A timestamp equal to the
+cycle length is the next cycle's t = 0, so a trace listing both ``0`` and
+the cycle length yields back-to-back opportunities at the wrap point (kept
+as-is, not deduplicated).  A trace file's cycle is its last timestamp.
 
 A well-formed trace file is parsed in bulk: one ``int`` pass over its
 lines, one multiply pass to microseconds, and one pairwise compare in
@@ -25,7 +25,15 @@ would put more than one packet in a microsecond and raises TraceError.  A
 constant-rate schedule repeats exactly every P = mtu*8e6 / gcd(mtu*8e6, rate)
 us (12 us at 1 Gbit/s, 1 ms at 12 Mbit/s), so ``synth_constant`` stores one
 period of instants and a ``phase``, the index in that cyclic sequence where
-replay starts, or the whole run when the period is longer.
+replay starts.  When the period is the run or longer, the run is one
+constant-rate segment.
+
+Step and walk schedules are ``SegmentSchedule``s: one ``(start_us, rate,
+first_index)`` per segment, whatever the segment's length and rate.  An
+instant is ``_spaced``'s integer arithmetic plus one bisect over the
+segments, so a schedule's memory and set-up follow its segments, not its
+length times its rate.  Trace files are the only form that keeps explicit
+instants.
 """
 
 from __future__ import annotations
@@ -124,16 +132,105 @@ class TraceSchedule:
         return self.count_in(t0_us, t1_us) * self.mtu * 8
 
 
-def avg_rate(schedule: TraceSchedule, window_ms: float, t_start_ms: float = 0.0) -> float:
+@dataclass(frozen=True)
+class SegmentSchedule:
+    """Cyclic schedule of constant-rate segments, stored one row a segment.
+
+    segments: one ``(start_us, rate, first_index)`` per segment that holds an
+        opportunity, in time order: rate in bit/s, first_index the index in
+        the cycle of the segment's first opportunity.  Its k-th opportunity,
+        k >= 1, is at start_us + k * mtu*8e6 // rate, ``_spaced``'s instant,
+        and its last comes before the next segment's first_index
+        (n_opportunities for the last segment), no later than the next
+        segment's start (cycle_us for the last).  An outage is a gap
+        between two starts.
+    n_opportunities: opportunities in one cycle, at least one.
+    cycle_us: replay period.
+    mtu: bytes deliverable per opportunity.
+
+    It replays as the ``TraceSchedule`` of the same instants.  An instant
+    equal to cycle_us is the next cycle's t = 0: when the cycle's last
+    instant is the cycle length, ``phase`` is -1, so opportunity 0 is that
+    instant of the cycle before, at t = 0.  ``phase`` and the segments'
+    columns are derived at construction.
+    """
+
+    segments: tuple[tuple[int, int, int], ...]
+    n_opportunities: int
+    cycle_us: int
+    mtu: int = DEFAULT_MTU
+
+    def __post_init__(self) -> None:
+        if self.mtu <= 0:
+            raise TraceError("mtu must be positive")
+        numer = self.mtu * 8 * 1_000_000
+        starts, rates, firsts = map(tuple, zip(*self.segments)) if self.segments else ((),) * 3
+        firsts += (self.n_opportunities,)
+        ends = starts[1:] + (self.cycle_us,)
+        if not (starts and starts[0] >= 0 and firsts[0] == 0 and all(
+                start < end and 0 < rate <= numer and first < nxt
+                and start + (nxt - first) * numer // rate <= end
+                for start, end, rate, first, nxt
+                in zip(starts, ends, rates, firsts, firsts[1:]))):
+            raise TraceError("segments must hold an opportunity each, in time order "
+                             "within the cycle, at most one a microsecond")
+        last = starts[-1] + (firsts[-1] - firsts[-2]) * numer // rates[-1]
+        for name, value in (("phase", -(last == self.cycle_us)), ("_starts", starts),
+                            ("_rates", rates), ("_firsts", firsts), ("_numer", numer)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def usable(self) -> bool:
+        """Always: every stored segment holds an opportunity."""
+        return True
+
+    def instant(self, index: int) -> int:
+        """Global time (us) of the index-th opportunity (0-based, cyclic)."""
+        k, r = divmod(index + self.phase, self.n_opportunities)
+        s = bisect.bisect_right(self._firsts, r) - 1
+        return (k * self.cycle_us + self._starts[s]
+                + (r - self._firsts[s] + 1) * self._numer // self._rates[s])
+
+    def index_at_or_after(self, t_us: int) -> int:
+        """Smallest opportunity index whose instant is >= t_us: the instants
+        up to t_us - 1, which are whole cycles, then, from the last segment
+        that starts before the cycle's remainder r, ``_spaced``'s count of
+        instants in (start, r]."""
+        if t_us <= 0:
+            return 0
+        k, r = divmod(t_us - 1, self.cycle_us)
+        s = bisect.bisect_left(self._starts, r) - 1
+        firsts = self._firsts
+        within = 0 if s < 0 else min(
+            firsts[s + 1], firsts[s] + _count(self._rates[s], self._numer, self._starts[s], r))
+        return k * self.n_opportunities + within - self.phase
+
+    count_in = TraceSchedule.count_in
+    capacity_bits = TraceSchedule.capacity_bits
+    long_run_bps = TraceSchedule.long_run_bps
+
+
+Schedule = TraceSchedule | SegmentSchedule
+
+
+def avg_rate(schedule: Schedule, window_ms: float, t_start_ms: float = 0.0) -> float:
     """Average offered rate (bits/s) over [t_start, t_start + window).
 
     Counts delivery opportunities in the window (crossing cycle wraps as
-    needed) and converts to bits per second.
+    needed) and converts to bits per second.  Both ends are rounded to whole
+    microseconds, so the window must span at least one.
     """
-    if window_ms <= 0:
-        raise TraceError("window must be positive")
+    if not window_ms > 0:       # NaN too
+        raise TraceError(f"window must be positive, got window_ms={window_ms!r}")
+    for name, ms in (("window_ms", window_ms), ("t_start_ms", t_start_ms),
+                     ("t_start_ms + window_ms", t_start_ms + window_ms)):
+        if not math.isfinite(ms * US_PER_MS):
+            raise TraceError(f"{name} must be finite in microseconds, got {ms!r}")
     t0 = round(t_start_ms * US_PER_MS)
     t1 = round((t_start_ms + window_ms) * US_PER_MS)
+    if t1 <= t0:
+        raise TraceError(f"window_ms={window_ms!r} rounds to no whole microsecond "
+                         f"at t_start_ms={t_start_ms!r}")
     bits = schedule.capacity_bits(t0, t1)
     return bits * 1e6 / (t1 - t0)
 
@@ -188,44 +285,59 @@ def _parse_lines(text: str, mtu: int) -> TraceSchedule:
     )
 
 
-def _spaced(rate_bps: float, start_us: int, end_us: int, mtu: int) -> list[int]:
-    """Opportunities in (start_us, end_us], one per mtu at rate_bps.
-
-    The k-th is at start + floor(k * mtu * 8e6 / rate) in integer
-    arithmetic, so rounding never drifts; the last k is the largest with
-    k * mtu * 8e6 < (end - start + 1) * rate.  A rate above mtu*8e6 bit/s
-    would put more than one packet in a microsecond and is rejected.
-    """
+def _spacing(rate_bps: float, mtu: int) -> tuple[int, int]:
+    """(rate, mtu*8e6): the rate rounded to bit/s, and the numerator of its
+    spacing in us.  A rate above mtu*8e6 bit/s would put more than one packet
+    in a microsecond and is rejected."""
     rate = round(rate_bps)
     numer = mtu * 8 * 1_000_000
     if rate > numer:
         raise TraceError(f"rate {rate} bit/s puts more than one {mtu}-byte packet "
                          f"in a microsecond (at most {numer} bit/s)")
-    last = ((end_us - start_us + 1) * rate - 1) // numer
-    return [start_us + k * numer // rate for k in range(1, last + 1)]
+    return rate, numer
 
 
-def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) -> TraceSchedule:
+def _count(rate: int, numer: int, start_us: int, end_us: int) -> int:
+    """How many of ``_spaced``'s instants fall in (start_us, end_us]; -1 at
+    rate 0."""
+    return ((end_us - start_us + 1) * rate - 1) // numer
+
+
+def _spaced(rate_bps: float, start_us: int, end_us: int, mtu: int) -> list[int]:
+    """Opportunities in (start_us, end_us], one per mtu at rate_bps.
+
+    The k-th is at start + floor(k * mtu * 8e6 / rate) in integer
+    arithmetic, so rounding never drifts; the last k is the largest with
+    k * mtu * 8e6 < (end - start + 1) * rate.
+    """
+    rate, numer = _spacing(rate_bps, mtu)
+    return [start_us + k * numer // rate
+            for k in range(1, _count(rate, numer, start_us, end_us) + 1)]
+
+
+def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) -> Schedule:
     """Constant-rate schedule: evenly spaced opportunities at ``rate_bps``.
 
     Over [0, duration] it replays ``_spaced(rate_bps, 0, duration, mtu)``
     cycled at the duration, which has an opportunity at t = 0 only when the
     duration is itself an instant.  Those instants repeat every period
-    P = mtu*8e6 / gcd(mtu*8e6, rate) us, so the schedule holds one cycle of
-    min(P, duration).  When P is the shorter, ``phase`` 1 skips the t = 0
-    opportunity if the duration is not an instant.  The rate is exact over
-    whole cycles (spacing is accumulated in integer arithmetic, so rounding
-    never drifts).  duration_ms = 0 yields an empty schedule that cannot be
-    replayed.
+    P = mtu*8e6 / gcd(mtu*8e6, rate) us.  When P is shorter than the
+    duration, the schedule holds one cycle of P, and ``phase`` 1 skips the
+    t = 0 opportunity if the duration is not an instant; otherwise the
+    duration is one segment, ``synth_step([(rate_bps, duration_ms)])``.  The
+    rate is exact over whole cycles (spacing is accumulated in integer
+    arithmetic, so rounding never drifts).  duration_ms = 0 yields an empty
+    schedule that cannot be replayed.
     """
     if rate_bps <= 0:
         raise TraceError("rate must be positive")
     if duration_ms < 0:
         raise TraceError("duration must be non-negative")
     duration_us = duration_ms * US_PER_MS
-    rate = round(rate_bps)
-    numer = mtu * 8 * 1_000_000
+    rate, numer = _spacing(rate_bps, mtu)
     cycle_us = min(numer // math.gcd(numer, rate), duration_us)
+    if cycle_us == duration_us > 0:
+        return synth_step([(rate_bps, duration_ms)], mtu)
     # D is an instant when the first instant at or after it comes before D + 1
     first = -(-duration_us * rate // numer)
     phase = int(cycle_us < duration_us and first * numer >= (duration_us + 1) * rate)
@@ -233,16 +345,20 @@ def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) ->
                          phase=phase)
 
 
-def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> TraceSchedule:
+def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> Schedule:
     """Piecewise-constant schedule from (rate_bps, hold_ms) segments.
 
     A zero-rate segment contributes no opportunities (an outage).  The cycle
-    length is the total duration of all segments.
+    length is the total duration of all segments.  Each segment holds
+    ``_spaced``'s instants in (its start, its end], stored as one
+    ``(start_us, rate, first_index)`` row of a ``SegmentSchedule``; a
+    segment without an instant stores nothing.  A schedule without any
+    instant is empty, and cannot be replayed.
     """
     if not segments:
         raise TraceError("at least one segment is required")
-    opps: list[int] = []
-    cursor_us = 0
+    rows: list[tuple[int, int, int]] = []
+    n = cursor_us = 0
     for rate_bps, hold_ms in segments:
         if rate_bps < 0:
             raise TraceError("segment rate must be non-negative")
@@ -250,9 +366,15 @@ def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> Tra
             raise TraceError("segment duration must be positive")
         seg_end = cursor_us + hold_ms * US_PER_MS
         if rate_bps > 0:
-            opps += _spaced(rate_bps, cursor_us, seg_end, mtu)
+            rate, numer = _spacing(rate_bps, mtu)
+            count = _count(rate, numer, cursor_us, seg_end)
+            if count > 0:
+                rows.append((cursor_us, rate, n))
+                n += count
         cursor_us = seg_end
-    return TraceSchedule(tuple(opps), cursor_us, mtu)
+    if not n:
+        return TraceSchedule((), cursor_us, mtu)
+    return SegmentSchedule(tuple(rows), n, cursor_us, mtu)
 
 
 def synth_walk(
@@ -262,7 +384,7 @@ def synth_walk(
     duration_ms: int,
     seed: int,
     mtu: int = DEFAULT_MTU,
-) -> TraceSchedule:
+) -> Schedule:
     """Bounded multiplicative random walk between min_bps and max_bps.
 
     Every ``step_ms`` the rate is multiplied by 2**u with u uniform in
@@ -306,7 +428,7 @@ def schedule_from_spec(
     duration_ms: int,
     mtu: int = DEFAULT_MTU,
     default_seed: int = 0,
-) -> TraceSchedule:
+) -> Schedule:
     """Build a synthetic schedule from a trace expression.
 
     Supported forms:

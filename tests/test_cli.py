@@ -1,5 +1,6 @@
 """Config file handling, CLI subcommands, exit codes, CSV outputs."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import csv
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -441,6 +443,46 @@ def test_run_writes_summary_and_logs(tmp_path, capsys):
     # 50 ms cadence over 1 s; the final emission arrives past the horizon
     assert len(feedback) == 1 + 19
     assert capsys.readouterr().out.startswith("natcp")
+
+
+def feedback_csv_as_rows(path, result):
+    """The feedback CSV as the run command wrote it before it streamed:
+    one dict a flow a digest arrival, through ``write_csv``."""
+    cli.write_csv(path, cli.FEEDBACK_COLUMNS,
+                  [dict(zip(cli.FEEDBACK_COLUMNS, row)) for row in result.feedback_log])
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", ["oob", "ib"])
+def test_the_feedback_csv_streams_the_bytes_of_one_dict_a_row(tmp_path, mode):
+    # 48 flows on 7 UEs, starting over the first half second: each UE's
+    # share of the capacity, bl_bw, needs all six significant digits
+    cfg = build_config(None, {
+        "scheme": "nacubic", "trace": "const:48mbps", "duration_s": "2", "seed": "1",
+        "assist.mode": mode, "assist.period_us": "20000",
+        "flows.start_s": ",".join(str(i / 100) for i in range(48)),
+        "flows.ue": ",".join(str(i // 7) for i in range(48))})
+    result = Simulation(cfg).run()
+    rows = len(result.feedback_log)
+    assert rows > (4_000 if mode == "oob" else 600)
+    cli.write_feedback_csv(tmp_path / "warm-up.csv", result)   # one-off allocations
+    streamed = traced_peak(cli.write_feedback_csv, tmp_path / "feedback.csv", result)
+    rowwise = traced_peak(feedback_csv_as_rows, tmp_path / "rows.csv", result)
+    assert (tmp_path / "feedback.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # the row-wise writer holds every row at once, boxed: over 100 bytes a row
+    assert streamed < 64 * 1024 < rowwise
+    # the run command writes the same file
+    args = argparse.Namespace(events_csv=None, feedback_csv="run.csv", output_dir=tmp_path)
+    cli.run_rows(args, cfg, result)
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 @pytest.fixture

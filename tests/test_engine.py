@@ -8,6 +8,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from itertools import chain
 from collections import Counter
 from heapq import heappop
 
@@ -24,6 +25,7 @@ from natsim.engine import (
     Simulation,
     compute_power,
     percentile,
+    pooled_samples,
     run_simulation,
 )
 from natsim.netassist import NetAssistConfig
@@ -61,6 +63,31 @@ def test_percentile_against_counting_oracle():
         # oracle: smallest value covering at least a fraction q of samples
         want = min(v for v in xs if sum(x <= v for x in xs) >= q * n)
         assert got == want
+
+
+# delays with heavy duplicates: a few distinct values, now and then any
+delays = st.one_of(st.integers(0, 12), st.integers(0, 65_535))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from("Hiq"), st.lists(delays, min_size=1, max_size=300),
+       st.floats(0, 1, exclude_min=True))
+def test_percentile_is_the_sorted_samples_at_the_nearest_rank(typecode, xs, q):
+    rank = max(1, math.ceil(q * len(xs)))
+    assert percentile(array(typecode, xs), q) == sorted(xs)[rank - 1]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("Hi"), st.lists(delays, max_size=100)),
+                min_size=2, max_size=5),
+       st.sampled_from("iq"))
+def test_pooled_samples_are_the_sorted_chain_at_exact_length(queues, time_typecode):
+    samples = [array(typecode, xs) for typecode, xs in queues]
+    pooled = pooled_samples(samples, time_typecode)
+    narrow = all(typecode == "H" for typecode, _ in queues)
+    assert pooled.typecode == ("H" if narrow else time_typecode)
+    assert pooled.tolist() == sorted(chain(*samples))
+    assert exact_length(pooled)
 
 
 def test_percentile_rejects_bad_input():

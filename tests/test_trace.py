@@ -3,14 +3,18 @@
 import math
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from natsim import trace
 from natsim.config import SimConfig, resolve_schedule
 from natsim.trace import (
     US_PER_MS,
+    SegmentSchedule,
     TraceError,
     TraceSchedule,
     _spaced,
@@ -397,6 +401,162 @@ def test_synth_walk_checks_its_bound_before_any_draw():
     for seed in range(1, 6):
         with pytest.raises(TraceError, match="rate 13000000000 bit/s"):
             synth_walk(1e6, 13e9, step_ms=100, duration_ms=100, seed=seed)
+
+
+def explicit_step(segments, mtu=1500):
+    """``synth_step`` as it was before segment schedules, every instant
+    explicit: the oracle for the segment form."""
+    opps = []
+    cursor_us = 0
+    for rate_bps, hold_ms in segments:
+        seg_end = cursor_us + hold_ms * US_PER_MS
+        if rate_bps > 0:
+            opps += _spaced(rate_bps, cursor_us, seg_end, mtu)
+        cursor_us = seg_end
+    return TraceSchedule(tuple(opps), cursor_us, mtu)
+
+
+@st.composite
+def step_cases(draw):
+    """(segments, mtu): outages, rates whose last instant is their segment's
+    end (so a last segment's is the cycle's), 1 us spacing, and any rate,
+    in holds of 1-3 ms."""
+    mtu = draw(st.sampled_from([1, 3, 1500]))
+    numer = mtu * 8_000_000
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["outage", "ends", "1us", "any"]))
+        hold = draw(st.integers(1, 3))
+        if kind == "outage":
+            rate = 0
+        elif kind == "ends":     # a whole number of packets a millisecond
+            rate = numer // 1000 * draw(st.sampled_from([1, 2, 5, 25, 250]))
+        elif kind == "1us":
+            rate, hold = numer, 1
+        else:
+            rate = draw(st.integers(1, numer // 4))
+        segments.append((rate, hold))
+    return segments, mtu
+
+
+def assert_replays_alike(sched, ref):
+    """The two schedules answer every query alike over three cycles, at
+    every instant, the microsecond after it and every cycle boundary."""
+    n, cycle = ref.n_opportunities, ref.cycle_us
+    assert (sched.n_opportunities, sched.cycle_us, sched.mtu) == (n, cycle, ref.mtu)
+    assert sched.long_run_bps() == ref.long_run_bps()
+    instants = [ref.instant(i) for i in range(3 * n + 1)]
+    assert [sched.instant(i) for i in range(3 * n + 1)] == instants
+    points = {-1, 0, 1}
+    points.update(t + d for t in instants for d in (0, 1))
+    points.update(k * cycle + d for k in range(1, 4) for d in (-1, 0, 1))
+    points = sorted(points)
+    for t in points:
+        assert sched.index_at_or_after(t) == ref.index_at_or_after(t), t
+    some = points[::max(1, len(points) // 24)]
+    for t0 in some:
+        for t1 in some:
+            assert sched.count_in(t0, t1) == ref.count_in(t0, t1), (t0, t1)
+            assert sched.capacity_bits(t0, t1) == ref.capacity_bits(t0, t1), (t0, t1)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(step_cases())
+@example(([(12e6, 3)], 1500))                   # last instant = cycle: phase -1
+@example(([(0.0, 2), (12e6, 1), (0.0, 1)], 1500))   # outages around one segment
+@example(([(8_000_000, 1), (1.2e6, 2)], 1))     # 1 us spacing, then a slow rate
+@example(([(1, 3), (12e6, 1)], 1500))           # a segment too slow for a packet
+def test_a_segment_schedule_replays_its_explicit_instants(case):
+    segments, mtu = case
+    ref = explicit_step(segments, mtu)
+    sched = synth_step(segments, mtu)
+    assert sched.usable == ref.usable
+    if ref.usable:
+        assert_replays_alike(sched, ref)
+        assert len(sched.segments) <= len(segments)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_walk_replays_the_explicit_instants_of_its_segments(monkeypatch, seed):
+    drawn = []
+
+    def recording(segments, mtu):
+        drawn.append(list(segments))
+        return synth_step(segments, mtu)
+    monkeypatch.setattr(trace, "synth_step", recording)
+    sched = synth_walk(6e6, 96e6, step_ms=2, duration_ms=9, seed=seed)
+    (segments,) = drawn
+    assert [hold for _, hold in segments] == [2, 2, 2, 2, 1]
+    assert_replays_alike(sched, explicit_step(segments))
+
+
+def test_a_segment_schedule_checks_its_rows():
+    good = synth_step([(12e6, 3), (0.0, 1), (24e6, 2)])
+    assert good.segments == ((0, 12_000_000, 0), (4_000, 24_000_000, 3))
+    assert (good.n_opportunities, good.phase) == (7, -1)
+    assert SegmentSchedule(good.segments, 7, 6_000) == good
+    for rows, n, cycle in (
+            ((), 0, 1_000),                                  # no segment
+            (((0, 12_000_000, 1),), 1, 1_000),               # first index not 0
+            (((0, 12_000_000, 0), (0, 12_000_000, 1)), 2, 2_000),   # starts repeat
+            (((0, 12_000_000, 0),), 2, 1_000),               # 2 ms of packets in 1 ms
+            (((0, 13_000_000_000, 0),), 1, 1_000),           # two packets a us
+            (((0, 0, 0),), 1, 1_000)):                       # zero rate
+        with pytest.raises(TraceError, match="segments must hold an opportunity each"):
+            SegmentSchedule(rows, n, cycle)
+    with pytest.raises(TraceError, match="mtu"):
+        SegmentSchedule(good.segments, 7, 6_000, mtu=0)
+
+
+def test_a_step_of_only_outages_is_empty():
+    sched = synth_step([(0.0, 5), (0.4, 3)])     # 0.4 bit/s rounds to no packet
+    assert sched == TraceSchedule((), 8_000)
+    assert not sched.usable
+
+
+def test_a_const_rate_whose_period_outlasts_the_run_is_one_segment():
+    sched = synth_constant(12_000_001, duration_ms=600_000)
+    assert sched == synth_step([(12_000_001, 600_000)])
+    assert len(sched.segments) == 1
+
+
+def test_a_60_s_gigabit_walk_builds_in_segments():
+    """A walk holds one row a segment: 600 at 60 s, whatever its rates."""
+    tracemalloc.start()
+    try:
+        sched = schedule_from_spec("walk:1gbps-12gbps@100ms", 60_000, 1500, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sched.segments) == 600
+    assert sched.n_opportunities > 26_000_000
+    assert peak < 1_000_000
+    best = min(timed(schedule_from_spec, "walk:1gbps-12gbps@100ms", 60_000, 1500, 1)
+               for _ in range(5))
+    assert best < 0.010
+
+
+def timed(fn, *args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def test_avg_rate_names_the_argument_it_cannot_use():
+    sched = synth_constant(12e6, 1000)
+    assert avg_rate(sched, 0.001, 0.5) == 0.0    # 1 us, no instant in it
+    for window, start, match in (
+            (0.0004, 0.0, "rounds to no whole microsecond"),   # 0.4 us
+            (0.0, 0.0, "window must be positive"),
+            (-1.0, 0.0, "window must be positive"),
+            (math.nan, 0.0, "window must be positive"),
+            (math.inf, 0.0, "window_ms must be finite"),
+            (1.0, math.inf, "t_start_ms must be finite"),
+            (1.0, -math.inf, "t_start_ms must be finite"),
+            (1.0, math.nan, "t_start_ms must be finite"),
+            (1e308, 1e308, "window_ms must be finite")):   # 1e311 us
+        with pytest.raises(TraceError, match=match):
+            avg_rate(sched, window, start)
 
 
 # -- expressions ---------------------------------------------------------------

@@ -1,11 +1,11 @@
 """``python tools/counts.py`` prints src/'s line counts and the Python calls,
-opcodes (split by module too), heap events and bytes of benchmark-shaped runs
-at seed 1 (CI's step summary): each repeats exactly on one Python version, so
-it shows what a change moves without timing noise.  On 3.11, where the
-ceilings are pinned, a count above its ceiling writes an ``::error::`` line to
-stderr, and the script exits 1 once every count has printed.  natsim comes
-from this checkout's src/, and the workload settings, ``walk_trace`` and
-``deep_size`` from its perfbench/.
+opcodes (split by module too), heap events, bytes and tracemalloc peaks of
+benchmark-shaped runs at seed 1 (CI's step summary): each repeats exactly on
+one Python version, so it shows what a change moves without timing noise.
+On 3.11, where the ceilings are pinned, a count above its ceiling writes
+an ``::error::`` line to stderr, and the script exits 1 once every count has
+printed.  natsim comes from this checkout's src/, and the workload settings,
+``walk_trace`` and ``deep_size`` from its perfbench/.
 """
 
 import ast
@@ -16,6 +16,7 @@ import os
 import platform
 import sys
 import tokenize
+import tracemalloc
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from natsim import config, engine  # noqa: E402
-from natsim.trace import parse_trace  # noqa: E402
+from natsim.trace import parse_trace, schedule_from_spec  # noqa: E402
 from stats import deep_size  # noqa: E402
 
 PINNED = (3, 11)   # the interpreter the ceilings were measured on
@@ -111,6 +112,24 @@ def per_module(split: Counter, pkts: int) -> str:
     """The split as opcodes a delivered packet per module, largest first."""
     return ", ".join(f"{name.removeprefix('natsim.')} {n / pkts:.1f}"
                      for name, n in split.most_common())
+
+
+def traced_peak(fn, *args):
+    """(the peak of the bytes tracemalloc traces while fn(*args) runs, over
+    what was traced before it, its value)."""
+    with no_collection():
+        tracemalloc.start()
+        value = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, value
+
+
+def run_and_summary(sim: engine.Simulation):
+    """A run and its summary row: the figures every run ends in."""
+    result = sim.run()
+    result.summary_row()
+    return result
 
 
 def heap_events(fn, *args):
@@ -225,6 +244,36 @@ def ref_12m_per_packet():
                          ("ref-12m (10 s): result bytes a packet", size / pkts, 7.26))
 
 
+def peak_bytes(name: str, settings: dict, ceiling: float) -> int:
+    """tracemalloc's peak over a 10 s run and its summary row, which every
+    run ends in, in bytes a delivered packet."""
+    peak, result = traced_peak(run_and_summary, simulation(settings, "10"))
+    pkts = sum(len(f.deliveries) for f in result.flows)
+    print(f"{name}, 10 s at seed 1: run() and summary_row() peak at {peak:,} "
+          f"bytes, {peak / pkts:.2f} a delivered packet")
+    return over_ceilings((f"{name} (10 s): peak bytes a packet", peak / pkts, ceiling))
+
+
+def ref_12m_peak_bytes():
+    """What a run holds at its peak: the result, and no sorted copy of its
+    delay samples."""
+    return peak_bytes("ref-12m", REF_12M, 14)
+
+
+def crowd_peak_bytes():
+    """The same, with 64 queues' delay samples pooled."""
+    from workloads import Crowd
+    return peak_bytes("crowd", at_seed_1(Crowd), 43)
+
+
+def walk_build_bytes():
+    """A step or walk schedule holds one row a segment, not its instants."""
+    peak, sched = traced_peak(schedule_from_spec, "walk:1gbps-12gbps@100ms", 60_000, 1500, 1)
+    print(f"walk:1gbps-12gbps@100ms, 60 s: its build peaks at {peak:,} bytes, "
+          f"for {sched.n_opportunities:,} opportunities a cycle")
+    return over_ceilings(("walk:1gbps-12gbps@100ms (60 s): build peak bytes", peak, 1_000_000))
+
+
 def walk_parse_lines():
     """cellular-cli's trace (tests/test_trace.py fails above 1,000 lines)."""
     from workloads import walk_trace
@@ -285,7 +334,8 @@ def feedback_arrival_bytes():
 
 
 GROUPS = (source_lines, crowd_calls_and_events, ref_12m_per_packet, walk_parse_lines,
-          gig_result_and_per_packet, event_log_row_bytes, feedback_arrival_bytes)
+          gig_result_and_per_packet, event_log_row_bytes, feedback_arrival_bytes,
+          ref_12m_peak_bytes, crowd_peak_bytes, walk_build_bytes)
 
 
 def main() -> int:
