@@ -300,7 +300,15 @@ class BtsLink:
             if len(q.fifo) == 1:
                 bisect.insort(backlog, q, key=_RANK)
                 if len(backlog) == 1:
-                    self._start_drain(now)
+                    # the drain starts: the first unserved opportunity at or
+                    # after now
+                    idx = self._next_opp_index
+                    t_us = self._instant(idx)
+                    if t_us < now:  # the link idled past it: search from now
+                        idx = self.schedule.index_at_or_after(now)
+                        t_us = self._instant(idx)
+                    tick = self._reserve()
+                    self._push((t_us, tick, self._on_opportunity, (idx, tick)))
         else:
             self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
             if self._log is not None:
@@ -316,16 +324,6 @@ class BtsLink:
         while down and down[0][0] <= t_end_us:
             t_us, _, _, arg = down[0]
             self._arrive(t_us, arg)
-
-    def _start_drain(self, now: int) -> None:
-        """Schedule the first unserved opportunity at or after ``now``."""
-        idx = self._next_opp_index
-        t_us = self._instant(idx)
-        if t_us < now:  # the link idled past it: search from now
-            idx = self.schedule.index_at_or_after(now)
-            t_us = self._instant(idx)
-        tick = self._reserve()
-        self._push((t_us, tick, self._on_opportunity, (idx, tick)))
 
     def _on_opportunity(self, now: int, arg: tuple[int, int]) -> None:
         """Serve one packet from the next backlogged UE (round-robin), after

@@ -10,6 +10,11 @@ counter, either when it is scheduled or reserved for a push made later.
 Identical configurations therefore replay identically.  Every entry is
 ``(t_us, tick, fn, arg)`` and runs as ``fn(t_us, arg)``, one plain call: a
 handler with several values takes them as one tuple, one with none ``None``.
+``EventLoop.run_until(t_end_us)`` ends on a stop entry: it pushes one
+entry keyed ``(t_end_us + 1, STOP_TICK)``, which sorts after every event due
+by ``t_end_us`` and before every later one, since every real tick is at
+least ``EMIT_TICK``, and it pops until it pops that entry.  The loop's
+``processed`` counts the events it ran, never a stop entry.
 
 The engine is the control plane: it starts flows, emits and applies the
 feedback digests and runs the watchdogs.  Packets move between senders,
@@ -108,7 +113,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from .cc import make_controller
@@ -120,6 +125,7 @@ from .transport import Sender, UeReceiver
 WATCHDOG_PERIODS = 3   # feedback silence tolerated before reverting
 OOB_STREAM = "oob"     # key of the out-of-band watchdog stream; in band, the flow id
 EMIT_TICK = -1         # tie-break of every feedback emit: first at its instant
+STOP_TICK = EMIT_TICK - 1   # tie-break of run_until's stop entry, below every event's
 LOG_SLICE_US = 1_000_000   # a logged run's slice: its next event to the slice's end, us
 EVENT_CHUNK_ROWS = 8192    # rows a spool reader decodes at a time
 _DEQ = EVENT_KINDS.index("deq")
@@ -133,7 +139,8 @@ class EventLoop:
 
     An entry ``(t_us, tick, fn, arg)`` runs as ``fn(t_us, arg)``, a plain
     call, which builds no argument tuple and does not re-enter the
-    interpreter as ``fn(t_us, *args)`` would.
+    interpreter as ``fn(t_us, *args)`` would.  ``processed`` counts the
+    events run, stop entries not included.
     """
 
     def __init__(self) -> None:
@@ -152,16 +159,32 @@ class EventLoop:
 
     def run_until(self, t_end_us: int) -> None:
         """Run, in ``(time, tick)`` order, every event due at or before
-        ``t_end_us``, each as ``fn(t, arg)``."""
+        ``t_end_us``, each as ``fn(t, arg)``, those pushed meanwhile too.
+
+        It pushes one stop entry keyed ``(t_end_us + 1, STOP_TICK)``, after
+        every event due by ``t_end_us`` and before every later one, and pops
+        until it pops that entry, so the bound test, the empty test and the
+        count run in C.  The stop entry leaves the heap either way: popped at
+        the end, or removed when a handler raises.  ``processed`` grows by the
+        events popped, the one that raised included."""
         heap = self._heap
+        stop = (t_end_us + 1, STOP_TICK, _stop, None)
+        heappush(heap, stop)
         n = 0
         try:
-            while heap and heap[0][0] <= t_end_us:
-                t, _, fn, arg = heappop(heap)
-                n += 1
+            for n, (t, _, fn, arg) in enumerate(iter(partial(heappop, heap), stop), 1):
                 fn(t, arg)
+        except BaseException:
+            heap.remove(stop)
+            heapify(heap)
+            raise
         finally:
             self.processed += n
+
+
+def _stop(t_us: int, _: None) -> None:
+    """The handler of ``run_until``'s stop entry, which never runs: the loop
+    ends when it pops the entry."""
 
 
 @dataclass

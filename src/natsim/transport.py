@@ -127,17 +127,13 @@ class Sender:
                     return
                 # the release time has passed, so the next one is a gap from now
                 self._next_allowed_us = now + gap
-            self._send_new(now)
-
-    def _send_new(self, now: int) -> None:
-        seq = self.next_seq
-        mtu = self.mtu
-        self.segments[seq] = now
-        self.next_seq = seq + mtu
-        self.sent_segments += 1
-        if self._rto_deadline is None:
-            self._arm_rto(now + self.rto_us)
-        self.transmit(Packet(self.flow_id, seq, mtu, DATA), now)
+            seq = self.next_seq
+            self.segments[seq] = now
+            self.next_seq = seq + mtu
+            self.sent_segments += 1
+            if self._rto_deadline is None:
+                self._arm_rto(now + self.rto_us)
+            self.transmit(Packet(self.flow_id, seq, mtu, DATA), now)
 
     def _on_pacer(self, now: int, _: None = None) -> None:
         self._pacer_scheduled = False
@@ -159,7 +155,15 @@ class Sender:
             return
 
         newly_acked = ack - self.cum_acked
-        rtt_sample = self._take_rtt_sample(ack, now)
+        # RTT from the newest segment covered by this ack, skipping any that
+        # were retransmitted (their timing is ambiguous)
+        rtt_sample: int | None = None
+        seq = self.cum_acked
+        while seq < ack:
+            t_sent = self.segments.pop(seq, None)
+            if t_sent is not None:
+                rtt_sample = now - t_sent
+            seq += self.mtu
         self.cum_acked = ack
         self.dup_acks = 0
 
@@ -171,8 +175,18 @@ class Sender:
                 # point; resend it without a second window reduction.
                 self._retransmit(ack, now)
 
-        if rtt_sample is not None:
-            self._update_rtt(rtt_sample)
+        if rtt_sample is not None:   # srtt, rttvar and the rto they give
+            srtt = self.srtt_us
+            if srtt is None:
+                srtt = self.srtt_us = float(rtt_sample)
+                rttvar = self.rttvar_us = rtt_sample / 2
+            else:
+                rttvar = self.rttvar_us = (
+                    self.rttvar_us + RTTVAR_GAIN * (abs(srtt - rtt_sample) - self.rttvar_us))
+                srtt = self.srtt_us = srtt + SRTT_GAIN * (rtt_sample - srtt)
+            rto = round(srtt + 4 * rttvar)
+            self.rto_us = (RTO_MIN_US if rto < RTO_MIN_US
+                           else RTO_MAX_US if rto > RTO_MAX_US else rto)
         # Progress was made: restart the timer from scratch at the base rto
         if self.next_seq > ack:
             self._arm_rto(now + self.rto_us)
@@ -190,31 +204,6 @@ class Sender:
             self.recover_seq = self.next_seq
             self.controller.on_loss(now, LOSS_DUPACK)
             self._retransmit(self.cum_acked, now)
-
-    def _take_rtt_sample(self, ack: int, now: int) -> int | None:
-        """RTT from the newest segment covered by this ack, skipping any
-        that were retransmitted (their timing is ambiguous)."""
-        sample: int | None = None
-        seq = self.cum_acked
-        while seq < ack:
-            t_sent = self.segments.pop(seq, None)
-            if t_sent is not None:
-                sample = now - t_sent
-            seq += self.mtu
-        return sample
-
-    def _update_rtt(self, sample_us: int) -> None:
-        srtt = self.srtt_us
-        if srtt is None:
-            srtt = self.srtt_us = float(sample_us)
-            rttvar = self.rttvar_us = sample_us / 2
-        else:
-            rttvar = self.rttvar_us = (
-                self.rttvar_us + RTTVAR_GAIN * (abs(srtt - sample_us) - self.rttvar_us))
-            srtt = self.srtt_us = srtt + SRTT_GAIN * (sample_us - srtt)
-        rto = round(srtt + 4 * rttvar)
-        self.rto_us = (RTO_MIN_US if rto < RTO_MIN_US
-                       else RTO_MAX_US if rto > RTO_MAX_US else rto)
 
     # timeout --------------------------------------------------------------
     def _arm_rto(self, deadline: int) -> None:

@@ -141,16 +141,72 @@ def test_event_loop_ignores_events_past_horizon():
 
 def test_run_until_dispatches_each_event_with_a_plain_call():
     # fn(t, *args) compiles to CALL_FUNCTION_EX, which builds an argument
-    # tuple and re-enters the interpreter; fn(t, arg) is a plain call
+    # tuple and re-enters the interpreter; fn(t, arg) is a plain call.  The
+    # stop entry ends the loop, so no bound test runs in Python
     ops = {ins.opname for ins in dis.get_instructions(EventLoop.run_until)}
     assert "CALL_FUNCTION_EX" not in ops
+    assert "COMPARE_OP" not in ops
+
+
+def test_run_until_runs_an_event_pushed_at_its_end_during_the_run():
+    loop = EventLoop()
+    seen = []
+    loop.schedule(50, lambda now, _: loop.schedule(100, lambda now, _: seen.append(now)))
+    loop.run_until(100)
+    assert seen == [100]
+    assert loop.processed == 2 and loop._heap == []
+
+
+def test_run_until_leaves_an_emit_one_microsecond_past_its_end():
+    # the stop entry sorts before every entry at t_end_us + 1, EMIT_TICK too
+    loop = EventLoop()
+    seen = []
+    emit = (101, engine.EMIT_TICK, lambda now, _: seen.append(now), None)
+    loop.push(emit)
+    loop.run_until(100)
+    assert seen == [] and loop.processed == 0
+    assert loop._heap == [emit]
+    loop.run_until(101)
+    assert seen == [101] and loop.processed == 1 and loop._heap == []
+
+
+def test_run_until_on_an_empty_heap_counts_nothing():
+    loop = EventLoop()
+    loop.run_until(1_000)
+    assert loop.processed == 0 and loop._heap == []
+
+
+def test_a_raising_handler_leaves_no_stop_entry_and_counts_its_event():
+    loop = EventLoop()
+    seen = []
+
+    def boom(now, _):
+        raise RuntimeError("handler failed")
+
+    def record(now, label):
+        seen.append(label)
+    loop.schedule(10, record, "before")
+    loop.schedule(20, boom)
+    for t, label in ((30, "after"), (40, "later"), (200, "past the end")):
+        loop.schedule(t, record, label)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        loop.run_until(100)
+    assert seen == ["before"] and loop.processed == 2
+    # the other entries stay, still a heap, and no stop entry is left
+    assert sorted(e[0] for e in loop._heap) == [30, 40, 200]
+    assert all(e[2] is record for e in loop._heap)
+    assert loop._heap[0][0] == 30
+    loop.run_until(100)
+    assert seen == ["before", "after", "later"] and loop.processed == 4
+    assert [e[0] for e in loop._heap] == [200]
 
 
 @pytest.mark.parametrize("log_events", [False, True])
 @pytest.mark.parametrize("mode", ["oob", "ib"])
 def test_every_heap_entry_is_a_handler_and_its_one_arg(monkeypatch, mode, log_events):
-    # loop.push and loop.schedule both push through the engine's heappush;
-    # every entry must be (t_us, tick, fn, arg) with fn(t_us, arg) a valid call
+    # loop.push, loop.schedule and run_until's stop entry all push through
+    # the engine's heappush; every entry must be (t_us, tick, fn, arg) with
+    # fn(t_us, arg) a valid call
     handlers = set()
     heappush = engine.heappush
 
@@ -167,7 +223,7 @@ def test_every_heap_entry_is_a_handler_and_its_one_arg(monkeypatch, mode, log_ev
                          flow_ues=(0, 1)))
     sim.run()
     want = {"_emit_feedback", "_start_flow", "_watchdog_check", "_arrive",
-            "_on_opportunity", "_ack_arrive", "_on_pacer", "_on_rto_event"}
+            "_on_opportunity", "_ack_arrive", "_on_pacer", "_on_rto_event", "_stop"}
     assert handlers == (want | {"_oob_arrive"} if mode == "oob" else want)
 
 
@@ -195,6 +251,9 @@ def test_per_packet_handlers_are_bound_once_at_wiring(monkeypatch, mode, log_eve
     result = sim.run()
     assert all(f.delivered_bytes > 0 for f in result.flows)
     assert all(s.cum_acked > 0 for s in sim.senders.values())
+    # run_until pushes its stop entry with its one no-op handler, and pops it
+    assert engine._stop in pushed
+    assert all(e[2] is not engine._stop for e in sim.loop._heap)
     for receiver in sim.receivers.values():
         assert receiver.transmit_ack == sim.link.send_uplink
     owners = {"_arrive": [sim.link], "_on_opportunity": [sim.link],

@@ -1,0 +1,61 @@
+"""``tools/replay_diff.py``: the configs it draws are valid and cover what
+it promises, and a run's digests repeat and see a moved output."""
+
+import importlib.util
+import random
+from pathlib import Path
+
+from natsim.config import build_config
+from natsim.trace import parse_trace
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_diff.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("replay_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_drawn_configs_are_valid_and_cover_every_kind(tmp_path):
+    tool = load_tool()
+    files = tool.write_trace_files(tmp_path, random.Random(1))
+    for path in files:
+        assert parse_trace(Path(path).read_text()).n_opportunities > 0
+    configs = tool.draw_configs(300, 7, files)
+    assert configs == tool.draw_configs(300, 7, files)
+    for settings in configs:
+        build_config(None, settings).require_valid()
+    assert {c["scheme"] for c in configs} == set(tool.SCHEMES)
+    assert {c["assist.mode"] for c in configs} == {"oob", "ib"}
+    kinds = {c["trace"].split(":")[0] if ":" in c["trace"] else "file" for c in configs}
+    assert kinds == {"const", "step", "walk", "file"}
+    assert any(",0mbps" in c["trace"] or ":0mbps" in c["trace"]
+               for c in configs)   # a zero-rate outage
+    assert {c["path.loss_prob"] for c in configs} > {"0", "0.05"}
+    assert any(c["queue.capacity_bytes"] == c["mtu"] for c in configs)   # one packet
+    flows = [len(c["flows.ue"].split(",")) for c in configs]
+    assert min(flows) == 1 and max(flows) > 48 and max(flows) <= 64
+    assert any(len(set(c["flows.start_s"].split(","))) > 1 for c in configs)
+
+
+def test_digests_repeat_and_see_a_moved_output(tmp_path):
+    tool = load_tool()
+    settings = tool.draw_configs(1, 3, tool.write_trace_files(tmp_path, random.Random(1)))[0]
+    settings.update({"scheme": "natcp", "trace": "const:12mbps", "path.loss_prob": "0.01",
+                     "log.events": "on"})
+    first = tool.digests(settings)
+    assert set(first) == set(tool.PARTS)
+    assert tool.digests(settings) == first
+    moved = tool.digests({**settings, "seed": str(int(settings["seed"]) + 1)})
+    assert moved["events"] != first["events"]
+    assert moved["flows"] != first["flows"]
+
+
+def test_a_run_that_raises_digests_its_exception(tmp_path):
+    tool = load_tool()
+    bad = {"trace": str(tmp_path / "missing.trace"), "duration_s": "0.1"}
+    got = tool.digests(bad)
+    assert len(set(got.values())) == 1
+    assert got["summary"].startswith("raised ")
