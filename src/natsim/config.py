@@ -284,16 +284,12 @@ def resolve_schedule(cfg: SimConfig) -> Schedule:
     The field is either a generator expression (``const:``/``step:``/
     ``walk:``) or a path to a trace file of millisecond timestamps.
     Missing files raise FileNotFoundError so callers can distinguish
-    absent inputs from malformed ones.  A schedule without a single delivery
-    opportunity (an all-outage trace, or a rate that rounds to nothing)
-    raises TraceError here, before a run could queue its first packet.
+    absent inputs from malformed ones.  Every schedule holds a delivery
+    opportunity: a trace without one (an all-outage ``step:``, or a rate
+    that rounds to no packet in the run) raises TraceError where its
+    schedule is built, before a run could queue its first packet.
     """
     duration_ms = -(-cfg.duration_us // 1000)   # whole ms that cover the run
     if is_trace_expression(cfg.trace):
-        schedule = schedule_from_spec(cfg.trace, duration_ms, cfg.mtu, cfg.seed)
-    else:
-        schedule = parse_trace(read_utf8(cfg.trace, TraceError), mtu=cfg.mtu)
-    if not schedule.usable:
-        raise TraceError(f"trace {cfg.trace!r} has no delivery opportunity "
-                         "and cannot be replayed")
-    return schedule
+        return schedule_from_spec(cfg.trace, duration_ms, cfg.mtu, cfg.seed)
+    return parse_trace(read_utf8(cfg.trace, TraceError), mtu=cfg.mtu)

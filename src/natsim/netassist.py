@@ -132,7 +132,7 @@ class NetAssist:
         t0 = max(0, t0)
         share = max(1, len(self.ue_ids))
         bits = self.schedule.capacity_bits(t0, t1)
-        if bits == 0 and self.schedule.n_opportunities > 0:
+        if bits == 0:
             last = self.schedule.index_at_or_after(t1) - 1
             if last >= 0 and self.schedule.instant(last) < t0:
                 t0 = self.schedule.instant(last)

@@ -34,6 +34,11 @@ instant is ``_spaced``'s integer arithmetic plus one bisect over the
 segments, so a schedule's memory and set-up follow its segments, not its
 length times its rate.  Trace files are the only form that keeps explicit
 instants.
+
+Every schedule holds at least one delivery opportunity, so no query checks
+for an empty one.  A builder that would have none raises TraceError: a trace
+file without a timestamp, a ``step:`` made only of outages, a rate that
+rounds to no packet in the run, or a zero duration.
 """
 
 from __future__ import annotations
@@ -57,10 +62,11 @@ class TraceError(ValueError):
 class TraceSchedule:
     """Cyclic schedule of per-packet delivery opportunities.
 
-    opportunities_us: opportunity instants within one cycle, sorted, each
-        in [0, cycle_us].  Instants equal to cycle_us are stored as 0, the
-        next cycle's start, so the stored tuple holds cycle-local instants.
-    cycle_us: replay period.  May be 0 only for an empty schedule.
+    opportunities_us: opportunity instants within one cycle, at least one,
+        sorted, each in [0, cycle_us].  Instants equal to cycle_us are stored
+        as 0, the next cycle's start, so the stored tuple holds cycle-local
+        instants.
+    cycle_us: replay period, positive.
     mtu: bytes deliverable per opportunity.
     phase: index in the cyclic sequence of wrapped instants where replay
         starts; opportunity 0 is the phase-th one.  A one-period constant
@@ -76,12 +82,10 @@ class TraceSchedule:
     def __post_init__(self) -> None:
         if self.mtu <= 0:
             raise TraceError("mtu must be positive")
-        if self.cycle_us < 0:
-            raise TraceError("cycle_length must be non-negative")
         opps = tuple(self.opportunities_us)
-        if opps and not (self.cycle_us > 0 and 0 <= opps[0] and opps[-1] <= self.cycle_us
-                         and all(map(operator.le, opps, opps[1:]))):
-            raise TraceError("opportunity instants must be non-decreasing and "
+        if not (opps and self.cycle_us > 0 and 0 <= opps[0] and opps[-1] <= self.cycle_us
+                and all(map(operator.le, opps, opps[1:]))):
+            raise TraceError("opportunity instants must be one or more, non-decreasing and "
                              "within [0, cycle_length], on a positive cycle_length")
         if self.phase < 0:
             raise TraceError("phase must be non-negative")
@@ -92,30 +96,19 @@ class TraceSchedule:
     def n_opportunities(self) -> int:
         return len(self.opportunities_us)
 
-    @property
-    def usable(self) -> bool:
-        """True when the schedule can be replayed over any horizon."""
-        return bool(self.opportunities_us)
-
     def long_run_bps(self) -> float:
         """Long-run average capacity in bits/s over whole cycles."""
-        if not self.usable:
-            return 0.0
         return self.n_opportunities * self.mtu * 8 * 1e6 / self.cycle_us
 
     def instant(self, index: int) -> int:
         """Global time (us) of the index-th opportunity (0-based, cyclic)."""
         opps = self.opportunities_us
-        if not opps:
-            raise TraceError("empty schedule cannot be replayed")
         k, r = divmod(index + self.phase, len(opps))
         return k * self.cycle_us + opps[r]
 
     def index_at_or_after(self, t_us: int) -> int:
         """Smallest opportunity index whose instant is >= t_us."""
         opps = self.opportunities_us
-        if not opps:
-            raise TraceError("empty schedule cannot be replayed")
         if t_us <= 0:
             return 0
         k, r = divmod(t_us, self.cycle_us)
@@ -123,7 +116,7 @@ class TraceSchedule:
 
     def count_in(self, t0_us: int, t1_us: int) -> int:
         """Number of opportunities in the half-open window [t0_us, t1_us)."""
-        if t1_us <= t0_us or not self.usable:
+        if t1_us <= t0_us:
             return 0
         return self.index_at_or_after(t1_us) - self.index_at_or_after(t0_us)
 
@@ -178,11 +171,6 @@ class SegmentSchedule:
         for name, value in (("phase", -(last == self.cycle_us)), ("_starts", starts),
                             ("_rates", rates), ("_firsts", firsts), ("_numer", numer)):
             object.__setattr__(self, name, value)
-
-    @property
-    def usable(self) -> bool:
-        """Always: every stored segment holds an opportunity."""
-        return True
 
     def instant(self, index: int) -> int:
         """Global time (us) of the index-th opportunity (0-based, cyclic)."""
@@ -288,7 +276,9 @@ def _parse_lines(text: str, mtu: int) -> TraceSchedule:
 def _spacing(rate_bps: float, mtu: int) -> tuple[int, int]:
     """(rate, mtu*8e6): the rate rounded to bit/s, and the numerator of its
     spacing in us.  A rate above mtu*8e6 bit/s would put more than one packet
-    in a microsecond and is rejected."""
+    in a microsecond and is rejected, as is one too large for a float."""
+    if not math.isfinite(rate_bps):
+        raise TraceError(f"rate {rate_bps} bit/s is not a finite number")
     rate = round(rate_bps)
     numer = mtu * 8 * 1_000_000
     if rate > numer:
@@ -326,17 +316,18 @@ def synth_constant(rate_bps: float, duration_ms: int, mtu: int = DEFAULT_MTU) ->
     t = 0 opportunity if the duration is not an instant; otherwise the
     duration is one segment, ``synth_step([(rate_bps, duration_ms)])``.  The
     rate is exact over whole cycles (spacing is accumulated in integer
-    arithmetic, so rounding never drifts).  duration_ms = 0 yields an empty
-    schedule that cannot be replayed.
+    arithmetic, so rounding never drifts).  A duration of 0, or a rate too
+    slow for one packet in the duration, holds no delivery opportunity and
+    raises TraceError.
     """
     if rate_bps <= 0:
         raise TraceError("rate must be positive")
-    if duration_ms < 0:
-        raise TraceError("duration must be non-negative")
-    duration_us = duration_ms * US_PER_MS
     rate, numer = _spacing(rate_bps, mtu)
+    if duration_ms <= 0:
+        raise TraceError(f"no delivery opportunity in a duration of {duration_ms} ms")
+    duration_us = duration_ms * US_PER_MS
     cycle_us = min(numer // math.gcd(numer, rate), duration_us)
-    if cycle_us == duration_us > 0:
+    if cycle_us == duration_us or not rate:
         return synth_step([(rate_bps, duration_ms)], mtu)
     # D is an instant when the first instant at or after it comes before D + 1
     first = -(-duration_us * rate // numer)
@@ -352,11 +343,10 @@ def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> Sch
     length is the total duration of all segments.  Each segment holds
     ``_spaced``'s instants in (its start, its end], stored as one
     ``(start_us, rate, first_index)`` row of a ``SegmentSchedule``; a
-    segment without an instant stores nothing.  A schedule without any
-    instant is empty, and cannot be replayed.
+    segment without an instant stores nothing.  Segments without any
+    instant, or no segment at all, raise TraceError: a schedule holds a
+    delivery opportunity.
     """
-    if not segments:
-        raise TraceError("at least one segment is required")
     rows: list[tuple[int, int, int]] = []
     n = cursor_us = 0
     for rate_bps, hold_ms in segments:
@@ -365,15 +355,15 @@ def synth_step(segments: list[tuple[float, int]], mtu: int = DEFAULT_MTU) -> Sch
         if hold_ms <= 0:
             raise TraceError("segment duration must be positive")
         seg_end = cursor_us + hold_ms * US_PER_MS
-        if rate_bps > 0:
-            rate, numer = _spacing(rate_bps, mtu)
-            count = _count(rate, numer, cursor_us, seg_end)
-            if count > 0:
-                rows.append((cursor_us, rate, n))
-                n += count
+        rate, numer = _spacing(rate_bps, mtu)
+        count = _count(rate, numer, cursor_us, seg_end)
+        if count > 0:       # none at rate 0: an outage
+            rows.append((cursor_us, rate, n))
+            n += count
         cursor_us = seg_end
     if not n:
-        return TraceSchedule((), cursor_us, mtu)
+        raise TraceError(f"no delivery opportunity in {cursor_us // US_PER_MS} ms: "
+                         f"no {mtu}-byte packet fits at the rates given")
     return SegmentSchedule(tuple(rows), n, cursor_us, mtu)
 
 
@@ -389,13 +379,14 @@ def synth_walk(
 
     Every ``step_ms`` the rate is multiplied by 2**u with u uniform in
     [-1, 1] and clamped to the bounds; the walk starts at the geometric
-    middle.  Fully determined by ``seed``.
+    middle.  Fully determined by ``seed``.  A duration of 0 holds no
+    delivery opportunity and raises TraceError.
     """
     if min_bps <= 0 or max_bps < min_bps:
         raise TraceError("need 0 < min rate <= max rate")
     if step_ms <= 0:
         raise TraceError("step must be positive")
-    _spaced(max_bps, 0, 0, mtu)     # rejects a too-fast bound before any draw
+    _spacing(max_bps, mtu)      # rejects a too-fast bound before any draw
     rng = random.Random(seed)
     rate = math.sqrt(min_bps * max_bps)
     segments: list[tuple[float, int]] = []
@@ -405,8 +396,6 @@ def synth_walk(
         segments.append((round(rate), hold))
         remaining -= hold
         rate = min(max_bps, max(min_bps, rate * 2.0 ** rng.uniform(-1.0, 1.0)))
-    if not segments:
-        return TraceSchedule((), 0, mtu)
     return synth_step(segments, mtu)
 
 
@@ -421,6 +410,16 @@ def parse_rate(text: str) -> float:
         raise TraceError(f"invalid rate {text!r}")
     unit = m.group(2).lower() if m.group(2) else None
     return float(m.group(1)) * _RATE_MULT[unit]
+
+
+def _whole(digits: str, part: str) -> int:
+    """``int(digits)``; a number with more digits than ``int`` reads from a
+    string (``sys.get_int_max_str_digits()``) raises a TraceError naming
+    ``part``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise TraceError(f"{part} has too many digits ({len(digits.strip())})") from None
 
 
 def schedule_from_spec(
@@ -443,21 +442,20 @@ def schedule_from_spec(
         return synth_constant(parse_rate(body), duration_ms, mtu)
     if kind == "step":
         segments = []
-        for part in body.split(","):
+        for n, part in enumerate(body.split(","), 1):
             rate_s, _, hold_s = part.partition("@")
             if not re.fullmatch(r"\s*\d+ms", hold_s):
                 raise TraceError(f"step segment {part!r} must end in 'ms' "
                                  f"after a whole number")
-            segments.append((parse_rate(rate_s), int(hold_s[:-2])))
+            segments.append((parse_rate(rate_s), _whole(hold_s[:-2], f"step segment {n}'s hold")))
         return synth_step(segments, mtu)
     if kind == "walk":
         m = re.match(r"^([^-]+)-([^@]+)@(\d+)ms(?::(\d+))?$", body.strip())
         if not m:
             raise TraceError(f"invalid walk expression {expr!r}")
-        lo, hi = parse_rate(m.group(1)), parse_rate(m.group(2))
-        step = int(m.group(3))
-        seed = int(m.group(4)) if m.group(4) is not None else default_seed
-        return synth_walk(lo, hi, step, duration_ms, seed, mtu)
+        seed = default_seed if m.group(4) is None else _whole(m.group(4), "walk seed")
+        return synth_walk(parse_rate(m.group(1)), parse_rate(m.group(2)),
+                          _whole(m.group(3), "walk step"), duration_ms, seed, mtu)
     raise TraceError(f"unknown trace expression kind {kind!r}")
 
 

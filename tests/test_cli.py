@@ -229,6 +229,31 @@ def test_sub_microsecond_spacing_exits_at_set_up(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+# a rate of 309 digits parses to inf; int() reads at most 4,300 digits
+INF_RATE, LONG_INT = "9" * 309, "1" * 4301
+UNBUILDABLE_TRACES = {
+    "const-inf": ("const:" + INF_RATE, "rate inf bit/s is not a finite number"),
+    "step-rate-inf": (f"step:12mbps@10ms,{INF_RATE}@10ms", "rate inf bit/s is not a finite"),
+    "walk-bound-inf": (f"walk:1mbps-{INF_RATE}@10ms", "rate inf bit/s is not a finite"),
+    "step-hold-long": (f"step:1mbps@{LONG_INT}ms", "step segment 1's hold has too many digits"),
+    "walk-step-long": (f"walk:1mbps-2mbps@{LONG_INT}ms", "walk step has too many digits"),
+    "walk-seed-long": (f"walk:1mbps-2mbps@10ms:{LONG_INT}", "walk seed has too many digits"),
+    "all-outage": ("step:0mbps@500ms,0.4bps@20ms", "no delivery opportunity in 520 ms"),
+    "rounds-to-no-packet": ("const:0.3bps", "no delivery opportunity"),
+}
+
+
+@pytest.mark.parametrize("trace,message", UNBUILDABLE_TRACES.values(), ids=UNBUILDABLE_TRACES)
+def test_a_trace_whose_schedule_cannot_be_built_exits_2_at_set_up(tmp_path, capsys,
+                                                                   trace, message):
+    rc = main(["run", "--trace", trace, "--duration", "1", "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("settings,key", [
     ("cc.alpha=1e300", "cc.alpha"),               # the feedback window overflowed
     ("path.uplink_rate_bps=1e-299", "path.uplink_rate_bps"),  # the serialization delay did
@@ -844,6 +869,12 @@ def in_run(*argv, **files):
 @example((["run", "--duration", "4e-7", "--trace", "{dir}/trace.txt", "-o", "{dir}/out"],
           {"trace.txt": b"0\n1\n2\n"}))
 @example(in_run("--set", "cc.alpha=" + "9" * 25))
+@example(in_run("--trace", "const:" + INF_RATE))
+@example(in_run("--trace", f"step:{INF_RATE}@10ms"))
+@example(in_run("--trace", f"walk:1mbps-{INF_RATE}@10ms"))
+@example(in_run("--trace", f"step:1mbps@{LONG_INT}ms"))
+@example(in_run("--trace", f"walk:1mbps-2mbps@{LONG_INT}ms"))
+@example(in_run("--trace", f"walk:1mbps-2mbps@10ms:{LONG_INT}"))
 @example(in_run("--trace", "{dir}"))
 @example(in_run("--config", "{dir}"))
 @example(in_run("--trace", "  "))

@@ -5,6 +5,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+import natsim
 from natsim.config import build_config
 from natsim.trace import parse_trace
 
@@ -27,7 +28,7 @@ def test_drawn_configs_are_valid_and_cover_every_kind(tmp_path):
     assert configs == tool.draw_configs(300, 7, files)
     for settings in configs:
         build_config(None, settings).require_valid()
-    assert {c["scheme"] for c in configs} == set(tool.SCHEMES)
+    assert {c["scheme"] for c in configs} == set(natsim.SCHEMES)
     assert {c["assist.mode"] for c in configs} == {"oob", "ib"}
     kinds = {c["trace"].split(":")[0] if ":" in c["trace"] else "file" for c in configs}
     assert kinds == {"const", "step", "walk", "file"}
@@ -51,6 +52,28 @@ def test_digests_repeat_and_see_a_moved_output(tmp_path):
     moved = tool.digests({**settings, "seed": str(int(settings["seed"]) + 1)})
     assert moved["events"] != first["events"]
     assert moved["flows"] != first["flows"]
+
+
+def test_rows_show_where_a_moved_output_first_differs():
+    tool = load_tool()
+    settings = {"scheme": "natcp", "trace": "const:12mbps", "path.loss_prob": "0.01",
+                "duration_s": "0.5", "log.events": "on"}
+    first = tool.rows(settings, ["flows", "delays", "events"])
+    assert set(first) == {"flows", "delays", "events"}
+    assert tool.rows(settings, ["flows", "delays", "events"]) == first
+    assert first["flows"][0] == "[0]['flow_id'] = 0"
+    assert first["delays"][0].startswith("[0] = ")
+    assert first["delays"][-1].startswith(".typecode = ")
+    assert "[0]['deliveries'].typecode = " in " ".join(first["flows"])
+    moved = tool.rows({**settings, "seed": "2"}, ["events"])["events"]
+    i = next(i for i, (a, b) in enumerate(zip(first["events"], moved)) if a != b)
+    assert first["events"][i].startswith(f"[{i}] = (")
+    assert (tool.first_difference(first["events"], moved)
+            == f"row {i}: REV {first['events'][i]}; here {moved[i]}")
+    # a side that runs out is shown by its row count
+    assert tool.first_difference(["[0] = 1", "[1] = 2"], ["[0] = 1"]) == (
+        "row 1: REV [1] = 2; here has 1 rows")
+    assert tool.first_difference(["[0] = 1"], ["[0] = 1"]) == "no row differs on a second run"
 
 
 def test_a_run_that_raises_digests_its_exception(tmp_path):

@@ -226,22 +226,19 @@ def test_long_run_bps():
 
 def test_schedule_validation():
     with pytest.raises(TraceError, match="mtu"):
-        TraceSchedule((), 0, mtu=0)
-    # one check, one message, for every bad set of instants: decreasing,
-    # negative, past the cycle, or on a zero-length cycle
-    for opps, cycle in (((5, 3), 10), ((-1, 5), 10), ((15,), 10), ((0,), 0)):
-        with pytest.raises(TraceError, match=r"non-decreasing and within \[0, cycle_length\], "
-                                             "on a positive cycle_length"):
+        TraceSchedule((5,), 10, mtu=0)
+    # one check, one message, for every bad set of instants: none at all,
+    # decreasing, negative, past the cycle, or on a zero-length or negative
+    # cycle
+    for opps, cycle in (((), 10), ((), 0), ((5, 3), 10), ((-1, 5), 10), ((15,), 10),
+                        ((0,), 0), ((0,), -10)):
+        with pytest.raises(TraceError, match=r"one or more, non-decreasing and within "
+                                             r"\[0, cycle_length\], on a positive cycle_length"):
             TraceSchedule(opps, cycle)
     with pytest.raises(TraceError, match="phase"):
         TraceSchedule((5,), 10, phase=-1)
     # an instant at the cycle length is stored as the next cycle's t = 0
     assert TraceSchedule((5, 10), 10) == TraceSchedule((0, 5), 10)
-    empty = TraceSchedule((), 0)
-    assert not empty.usable
-    assert empty.long_run_bps() == 0.0
-    with pytest.raises(TraceError):
-        empty.instant(0)
 
 
 # -- synthetic generators -----------------------------------------------------
@@ -300,6 +297,8 @@ def constant_cases(draw):
 @example((13_000_000_000, 0, 1500))     # sub-us spacing on an empty run: rejected
 @example((8_000_000_000, 1, 1500))      # phase 0, though D*rate % (mtu*8e6) != 0
 @example((0.3, 5, 1500))                # a rate that rounds to 0: no instant
+@example((1, 5, 1500))                  # one packet takes 12,000 s: no instant
+@example((12_000_000, 0, 1500))         # an empty run: no instant
 def test_synth_constant_replays_the_duration_long_cycle(case):
     rate, duration_ms, mtu = case
     D = duration_ms * 1000
@@ -308,11 +307,14 @@ def test_synth_constant_replays_the_duration_long_cycle(case):
             with pytest.raises(TraceError, match=f"rate {round(rate)} bit/s"):
                 build(rate, duration_ms, mtu)
         return
+    if not _spaced(rate, 0, D, mtu):    # no instant in the run: neither builds
+        with pytest.raises(TraceError, match="one or more"):
+            _duration_long(rate, duration_ms, mtu)
+        with pytest.raises(TraceError, match="no delivery opportunity"):
+            synth_constant(rate, duration_ms, mtu)
+        return
     ref = _duration_long(rate, duration_ms, mtu)
     sched = synth_constant(rate, duration_ms, mtu)
-    assert sched.usable == ref.usable
-    if not ref.usable:
-        return
     # the run fires no event after D: the instants up to D are the same, and
     # both schedules' next instant lies past D
     n = ref.index_at_or_after(D + 1)
@@ -466,14 +468,18 @@ def assert_replays_alike(sched, ref):
 @example(([(0.0, 2), (12e6, 1), (0.0, 1)], 1500))   # outages around one segment
 @example(([(8_000_000, 1), (1.2e6, 2)], 1))     # 1 us spacing, then a slow rate
 @example(([(1, 3), (12e6, 1)], 1500))           # a segment too slow for a packet
+@example(([(0.0, 2), (1, 3)], 1500))            # no segment holds a packet
 def test_a_segment_schedule_replays_its_explicit_instants(case):
     segments, mtu = case
-    ref = explicit_step(segments, mtu)
+    try:
+        ref = explicit_step(segments, mtu)
+    except TraceError:      # no segment holds an instant: neither builds
+        with pytest.raises(TraceError, match="no delivery opportunity"):
+            synth_step(segments, mtu)
+        return
     sched = synth_step(segments, mtu)
-    assert sched.usable == ref.usable
-    if ref.usable:
-        assert_replays_alike(sched, ref)
-        assert len(sched.segments) <= len(segments)
+    assert_replays_alike(sched, ref)
+    assert len(sched.segments) <= len(segments)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -508,10 +514,14 @@ def test_a_segment_schedule_checks_its_rows():
         SegmentSchedule(good.segments, 7, 6_000, mtu=0)
 
 
-def test_a_step_of_only_outages_is_empty():
-    sched = synth_step([(0.0, 5), (0.4, 3)])     # 0.4 bit/s rounds to no packet
-    assert sched == TraceSchedule((), 8_000)
-    assert not sched.usable
+def test_a_schedule_without_an_opportunity_is_refused_where_it_is_built():
+    for build in (lambda: synth_step([(0.0, 5), (0.4, 3)]),   # 0.4 bit/s rounds to no packet
+                  lambda: synth_step([]),
+                  lambda: synth_constant(0.3, 5),
+                  lambda: synth_constant(12e6, 0),
+                  lambda: synth_walk(1e6, 2e6, step_ms=10, duration_ms=0, seed=1)):
+        with pytest.raises(TraceError, match="no delivery opportunity"):
+            build()
 
 
 def test_a_const_rate_whose_period_outlasts_the_run_is_one_segment():

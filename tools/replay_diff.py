@@ -15,6 +15,14 @@ exception instead, and the summary counts the runs here that raised; a run
 still going after ``RUN_TIMEOUT_S`` seconds raises ``TimeoutError`` (POSIX
 only: it uses ``SIGALRM``).
 
+Each moved config is printed with the parts that moved.  For the first
+``SHOWN`` of them, both trees run it again and print, for each moved part,
+its first differing row: the row's index and both trees' values.  A part's
+rows are its leaves, each ``path = value``: a summary column, a flow's field
+or one element of a flow's list or array, a queuing-delay sample, a
+feedback-log row or an event-log row, and an array's typecode after its
+elements.
+
 The last line printed is the summary, ``replayed N configs (2N runs) at seed
 S against REV: M moved``.  Exit status: 0 when no config moved, 1 when one
 did, 2 when REV cannot be extracted or a child fails.
@@ -33,6 +41,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from array import array
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +51,7 @@ PARTS = ("summary", "flows", "delays", "feedback", "events")
 SCHEMES = ("natcp", "nacubic", "cubic", "tg")
 TRACE_FILES = 4   # Mahimahi trace files written for a replay, drawn from its seed
 RUN_TIMEOUT_S = 10   # a run this slow raises, so a hang moves its config
+SHOWN = 5   # moved configs whose first differing rows are printed
 
 
 def trace_file_text(rng: random.Random) -> str:
@@ -135,56 +146,119 @@ def _hash(*chunks) -> str:
     return h.hexdigest()
 
 
-def digests(settings: dict[str, str]) -> dict[str, str]:
-    """The five digests of one run, in the tree whose natsim is imported."""
+def outputs(settings: dict[str, str]) -> dict[str, object] | str:
+    """The five parts of one run, in the tree whose natsim is imported, or
+    ``raised <exception>`` for a run that raises."""
     from natsim.config import build_config
     from natsim.engine import run_simulation
     try:
         res = run_simulation(build_config(None, settings))
     except Exception as exc:   # the same failure in both trees does not move
-        return dict.fromkeys(PARTS, "raised " + _hash(type(exc).__name__, str(exc)))
+        return f"raised {type(exc).__name__}: {exc}"
     try:
         return {
-            "summary": _hash(res.summary_row()),
-            "flows": _hash(*(vars(flow) for flow in res.flows)),
-            "delays": _hash(res.qdelay_samples_us),
-            "feedback": _hash(res.feedback_log),
-            "events": _hash(res.event_log),
+            "summary": res.summary_row(),
+            "flows": [vars(flow) for flow in res.flows],
+            "delays": res.qdelay_samples_us,
+            "feedback": res.feedback_log,
+            "events": res.event_log,
         }
     finally:
         res.close()
+
+
+def digests(settings: dict[str, str]) -> dict[str, str]:
+    """The five digests of one run; a run that raises digests its exception."""
+    out = outputs(settings)
+    if isinstance(out, str):
+        return dict.fromkeys(PARTS, "raised " + _hash(out))
+    return {part: _hash(value) for part, value in out.items()}
+
+
+def _leaves(value, path: str = ""):
+    """``path = repr`` for each leaf of ``value``: a dict, a list and an
+    array are walked, an array's typecode after its elements, so a list's or
+    an array's i-th row is its i-th element."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, array)):
+        items = enumerate(value)
+    else:
+        yield f"{path} = {value!r}"
+        return
+    for key, item in items:
+        yield from _leaves(item, f"{path}[{key!r}]")
+    if isinstance(value, array):
+        yield f"{path}.typecode = {value.typecode!r}"
+
+
+def rows(settings: dict[str, str], parts: list[str]) -> dict[str, list[str]]:
+    """The rows of each of ``parts`` of one run; a run that raises has one
+    row, its exception, in each."""
+    out = outputs(settings)
+    return {part: [out] if isinstance(out, str) else list(_leaves(out[part]))
+            for part in parts}
+
+
+def first_difference(old: list[str], new: list[str]) -> str:
+    """Where two trees' rows of a part first differ: the index and both
+    rows, or the row count on the side that has run out."""
+    for i, (a, b) in enumerate(zip_longest(old, new)):
+        if a != b:
+            return (f"row {i}: REV {a or f'has {len(old)} rows'}; "
+                    f"here {b or f'has {len(new)} rows'}")
+    return "no row differs on a second run"
 
 
 def _timed_out(signum, frame):
     raise TimeoutError(f"no result within {RUN_TIMEOUT_S} s")
 
 
-def worker(configs_path: str, src: str) -> None:
-    """A child's work: every config with the log on, then off, in order, as
-    one JSON list on stdout, each run given ``RUN_TIMEOUT_S`` seconds.  It
-    refuses to run a natsim from outside ``src``, such as an installed copy
-    that shadows the tree."""
+def _timed(fn, *args):
+    signal.setitimer(signal.ITIMER_REAL, RUN_TIMEOUT_S)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
+def worker(jobs_path: str, src: str) -> None:
+    """A child's work, as one JSON list on stdout, each run given
+    ``RUN_TIMEOUT_S`` seconds.  A job is a config's settings, whose digests
+    it gives with the log on, then off; or a ``[settings, parts]`` pair,
+    whose ``rows`` it gives.  It refuses to run a natsim from outside
+    ``src``, such as an installed copy that shadows the tree."""
     import natsim
     if Path(natsim.__file__).resolve().parents[1] != Path(src).resolve():
         raise SystemExit(f"replay_diff: imported {natsim.__file__}, not the tree at {src}")
     signal.signal(signal.SIGALRM, _timed_out)
     out = []
-    for settings in json.loads(Path(configs_path).read_text()):
-        runs = []
-        for log in ("on", "off"):
-            signal.setitimer(signal.ITIMER_REAL, RUN_TIMEOUT_S)
-            runs.append(digests({**settings, "log.events": log}))
-            signal.setitimer(signal.ITIMER_REAL, 0)
-        out.append(runs)
+    for job in json.loads(Path(jobs_path).read_text()):
+        if isinstance(job, list):
+            out.append(_timed(rows, *job))
+        else:
+            out.append([_timed(digests, {**job, "log.events": log}) for log in ("on", "off")])
     json.dump(out, sys.stdout)
 
 
-def start_worker(configs_path: Path, src: Path) -> subprocess.Popen:
+def start_worker(jobs_path: Path, src: Path) -> subprocess.Popen:
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import replay_diff; "
-            f"replay_diff.worker({str(configs_path)!r}, {str(src)!r})")
+            f"replay_diff.worker({str(jobs_path)!r}, {str(src)!r})")
     # cwd: the temporary directory, so no natsim of the caller's directory shadows src
     return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-                            cwd=configs_path.parent, env={**os.environ, "PYTHONPATH": str(src)})
+                            cwd=jobs_path.parent, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def run_workers(jobs: list, jobs_path: Path, srcs: tuple[Path, Path]) -> list | None:
+    """Each tree's ``worker`` output for ``jobs``, the two children at once;
+    None when a child fails."""
+    jobs_path.write_text(json.dumps(jobs))
+    children = [start_worker(jobs_path, src) for src in srcs]
+    outs = [child.communicate()[0] for child in children]
+    if any(child.returncode for child in children):
+        print("replay_diff: a child failed", file=sys.stderr)
+        return None
+    return [json.loads(out) for out in outs]
 
 
 def extract_src(rev: str, into: Path) -> Path:
@@ -218,25 +292,32 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         files = write_trace_files(tmp, random.Random(args.seed))
         configs = draw_configs(args.configs, args.seed, files)
-        configs_path = tmp / "configs.json"
-        configs_path.write_text(json.dumps(configs))
-        children = [start_worker(configs_path, src) for src in (old_src, ROOT / "src")]
-        outs = [child.communicate()[0] for child in children]
-        if any(child.returncode for child in children):
-            print("replay_diff: a child failed", file=sys.stderr)
+        srcs = (old_src, ROOT / "src")
+        replayed = run_workers(configs, tmp / "configs.json", srcs)
+        if replayed is None:
             return 2
-        old, new = (json.loads(out) for out in outs)
-    moved = 0
-    raised = sum(run["summary"].startswith("raised") for runs in new for run in runs)
-    for i, (settings, runs_old, runs_new) in enumerate(zip(configs, old, new)):
-        parts = {f"log {log}: {part}" for log, a, b in zip(("on", "off"), runs_old, runs_new)
-                 for part in PARTS if a[part] != b[part]}
-        if parts:
-            moved += 1
-            shown = " ".join(f"{k}={v}" for k, v in settings.items())
-            print(f"moved: config {i}: {', '.join(sorted(parts))}\n  {shown}")
+        moved = {}   # config index: a [settings with its log, moved parts] job per moved log
+        for i, (settings, runs_old, runs_new) in enumerate(zip(configs, *replayed)):
+            jobs = [[{**settings, "log.events": log}, parts]
+                    for log, a, b in zip(("on", "off"), runs_old, runs_new)
+                    if (parts := [p for p in PARTS if a[p] != b[p]])]
+            if jobs:
+                moved[i] = jobs
+        jobs = [job for i in list(moved)[:SHOWN] for job in moved[i]]
+        shown = run_workers(jobs, tmp / "shown.json", srcs) if jobs else ([], [])
+        if shown is None:
+            return 2
+    shown_rows = iter(zip(*shown))   # both trees' rows, one pair a job, in job order
+    for n, (i, jobs) in enumerate(moved.items()):
+        parts = sorted(f"log {settings['log.events']}: {p}" for settings, ps in jobs for p in ps)
+        print(f"moved: config {i}: {', '.join(parts)}\n  "
+              + " ".join(f"{k}={v}" for k, v in configs[i].items()))
+        for (settings, ps), (old, new) in zip(jobs, shown_rows) if n < SHOWN else ():
+            for p in ps:
+                print(f"  log {settings['log.events']}: {p}: {first_difference(old[p], new[p])}")
+    raised = sum(run["summary"].startswith("raised") for runs in replayed[1] for run in runs)
     print(f"replayed {len(configs)} configs ({2 * len(configs)} runs) at seed "
-          f"{args.seed} against {args.against}: {moved} moved"
+          f"{args.seed} against {args.against}: {len(moved)} moved"
           + (f" ({raised} runs here raised)" if raised else ""))
     return 1 if moved else 0
 
