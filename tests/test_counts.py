@@ -3,25 +3,10 @@ the same split on every run, and its sum the run's opcode total."""
 
 import functools
 import gc
-import importlib.util
 import sys
-from pathlib import Path
 
 from natsim.config import build_config
 from natsim.engine import Simulation
-
-COUNTS = Path(__file__).resolve().parents[1] / "tools" / "counts.py"
-
-
-def load_counts():
-    path = sys.path[:]   # the script puts src/ and perfbench/ on the path
-    try:
-        spec = importlib.util.spec_from_file_location("natsim_counts", COUNTS)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path
-    return module
 
 
 def all_opcodes(counts, fn):
@@ -40,8 +25,8 @@ def all_opcodes(counts, fn):
     return n
 
 
-def test_the_opcode_split_repeats_and_sums_to_the_total():
-    counts = load_counts()
+def test_the_opcode_split_repeats_and_sums_to_the_total(load_tool):
+    counts = load_tool("counts")
     settings = {"scheme": "natcp", "trace": "const:12mbps", "duration_s": "0.2",
                 "flows.start_s": "0,0.05", "flows.ue": "0,1"}
 
@@ -56,11 +41,11 @@ def test_the_opcode_split_repeats_and_sums_to_the_total():
     assert {"natsim.engine", "natsim.emulink", "natsim.transport", "natsim.cc"} <= set(split)
 
 
-def test_no_collection_runs_code_inside_a_count():
+def test_no_collection_runs_code_inside_a_count(load_tool):
     """A collection may run Python code (finalizers, gc callbacks) that fn
     did not call; in a count, none runs.  fn here runs no Python code of its
     own, but allocates enough to collect at every allocation."""
-    counts = load_counts()
+    counts = load_tool("counts")
 
     def make_lists():   # a fresh fn for each count: its map is used up
         return functools.partial(list, map(list, ["ab"] * 2000))

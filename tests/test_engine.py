@@ -304,25 +304,13 @@ def test_conservation_and_counters_line_up():
     assert delivered == n_dlv * 1500
 
 
-@st.composite
-def small_runs(draw):
-    """Small valid run settings: every scheme and feedback mode, loss, queues
-    down to one packet, and 1-6 staggered flows over up to 4 UEs."""
-    n = draw(st.integers(1, 6))
-    starts = draw(st.lists(st.integers(0, 90), min_size=n, max_size=n))
-    ues = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    return {
-        "scheme": draw(st.sampled_from(SCHEMES)),
-        "assist.mode": draw(st.sampled_from(("oob", "ib"))),
-        "trace": draw(st.sampled_from(("const:12mbps", "step:24mbps@200ms,6mbps@200ms",
-                                       "walk:4mbps-24mbps@100ms"))),
-        "path.loss_prob": draw(st.sampled_from(("0", "0.01", "0.05"))),
-        "queue.capacity_bytes": draw(st.sampled_from(("1500", "150000"))),
-        "seed": str(draw(st.integers(1, 1000))),
-        "duration_s": "1",
-        "flows.start_s": ",".join(f"{t / 100}" for t in starts),
-        "flows.ue": ",".join(map(str, ues)),
-    }
+@pytest.fixture(scope="module")
+def draw_run(load_tool, tmp_path_factory):
+    """The replay gate's generator, ``tools/replay_diff.draw_config``, on its
+    trace files: one valid run's settings from a ``random.Random``."""
+    replay_diff = load_tool("replay_diff")
+    files = replay_diff.write_trace_files(tmp_path_factory.mktemp("traces"), random.Random(1))
+    return lambda rng: replay_diff.draw_config(rng, files)
 
 
 def assert_finite_or_empty(row):
@@ -333,8 +321,11 @@ def assert_finite_or_empty(row):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(small_runs())
-def test_valid_small_runs_finish_within_capacity_and_replay(run_settings):
+@given(rng=st.randoms(use_true_random=False))
+def test_valid_small_runs_finish_within_capacity_and_replay(draw_run, rng):
+    """Runs drawn by the replay gate's ``draw_config``: every scheme, trace
+    kind and feedback mode, loss, tiny queues and 1 to 64 flows."""
+    run_settings = draw_run(rng)
     sim = Simulation(build_config(None, run_settings))
     res = sim.run()
     assert sim.link.conservation_ok()
@@ -359,62 +350,26 @@ def test_a_one_packet_queue_writes_no_infinite_power(scheme):
         assert row["p95_qdelay_ms"] == 0 and row["power95"] is None
 
 
-@pytest.fixture(scope="module")
-def trace_file(tmp_path_factory):
-    """A 700 ms trace file: bursts of opportunities between outages."""
-    rng = random.Random(23)
-    stamps = sorted(rng.choice((0, 100, 400)) + rng.randrange(300) for _ in range(900))
-    path = tmp_path_factory.mktemp("trace") / "bursty.trace"
-    path.write_text("".join(f"{t}\n" for t in stamps))
-    return str(path)
-
-
-@st.composite
-def crowded_runs(draw, trace_file):
-    """Up to 16 flows over up to 8 UEs on every trace kind, queues of 1 to
-    100 packets, loss and both feedback modes."""
-    n = draw(st.integers(1, 16))
-    ues = draw(st.integers(1, 8))
-    return {
-        "scheme": draw(st.sampled_from(SCHEMES)),
-        "assist.mode": draw(st.sampled_from(("oob", "ib"))),
-        "trace": draw(st.sampled_from(("walk:1mbps-24mbps@20ms", "const:48mbps",
-                                       "step:24mbps@50ms,2mbps@30ms",
-                                       trace_file, "const:12mbps"))),
-        "path.loss_prob": draw(st.sampled_from(("0", "0.01", "0.05"))),
-        "queue.capacity_bytes": draw(st.sampled_from(("150000", "15000", "3000",
-                                                      "1500"))),
-        "seed": str(draw(st.integers(1, 1000))),
-        # the shorter run ends between two opportunities of every trace
-        "duration_s": draw(st.sampled_from(("1", "0.9337"))),
-        "assist.period_us": "20000",
-        "flows.start_s": ",".join(f"{t / 100}" for t in draw(
-            st.lists(st.integers(0, 50), min_size=n, max_size=n))),
-        "flows.ue": ",".join(map(str, draw(
-            st.lists(st.integers(0, ues - 1), min_size=n, max_size=n)))),
-    }
-
-
-def test_the_lazy_and_the_logged_path_give_the_same_run(trace_file):
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_the_lazy_and_the_logged_path_give_the_same_run(draw_run, rng):
+    """Runs drawn by the replay gate's ``draw_config``, some ending between
+    two opportunities, give the same outputs with the event log on and off."""
     # with the log on, every arrival at the BTS goes through the heap; with
     # it off, services admit most of them.  Summary rows alone would miss an
     # arrival never admitted at the end: it moves mostly queue state
-    @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(crowded_runs(trace_file))
-    def check(run_settings):
-        seen = []
-        for events in ("on", "off"):
-            sim = Simulation(build_config(None, {**run_settings, "log.events": events}))
-            res = sim.run()
-            link = sim.link
-            seen.append((
-                res.summary_row(), [vars(f) for f in res.flows],
-                res.qdelay_samples_us, res.feedback_log, link.drops_by_flow,
-                [(q.enqueued_bytes, q.occupancy) for q in link.queues.values()],
-            ))
-        assert seen[0] == seen[1]
-
-    check()
+    run_settings = draw_run(rng)
+    seen = []
+    for events in ("on", "off"):
+        sim = Simulation(build_config(None, {**run_settings, "log.events": events}))
+        res = sim.run()
+        link = sim.link
+        seen.append((
+            res.summary_row(), [vars(f) for f in res.flows],
+            res.qdelay_samples_us, res.feedback_log, link.drops_by_flow,
+            [(q.enqueued_bytes, q.occupancy) for q in link.queues.values()],
+        ))
+    assert seen[0] == seen[1]
 
 
 def test_queue_and_air_drops_agree_with_the_log():

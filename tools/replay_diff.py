@@ -3,11 +3,13 @@ N random valid configs at git revision REV and in this checkout, and prints
 every config whose outputs moved.
 
 REV's ``src/`` is extracted with ``git archive`` into a temporary directory:
-no worktree, no network.  The configs are drawn from S: every scheme, both
-feedback modes, ``const:``, ``step:`` (zero-rate outages included), ``walk:``
-and trace-file traces, air loss, queues down to one packet, and 1 to 64
-flows with staggered starts over 1 to 8 UEs.  Each runs for 2 s with the
-event log on and again off, in one child process a tree, the two at once.
+no worktree, no network.  The configs are drawn from S by ``draw_config``,
+the generator the property tests in ``tests/test_engine.py`` draw from too:
+every scheme, both feedback modes, ``const:``, ``step:`` (zero-rate outages
+included), ``walk:`` and trace-file traces, air loss, queues down to one
+packet, and 1 to 64 flows with staggered starts over 1 to 8 UEs.  Each runs
+for 2 s or 1.9337 s (an end between two opportunities) with the event log on
+and again off, in one child process a tree, the two at once.
 A run's outputs are five sha256 digests: the summary row, the per-flow
 counters (``FlowStats``, deliveries and mode log included), the queuing-delay
 samples, the feedback log and the event log.  A run that raises digests its
@@ -46,7 +48,6 @@ from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DURATION_S = "2"
 PARTS = ("summary", "flows", "delays", "feedback", "events")
 SCHEMES = ("natcp", "nacubic", "cubic", "tg")
 TRACE_FILES = 4   # Mahimahi trace files written for a replay, drawn from its seed
@@ -85,8 +86,8 @@ def draw_trace(rng: random.Random, files: list[str]) -> str:
     if kind == "step":
         segments = [f"{rng.choice((0,) + mbps)}mbps@{rng.randrange(5, 300)}ms"
                     for _ in range(rng.randrange(1, 5))]
-        # at least one segment carries traffic
-        segments.append(f"{rng.choice(mbps)}mbps@{rng.randrange(5, 300)}ms")
+        # at least one segment carries traffic: 12 ms at 1 Mbit/s hold a packet
+        segments.append(f"{rng.choice(mbps)}mbps@{rng.randrange(12, 300)}ms")
         rng.shuffle(segments)
         return "step:" + ",".join(segments)
     if kind == "walk":
@@ -105,37 +106,41 @@ def draw_start(rng: random.Random) -> str:
     return f"{rng.randrange(1_500_000) / 1e6:g}"
 
 
+def draw_config(rng: random.Random, files: list[str]) -> dict[str, str]:
+    """One valid config's settings, for ``build_config(None, settings)``,
+    drawn from ``rng``: its flows start before 1.5 s and its feedback stops
+    before 1.8 s, within either duration."""
+    flows = 1 if rng.random() < 0.3 else rng.randrange(2, 65)
+    ues = rng.randrange(1, min(flows, 8) + 1)
+    mtu = rng.choice((1500, 1500, 1500, 1000))
+    settings = {
+        "scheme": rng.choice(SCHEMES),
+        "assist.mode": rng.choice(("oob", "ib")),
+        "trace": draw_trace(rng, files),
+        "seed": str(rng.randrange(1, 1_000_000)),
+        "duration_s": rng.choice(("2", "1.9337")),   # the shorter ends off an opportunity
+        "mtu": str(mtu),
+        "queue.capacity_bytes": str(mtu * rng.choice((1, 2, 10, 40, 100))),
+        "path.loss_prob": rng.choice(("0", "0", "0.001", "0.01", "0.05")),
+        "assist.period_us": rng.choice(("10000", "20000", "50000")),
+        "flows.start_s": ",".join(sorted((draw_start(rng) for _ in range(flows)), key=float)),
+        "flows.ue": ",".join(str(rng.randrange(ues)) for _ in range(flows)),
+    }
+    if rng.random() < 0.25:   # feedback stops: the watchdogs revert
+        settings["assist.suppress_after_us"] = str(rng.randrange(200_000, 1_800_000))
+    if rng.random() < 0.2:    # the path's edges: ties and an ideal uplink
+        settings["path.down_owd_us"] = rng.choice(("0", "500", "40000"))
+        settings["path.uplink_rate_bps"] = rng.choice(("0", "1000000"))
+        settings["path.probe_jitter_us"] = rng.choice(("0", "300"))
+    if rng.random() < 0.2:
+        settings["cc.divide_pacing_by_beta"] = "true"
+    return settings
+
+
 def draw_configs(n: int, seed: int, files: list[str]) -> list[dict[str, str]]:
-    """n valid config settings, each for ``build_config(None, settings)``."""
+    """n valid config settings, ``draw_config`` n times on one generator."""
     rng = random.Random(seed)
-    configs = []
-    for _ in range(n):
-        flows = 1 if rng.random() < 0.3 else rng.randrange(2, 65)
-        ues = rng.randrange(1, min(flows, 8) + 1)
-        mtu = rng.choice((1500, 1500, 1500, 1000))
-        settings = {
-            "scheme": rng.choice(SCHEMES),
-            "assist.mode": rng.choice(("oob", "ib")),
-            "trace": draw_trace(rng, files),
-            "seed": str(rng.randrange(1, 1_000_000)),
-            "duration_s": DURATION_S,
-            "mtu": str(mtu),
-            "queue.capacity_bytes": str(mtu * rng.choice((1, 2, 10, 40, 100))),
-            "path.loss_prob": rng.choice(("0", "0", "0.001", "0.01", "0.05")),
-            "assist.period_us": rng.choice(("10000", "20000", "50000")),
-            "flows.start_s": ",".join(sorted((draw_start(rng) for _ in range(flows)), key=float)),
-            "flows.ue": ",".join(str(rng.randrange(ues)) for _ in range(flows)),
-        }
-        if rng.random() < 0.25:   # feedback stops: the watchdogs revert
-            settings["assist.suppress_after_us"] = str(rng.randrange(200_000, 1_800_000))
-        if rng.random() < 0.2:    # the path's edges: ties and an ideal uplink
-            settings["path.down_owd_us"] = rng.choice(("0", "500", "40000"))
-            settings["path.uplink_rate_bps"] = rng.choice(("0", "1000000"))
-            settings["path.probe_jitter_us"] = rng.choice(("0", "300"))
-        if rng.random() < 0.2:
-            settings["cc.divide_pacing_by_beta"] = "true"
-        configs.append(settings)
-    return configs
+    return [draw_config(rng, files) for _ in range(n)]
 
 
 def _hash(*chunks) -> str:
