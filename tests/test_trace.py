@@ -1,6 +1,7 @@
 """Delivery-schedule parsing, replay arithmetic, and synthetic generators."""
 
 import math
+import os
 import random
 import sys
 import time
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natsim import trace
-from natsim.config import SimConfig, resolve_schedule
+from natsim.config import SimConfig, build_config, resolve_schedule
+from natsim.engine import Simulation
 from natsim.trace import (
     US_PER_MS,
     SegmentSchedule,
@@ -166,6 +168,7 @@ def test_parse_trace_runs_no_python_line_per_timestamp():
             lines += 1
         return local
 
+    parse_trace.cache_clear()   # a cached schedule would pass on no line at all
     sys.settrace(lambda frame, event, arg: local)
     try:
         sched = parse_trace(text)
@@ -173,6 +176,75 @@ def test_parse_trace_runs_no_python_line_per_timestamp():
         sys.settrace(None)
     assert sched.cycle_us == 20_000_000
     assert lines <= 1_000, lines
+
+
+# -- the parse cache ---------------------------------------------------------
+
+def write_trace(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def file_settings(path, **overrides):
+    return {"scheme": "natcp", "trace": path, "duration_s": "1", "seed": "1", **overrides}
+
+
+def test_one_trace_file_is_parsed_once_for_many_simulations(tmp_path):
+    path = write_trace(tmp_path / "t.trace", "".join(f"{i // 3 + 1}\n" for i in range(3000)))
+    parse_trace.cache_clear()
+    sims = [Simulation(build_config(None, file_settings(path, scheme=scheme)))
+            for scheme in ("natcp", "nacubic", "tg")]
+    info = parse_trace.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert sims[0].schedule is sims[1].schedule is sims[2].schedule
+
+
+def test_a_file_rewritten_in_place_gives_its_new_schedule(tmp_path):
+    # the same length and mtime: only the content tells the two files apart
+    path = write_trace(tmp_path / "t.trace", "10\n20\n30\n")
+    stat = os.stat(path)
+    first = resolve_schedule(SimConfig(trace=path))
+    write_trace(tmp_path / "t.trace", "10\n25\n30\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    assert os.stat(path).st_size == stat.st_size
+    second = resolve_schedule(SimConfig(trace=path))
+    assert first.opportunities_us == (0, 10_000, 20_000)
+    assert second.opportunities_us == (0, 10_000, 25_000)
+
+
+def test_the_same_text_at_two_mtus_gives_each_its_mtu(tmp_path):
+    path = write_trace(tmp_path / "t.trace", "10\n20\n30\n")
+    for mtu in (1500, 1000, 1500, 1000):
+        assert resolve_schedule(SimConfig(trace=path, mtu=mtu)).mtu == mtu
+
+
+def test_a_malformed_file_raises_on_every_build(tmp_path):
+    path = write_trace(tmp_path / "bad.trace", "10\nbogus\n")
+    for _ in range(2):
+        with pytest.raises(TraceError, match="line 2"):
+            resolve_schedule(SimConfig(trace=path))
+
+
+def test_a_run_on_the_cached_schedule_matches_a_run_on_a_fresh_parse(tmp_path):
+    rng = random.Random(1)
+    stamps = sorted(rng.randrange(1, 2001) for _ in range(3000))   # 2 s, 18 Mbit/s
+    path = write_trace(tmp_path / "rand.trace", "".join(f"{t}\n" for t in stamps))
+    settings = file_settings(path, **{"path.loss_prob": "0.001", "log.events": "on"})
+
+    def run():
+        res = Simulation(build_config(None, settings)).run()
+        try:
+            return res.summary_row(), res.flows, res.event_log
+        finally:
+            res.close()
+    parse_trace.cache_clear()
+    fresh = run()
+    cached = run()
+    info = parse_trace.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cached == fresh
+    assert fresh[2]     # the log is on: the comparison covers its rows
 
 
 # -- replay arithmetic -------------------------------------------------------
