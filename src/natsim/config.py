@@ -20,7 +20,7 @@ import configparser
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .cc import SCHEMES, CcConfig
@@ -288,8 +288,23 @@ def resolve_schedule(cfg: SimConfig) -> Schedule:
     opportunity: a trace without one (an all-outage ``step:``, or a rate
     that rounds to no packet in the run) raises TraceError where its
     schedule is built, before a run could queue its first packet.
+
+    A trace file is read on every call but parsed once per process: see
+    ``_parse_trace_once``.  Expression schedules are built anew each time.
     """
     duration_ms = -(-cfg.duration_us // 1000)   # whole ms that cover the run
     if is_trace_expression(cfg.trace):
         return schedule_from_spec(cfg.trace, duration_ms, cfg.mtu, cfg.seed)
-    return parse_trace(read_utf8(cfg.trace, TraceError), mtu=cfg.mtu)
+    return _parse_trace_once(read_utf8(cfg.trace, TraceError), cfg.mtu)
+
+
+@lru_cache(maxsize=1, typed=True)
+def _parse_trace_once(text: str, mtu: int) -> Schedule:
+    """``parse_trace`` of the last trace text and MTU, kept for the next run
+    on the same bytes: the runs of a grid subcommand on one ``--trace FILE``,
+    or the configs one pool worker runs.  The key is the text itself, not the
+    file's path or mtime, so a file rewritten in place is parsed anew; an
+    error is not kept, so a malformed file raises on every build.  It keeps
+    one schedule (about 36 bytes an instant) and its text alive until another
+    text or MTU is parsed.  ``parse_trace`` itself keeps nothing."""
+    return parse_trace(text, mtu)

@@ -18,12 +18,10 @@ lines, one multiply pass to microseconds, and one pairwise compare in
 ``TraceSchedule`` that checks the order.  A per-line loop runs only for
 a file that pass cannot take, one with a comment, a blank line or a
 malformed, negative or decreasing stamp; it skips the first two and names
-the line of the first error.
-
-A trace file is parsed once per process: ``parse_trace`` keeps the schedule
-of the last text and MTU it parsed, keyed by the text itself, not the path,
-so a file rewritten in place is parsed again.  That keeps one schedule
-(about 36 bytes an instant) and its text alive; a run only reads it.
+the line of the first error.  ``parse_trace`` keeps nothing between
+calls; ``config.resolve_schedule`` keeps the schedule of the last trace
+file text it parsed, so a process that runs several configs on one file
+parses it once.
 
 Synthetic rates are spaced at least 1 us apart: a rate above mtu*8e6 bit/s
 would put more than one packet in a microsecond and raises TraceError.  A
@@ -49,7 +47,6 @@ rounds to no packet in the run, or a zero duration.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 import random
@@ -229,7 +226,6 @@ def avg_rate(schedule: Schedule, window_ms: float, t_start_ms: float = 0.0) -> f
     return bits * 1e6 / (t1 - t0)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
 def parse_trace(text: str, mtu: int = DEFAULT_MTU) -> TraceSchedule:
     """Parse a Mahimahi-format trace body into a schedule.
 
@@ -240,13 +236,8 @@ def parse_trace(text: str, mtu: int = DEFAULT_MTU) -> TraceSchedule:
     A file the bulk pass cannot take goes to ``_parse_lines``, which names
     the error.  Both call ``int`` on the same ``splitlines`` pieces (``int``
     strips the whitespace ``str.strip`` does), so they accept the same files.
-
-    The schedule of the last ``(text, mtu)`` parsed is kept and returned to
-    a call with the same text and MTU (``typed``: ``1500.0`` is another
-    key, and so is ``mtu`` given by keyword rather than by position); an
-    error is not kept, so a malformed text raises on every call.  The kept
-    schedule, about 36 bytes an instant, and its text stay alive until
-    another text is parsed or ``parse_trace.cache_clear()`` is called.
+    Every call parses: the cache of the last file's schedule is
+    ``config._parse_trace_once``, which runs pass through.
     """
     try:
         stamps_ms = list(map(int, text.splitlines()))

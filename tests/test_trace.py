@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from natsim import trace
+from natsim import config, trace
 from natsim.config import SimConfig, build_config, resolve_schedule
 from natsim.engine import Simulation
 from natsim.trace import (
@@ -168,7 +168,6 @@ def test_parse_trace_runs_no_python_line_per_timestamp():
             lines += 1
         return local
 
-    parse_trace.cache_clear()   # a cached schedule would pass on no line at all
     sys.settrace(lambda frame, event, arg: local)
     try:
         sched = parse_trace(text)
@@ -179,6 +178,9 @@ def test_parse_trace_runs_no_python_line_per_timestamp():
 
 
 # -- the parse cache ---------------------------------------------------------
+
+parse_once = config._parse_trace_once
+
 
 def write_trace(path, text):
     path.write_text(text)
@@ -191,12 +193,18 @@ def file_settings(path, **overrides):
 
 def test_one_trace_file_is_parsed_once_for_many_simulations(tmp_path):
     path = write_trace(tmp_path / "t.trace", "".join(f"{i // 3 + 1}\n" for i in range(3000)))
-    parse_trace.cache_clear()
+    parse_once.cache_clear()
     sims = [Simulation(build_config(None, file_settings(path, scheme=scheme)))
             for scheme in ("natcp", "nacubic", "tg")]
-    info = parse_trace.cache_info()
+    info = parse_once.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert sims[0].schedule is sims[1].schedule is sims[2].schedule
+
+
+def test_parse_trace_itself_keeps_nothing():
+    text = "10\n20\n30\n"
+    assert parse_trace(text) == parse_trace(text)
+    assert parse_trace(text) is not parse_trace(text)
 
 
 def test_a_file_rewritten_in_place_gives_its_new_schedule(tmp_path):
@@ -238,10 +246,10 @@ def test_a_run_on_the_cached_schedule_matches_a_run_on_a_fresh_parse(tmp_path):
             return res.summary_row(), res.flows, res.event_log
         finally:
             res.close()
-    parse_trace.cache_clear()
+    parse_once.cache_clear()
     fresh = run()
     cached = run()
-    info = parse_trace.cache_info()
+    info = parse_once.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert cached == fresh
     assert fresh[2]     # the log is on: the comparison covers its rows

@@ -268,51 +268,12 @@ def walk_build_bytes():
 
 
 def walk_parse_lines():
-    """cellular-cli's trace (tests/test_trace.py fails above 1,000 lines).
-    Each group runs in a fresh interpreter, so ``parse_trace``'s cache is
-    empty here and the count is a parse's, not a cache hit's."""
+    """cellular-cli's trace (tests/test_trace.py fails above 1,000 lines)."""
     from workloads import walk_trace
     text = walk_trace(1)
     lines, _ = python_lines(parse_trace, text)
     print(f"walk trace at seed 1, {len(text.splitlines()):,} stamps: "
           f"parse_trace runs {lines:,} Python lines")
-
-
-def cellular_cli_logged_path():
-    """cellular-cli's shape, natcp on its walk trace file with air loss and
-    the event log on: the per-packet path that writes a log row at each
-    packet event.  Its three set-ups (one a scheme, as the workload builds
-    them) share one parse of the file."""
-    import tempfile
-    from workloads import CellularCli, walk_trace
-    with tempfile.TemporaryDirectory() as tmp:
-        trace = Path(tmp) / "walk.trace"
-        trace.write_text(walk_trace(1))
-        cellular = {"scheme": "natcp", "trace": str(trace), "seed": "1",
-                    "path.loss_prob": "0.001", "log.events": "on"}
-        for scheme in CellularCli.schemes:
-            simulation({**cellular, "scheme": scheme}, "60")
-        misses = parse_trace.cache_info().misses
-        print(f"parse_trace misses over three cellular-cli set-ups: {misses}")
-        calls, result = python_calls(simulation(cellular, "10").run)
-        result.close()
-        pkts = sum(len(f.deliveries) for f in result.flows)
-        print(f"cellular-cli (natcp, log.events=on), 10 s at seed 1: {calls:,} Python "
-              f"calls for {pkts:,} delivered packets, {calls / pkts:.2f} a packet")
-        split, result = opcodes_by_module(simulation(cellular, "10").run)
-        result.close()
-        opcodes = sum(split.values())
-        print(f"cellular-cli (natcp, log.events=on), 10 s at seed 1: {opcodes:,} "
-              f"opcodes, {opcodes / pkts:.1f} a delivered packet; by module: "
-              f"{per_module(split, pkts)}")
-        pops, result = heap_events(simulation(cellular, "10"))
-        result.close()
-        print(f"cellular-cli (natcp, log.events=on), 10 s at seed 1: {pops:,} heap "
-              f"events, {pops / pkts:.2f} a delivered packet")
-    return over_ceilings(("cellular-cli: parse_trace misses over three set-ups", misses, 1),
-                         ("cellular-cli (10 s, logged): Python calls a packet", calls / pkts, 20.0),
-                         ("cellular-cli (10 s, logged): opcodes a packet", opcodes / pkts, 1_030),
-                         ("cellular-cli (10 s, logged): heap events a packet", pops / pkts, 4.05))
 
 
 def gig_result_and_per_packet():
@@ -366,8 +327,8 @@ def feedback_arrival_bytes():
 
 
 GROUPS = (source_lines, crowd_calls_and_events, ref_12m_per_packet, walk_parse_lines,
-          cellular_cli_logged_path, gig_result_and_per_packet, event_log_row_bytes,
-          feedback_arrival_bytes, ref_12m_peak_bytes, crowd_peak_bytes, walk_build_bytes)
+          gig_result_and_per_packet, event_log_row_bytes, feedback_arrival_bytes,
+          ref_12m_peak_bytes, crowd_peak_bytes, walk_build_bytes)
 
 
 def main() -> int:
